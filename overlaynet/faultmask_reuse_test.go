@@ -105,3 +105,51 @@ func TestFaultMaskReuse(t *testing.T) {
 	checkOld(s1, s1.faults.epoch)
 	checkOld(s2, s1.faults.epoch)
 }
+
+// TestFaultMaskPlaneSwap pins that mask reuse is keyed on the installed
+// plane, not only on its fault epoch: two fresh netmodel.Models both
+// report epoch 1 but kill different nodes, so swapping one for the
+// other must rebuild the mask.
+func TestFaultMaskPlaneSwap(t *testing.T) {
+	dyn, err := NewIncremental(context.Background(), "smallworld-uniform", Options{N: 256, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := netmodel.New(netmodel.Config{DeadFrac: 0.2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := netmodel.New(netmodel.Config{DeadFrac: 0.2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.FaultEpoch() != b.FaultEpoch() {
+		t.Fatalf("fixture: plane epochs %d and %d differ", a.FaultEpoch(), b.FaultEpoch())
+	}
+	differ := false
+	for u := 0; u < pub.N(); u++ {
+		if a.Dead(pub.Key(u)) != b.Dead(pub.Key(u)) {
+			differ = true
+		}
+	}
+	if !differ {
+		t.Fatal("fixture: both planes kill the same nodes")
+	}
+	for i, fp := range []*netmodel.Model{a, b, a} {
+		pub.SetFaultPlane(fp)
+		s := pub.Snapshot()
+		for u := 0; u < s.N(); u++ {
+			if s.Dead(u) != fp.Dead(s.Key(u)) {
+				t.Fatalf("install %d: slot %d mask %v, plane %v", i, u, s.Dead(u), fp.Dead(s.Key(u)))
+			}
+		}
+		// Republishing over the same plane still shares the mask.
+		if again := pub.Publish(); again.faults != s.faults {
+			t.Fatalf("install %d: unchanged plane, mask rebuilt", i)
+		}
+	}
+}

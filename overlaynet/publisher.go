@@ -70,9 +70,13 @@ type Publisher struct {
 	// chunks are immutable once shared, so pointer-equal spines imply
 	// identical identifiers even when membership events bypassed the
 	// Publisher's own mutators). maskVantage records the vantage the
-	// last-built mask was derived from.
+	// last-built mask was derived from, maskPlane the SetFaultPlane
+	// installation it read: two distinct planes may report equal fault
+	// epochs, so the epoch alone does not identify the plane.
 	maskVantage    keyspace.Key
 	maskHasVantage bool
+	plane          uint64 // SetFaultPlane installations so far
+	maskPlane      uint64
 
 	obsReg    *obs.Registry
 	obsTracer *obs.Tracer
@@ -114,6 +118,7 @@ func (p *Publisher) SetFaultPlane(fp FaultPlane) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.faults = fp
+	p.plane++
 	p.publishLocked()
 }
 
@@ -191,20 +196,20 @@ func (p *Publisher) publishLocked() {
 
 // faultMaskLocked returns the fault mask for a snapshot being
 // published: the previous snapshot's mask object when every input it
-// was derived from is unchanged (fault epoch, vantage, membership),
-// a freshly built one otherwise. Sharing keeps the no-change publish
-// path free of the O(N) mask allocation AND the O(N) plane scan;
-// snapshots stay immutable because the shared object is never written
-// after its first publication.
+// was derived from is unchanged (installed plane, its fault epoch,
+// vantage, membership), a freshly built one otherwise. Sharing keeps
+// the no-change publish path free of the O(N) mask allocation AND the
+// O(N) plane scan; snapshots stay immutable because the shared object
+// is never written after its first publication.
 func (p *Publisher) faultMaskLocked(s *Snapshot) *snapFaults {
 	if prev := p.cur.Load(); prev != nil && prev.faults != nil &&
-		prev.faults.epoch == p.faults.FaultEpoch() &&
+		p.maskPlane == p.plane && prev.faults.epoch == p.faults.FaultEpoch() &&
 		p.maskVantage == p.vantage && p.maskHasVantage == p.hasVantage &&
 		equalKeyViews(prev.keys, s.keys) {
 		return prev.faults
 	}
 	f := buildFaultMask(s, p.faults, p.vantage, p.hasVantage)
-	p.maskVantage, p.maskHasVantage = p.vantage, p.hasVantage
+	p.maskVantage, p.maskHasVantage, p.maskPlane = p.vantage, p.hasVantage, p.plane
 	return f
 }
 

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"smallworld/keyspace"
@@ -75,28 +76,33 @@ func BenchmarkStoreScanUnderChurn(b *testing.B) {
 
 // BenchmarkHandoverChurn isolates the handover cost itself: one
 // leave+join cycle per iteration with the ownership events driving
-// window repairs, no foreground queries.
+// window repairs, no foreground queries. The population sweeps N at 8
+// keys per node, so the per-event cost's dependence on N shows.
 func BenchmarkHandoverChurn(b *testing.B) {
-	ctx := context.Background()
-	pub, _ := newServed(b, 512, 3)
-	st, err := store.New(pub, store.Config{Replicas: 3, EventDriven: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pub.SetOwnershipWatcher(st.ApplyChange)
-	r := xrand.New(19)
-	val := make([]byte, 64)
-	for i := 0; i < 2048; i++ {
-		st.Put(0, keyspace.Key(r.Float64()), val)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pub.Leave(ctx, r.Intn(pub.LiveN())); err != nil {
-			b.Fatal(err)
-		}
-		if err := pub.Join(ctx); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{512, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ctx := context.Background()
+			pub, _ := newServed(b, n, 3)
+			st, err := store.New(pub, store.Config{Replicas: 3, EventDriven: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pub.SetOwnershipWatcher(st.ApplyChange)
+			r := xrand.New(19)
+			val := make([]byte, 64)
+			for i := 0; i < 8*n; i++ {
+				st.Put(0, keyspace.Key(r.Float64()), val)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := pub.Leave(ctx, r.Intn(pub.LiveN())); err != nil {
+					b.Fatal(err)
+				}
+				if err := pub.Join(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -35,6 +35,17 @@
 // Sweep is the backstop for both: a full anti-entropy pass that
 // re-replicates every under-replicated key and trims copies parked on
 // nodes outside the key's replica set.
+//
+// # Storage layout
+//
+// Copies are stored per key, not per node. Each key has a record: its
+// copies as (holder, version) pairs sorted by holder identifier. Beside
+// the records sit a sorted index of the distinct stored keys and, per
+// member, the sorted list of keys it holds. A Get or Put is one record
+// lookup. A membership event reads its repair window's keys from the
+// key index and touches only their records, so handover costs
+// O(log K + window keys × copies) for K stored keys, independent of N;
+// a departure drops the node's copies through its held-key list.
 package store
 
 import (
@@ -189,67 +200,55 @@ type entry struct {
 	stamp Stamp
 }
 
-// bucket holds one member node's copies: a sorted key index over a
-// version map. Buckets are keyed by member identifier, not slot index —
-// identifiers are stable across the overlay's slot renames.
-type bucket struct {
-	keys keyspace.Points
-	data map[keyspace.Key]entry
+// replica is one stored copy of a key: the member holding it and the
+// version it holds. Holders are member identifiers, not slot indexes or
+// ranks — identifiers are stable across the overlay's slot renames and
+// the store's own rank shifts.
+type replica struct {
+	holder keyspace.Key
+	entry
 }
 
-func newBucket() *bucket {
-	return &bucket{data: make(map[keyspace.Key]entry)}
-}
-
-// put stores (k, val, st) unless an equal-or-newer version is already
-// present. Reports whether the copy changed.
-func (b *bucket) put(k keyspace.Key, val []byte, st Stamp) bool {
-	if e, ok := b.data[k]; ok {
-		if !e.stamp.Less(st) {
-			return false
-		}
-		b.data[k] = entry{val: val, stamp: st}
-		return true
-	}
-	i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= k })
-	b.keys = append(b.keys, 0)
-	copy(b.keys[i+1:], b.keys[i:])
-	b.keys[i] = k
-	b.data[k] = entry{val: val, stamp: st}
-	return true
-}
-
-// drop removes k's copy.
-func (b *bucket) drop(k keyspace.Key) {
-	if _, ok := b.data[k]; !ok {
-		return
-	}
-	delete(b.data, k)
-	i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= k })
-	copy(b.keys[i:], b.keys[i+1:])
-	b.keys = b.keys[:len(b.keys)-1]
-}
-
-// appendInRange appends the bucket's keys inside iv to out, walking
-// ascending from iv.Lo with ring wrap.
-func (b *bucket) appendInRange(iv keyspace.Interval, out []keyspace.Key) []keyspace.Key {
-	n := len(b.keys)
-	if n == 0 || iv.Empty() {
-		return out
-	}
-	i := b.keys.Successor(iv.Lo)
-	for step := 0; step < n; step++ {
-		k := b.keys[i]
-		if !iv.Contains(k) {
-			break
-		}
-		out = append(out, k)
-		i++
-		if i == n {
-			i = 0
+// holding returns the index of holder's copy in rec, -1 when it holds
+// none.
+func holding(rec []replica, holder keyspace.Key) int {
+	for i := range rec {
+		if rec[i].holder == holder {
+			return i
 		}
 	}
-	return out
+	return -1
+}
+
+// newest returns the newest copy in rec: its version and its holder,
+// the lowest holder id among equal stamps. rec must be non-empty.
+func newest(rec []replica) (entry, keyspace.Key) {
+	best, from := rec[0].entry, rec[0].holder
+	for _, c := range rec[1:] {
+		if best.stamp.Less(c.stamp) {
+			best, from = c.entry, c.holder
+		}
+	}
+	return best, from
+}
+
+// insertKey inserts k into the ascending list p, which must not hold it.
+func insertKey(p keyspace.Points, k keyspace.Key) keyspace.Points {
+	i := sort.Search(len(p), func(i int) bool { return p[i] >= k })
+	p = append(p, 0)
+	copy(p[i+1:], p[i:])
+	p[i] = k
+	return p
+}
+
+// removeKey removes k from the ascending list p when present.
+func removeKey(p keyspace.Points, k keyspace.Key) keyspace.Points {
+	i := sort.Search(len(p), func(i int) bool { return p[i] >= k })
+	if i == len(p) || p[i] != k {
+		return p
+	}
+	copy(p[i:], p[i+1:])
+	return p[:len(p)-1]
 }
 
 // Store is the replicated range store. All methods are safe for
@@ -262,7 +261,19 @@ type Store struct {
 	evs bool // event-driven membership tracking
 
 	members keyspace.Points
-	buckets map[keyspace.Key]*bucket
+	// held[i] is the slot in lists of the ascending list of keys
+	// members[i] holds a copy of, so a departure drops its copies without
+	// scanning the store. held runs parallel to members; going through
+	// slots keeps the splice a membership event makes in it a copy of
+	// plain integers. free holds the slots of departed members.
+	held  []int32
+	lists []keyspace.Points
+	free  []int32
+	// recs maps each stored key to its copies, ascending by holder.
+	recs map[keyspace.Key][]replica
+	// keys indexes the distinct stored keys: the range reads of
+	// handover, Scan and Sweep walk it.
+	keys keyIndex
 
 	synced   *overlaynet.Snapshot
 	router   *overlaynet.SnapshotRouter
@@ -310,7 +321,7 @@ func New(src Source, cfg Config) (*Store, error) {
 		shardOf:   cfg.ShardOf,
 		batch:     cfg.BatchHandover,
 		overheadB: cfg.TransferOverheadBytes,
-		buckets:   make(map[keyspace.Key]*bucket),
+		recs:      make(map[keyspace.Key][]replica),
 	}
 	snap := src.Snapshot()
 	if snap == nil {
@@ -318,8 +329,10 @@ func New(src Source, cfg Config) (*Store, error) {
 	}
 	s.adoptLocked(snap)
 	s.members = append(keyspace.Points(nil), snap.SortedKeys()...)
-	for _, k := range s.members {
-		s.buckets[k] = newBucket()
+	s.held = make([]int32, len(s.members))
+	s.lists = make([]keyspace.Points, len(s.members))
+	for i := range s.held {
+		s.held[i] = int32(i)
 	}
 	return s, nil
 }
@@ -344,7 +357,7 @@ func (s *Store) adoptLocked(snap *overlaynet.Snapshot) {
 
 // syncLocked observes the source's current snapshot. In diff mode it
 // also reconciles membership: every departure found is treated as a
-// crash (bucket dropped, replication window repaired from survivors)
+// crash (copies dropped, replication window repaired from survivors)
 // and every arrival gets its owned range handed over.
 func (s *Store) syncLocked() {
 	snap := s.src.Snapshot()
@@ -430,27 +443,119 @@ func (s *Store) rankOfMemberLocked(k keyspace.Key) int {
 	return -1
 }
 
-// addMemberLocked inserts a member with an empty bucket.
+// addMemberLocked inserts a member holding no copies.
 func (s *Store) addMemberLocked(k keyspace.Key) {
 	i := sort.Search(len(s.members), func(i int) bool { return s.members[i] >= k })
 	s.members = append(s.members, 0)
 	copy(s.members[i+1:], s.members[i:])
 	s.members[i] = k
-	if s.buckets[k] == nil {
-		s.buckets[k] = newBucket()
+	var slot int32
+	if f := len(s.free); f > 0 {
+		slot, s.free = s.free[f-1], s.free[:f-1]
+	} else {
+		slot = int32(len(s.lists))
+		s.lists = append(s.lists, nil)
 	}
+	s.held = append(s.held, 0)
+	copy(s.held[i+1:], s.held[i:])
+	s.held[i] = slot
 }
 
 // removeMemberLocked drops a member and its copies — a leave is a
-// crash; whatever the node held is gone.
+// crash; whatever the node held is gone. A key left with no copy
+// anywhere leaves the store.
 func (s *Store) removeMemberLocked(k keyspace.Key) {
 	i := s.rankOfMemberLocked(k)
 	if i < 0 {
 		return
 	}
+	slot := s.held[i]
+	for _, key := range s.lists[slot] {
+		rec := s.recs[key]
+		j := holding(rec, k)
+		copy(rec[j:], rec[j+1:])
+		rec[len(rec)-1] = replica{}
+		rec = rec[:len(rec)-1]
+		if len(rec) == 0 {
+			delete(s.recs, key)
+			s.keys.remove(key)
+			continue
+		}
+		s.recs[key] = rec
+	}
 	copy(s.members[i:], s.members[i+1:])
 	s.members = s.members[:len(s.members)-1]
-	delete(s.buckets, k)
+	s.lists[slot] = s.lists[slot][:0]
+	s.free = append(s.free, slot)
+	copy(s.held[i:], s.held[i+1:])
+	s.held = s.held[:len(s.held)-1]
+}
+
+// writeCopyLocked stores e as the copy of key k held by the member at
+// rank, unless that member's copy is already equal or newer, and
+// reports whether the copy changed. rec is k's record; the returned
+// record may have grown, and the caller hands it to saveRecordLocked.
+func (s *Store) writeCopyLocked(k keyspace.Key, rec []replica, rank int, e entry) ([]replica, bool) {
+	holder := s.members[rank]
+	i := 0
+	for i < len(rec) && rec[i].holder < holder {
+		i++
+	}
+	if i < len(rec) && rec[i].holder == holder {
+		if !rec[i].stamp.Less(e.stamp) {
+			return rec, false
+		}
+		rec[i].entry = e
+		return rec, true
+	}
+	rec = append(rec, replica{})
+	copy(rec[i+1:], rec[i:])
+	rec[i] = replica{holder: holder, entry: e}
+	s.lists[s.held[rank]] = insertKey(s.lists[s.held[rank]], k)
+	return rec, true
+}
+
+// saveRecordLocked stores k's record back after writeCopyLocked calls
+// that started from n copies; a record that did not grow is already in
+// place, and a key's first copies enter it into the key index.
+func (s *Store) saveRecordLocked(k keyspace.Key, rec []replica, n int) {
+	if len(rec) == n {
+		return
+	}
+	if n == 0 {
+		s.keys.insert(k)
+	}
+	s.recs[k] = rec
+}
+
+// newestOnLocked returns the newest copy of rec held by the members at
+// ranks — the first such rank on equal stamps — and whether any holds
+// one.
+func (s *Store) newestOnLocked(rec []replica, ranks []int) (entry, bool) {
+	var best entry
+	found := false
+	for _, rk := range ranks {
+		if i := holding(rec, s.members[rk]); i >= 0 && (!found || best.stamp.Less(rec[i].stamp)) {
+			best, found = rec[i].entry, true
+		}
+	}
+	return best, found
+}
+
+// readRepairLocked writes best to every member at ranks that is missing
+// k or holds an older version, and returns how many copies it fixed.
+func (s *Store) readRepairLocked(k keyspace.Key, rec []replica, ranks []int, best entry) int {
+	n, fixed := len(rec), 0
+	for _, rk := range ranks {
+		var changed bool
+		if rec, changed = s.writeCopyLocked(k, rec, rk, best); changed {
+			fixed++
+			s.stats.ReadRepairs++
+			s.stats.BytesMoved += int64(len(best.val))
+		}
+	}
+	s.saveRecordLocked(k, rec, n)
+	return fixed
 }
 
 // repairWindowLocked re-replicates every key whose replica set involves
@@ -528,52 +633,34 @@ func (s *Store) repairRangeLocked(iv keyspace.Interval) {
 	if iv.Empty() || len(s.members) == 0 {
 		return
 	}
-	var keys []keyspace.Key
-	for _, m := range s.members {
-		keys = s.buckets[m].appendInRange(iv, keys)
-	}
-	if len(keys) == 0 {
-		return
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w := 0
-	for i, k := range keys {
-		if i == 0 || k != keys[w-1] {
-			keys[w] = k
-			w++
-		}
-	}
-	for _, k := range keys[:w] {
+	for k := range s.keys.in(iv) {
 		s.rereplicateKeyLocked(k)
 	}
 }
 
 // rereplicateKeyLocked writes k's newest stored version to every
-// desired replica that is missing it or stale.
-func (s *Store) rereplicateKeyLocked(k keyspace.Key) {
-	var best entry
-	var from keyspace.Key
-	found := false
-	for _, m := range s.members {
-		if e, ok := s.buckets[m].data[k]; ok && (!found || best.stamp.Less(e.stamp)) {
-			best, from, found = e, m, true
-		}
+// desired replica that is missing it or stale, and returns k's record.
+// The newest version is taken from any member, replica or not: a copy
+// parked outside the replica set can still save the key.
+func (s *Store) rereplicateKeyLocked(k keyspace.Key) []replica {
+	rec := s.recs[k]
+	if len(rec) == 0 {
+		return rec
 	}
-	if !found {
-		return
-	}
+	best, from := newest(rec)
+	n := len(rec)
 	var scratch [8]int
 	for _, rk := range s.replicaRanksLocked(k, scratch[:0]) {
-		to := s.members[rk]
-		b := s.buckets[to]
-		if e, ok := b.data[k]; ok && !e.stamp.Less(best.stamp) {
+		var changed bool
+		if rec, changed = s.writeCopyLocked(k, rec, rk, best); !changed {
 			continue
 		}
-		b.put(k, best.val, best.stamp)
 		s.stats.Rereplicated++
 		s.stats.BytesMoved += int64(len(best.val))
-		s.recordHandoverLocked(from, to)
+		s.recordHandoverLocked(from, s.members[rk])
 	}
+	s.saveRecordLocked(k, rec, n)
+	return rec
 }
 
 // recordHandoverLocked accounts one handover/sweep repair copy from
@@ -650,12 +737,18 @@ func (s *Store) putLocked(src int, key keyspace.Key, val []byte) PutResult {
 	res := PutResult{Stamp: st, Hops: s.locateLocked(src, key)}
 	var scratch [8]int
 	ranks := s.replicaRanksLocked(key, scratch[:0])
+	rec := s.recs[key]
+	n0 := len(rec)
+	if rec == nil {
+		rec = make([]replica, 0, len(ranks))
+	}
 	for j, rk := range ranks {
-		s.buckets[s.members[rk]].put(key, val, st)
+		rec, _ = s.writeCopyLocked(key, rec, rk, entry{val: val, stamp: st})
 		if j > 0 {
 			res.Hops++ // one replication hop per extra copy
 		}
 	}
+	s.saveRecordLocked(key, rec, n0)
 	res.Replicas = len(ranks)
 	res.Acked = len(ranks) > 0
 	if res.Acked {
@@ -681,28 +774,16 @@ func (s *Store) getLocked(src int, key keyspace.Key) GetResult {
 	res := GetResult{Hops: s.locateLocked(src, key)}
 	var scratch [8]int
 	ranks := s.replicaRanksLocked(key, scratch[:0])
-	var best entry
-	for j, rk := range ranks {
-		if j > 0 {
-			res.Hops++
-		}
-		if e, ok := s.buckets[s.members[rk]].data[key]; ok && (!res.Found || best.stamp.Less(e.stamp)) {
-			best = e
-			res.Found = true
-		}
+	if len(ranks) > 1 {
+		res.Hops += len(ranks) - 1 // one hop per extra replica consulted
 	}
-	if !res.Found {
+	rec := s.recs[key]
+	best, found := s.newestOnLocked(rec, ranks)
+	if !found {
 		return res
 	}
-	for _, rk := range ranks {
-		b := s.buckets[s.members[rk]]
-		if e, ok := b.data[key]; !ok || e.stamp.Less(best.stamp) {
-			b.put(key, best.val, best.stamp)
-			res.Repaired++
-			s.stats.ReadRepairs++
-			s.stats.BytesMoved += int64(len(best.val))
-		}
-	}
+	res.Found = true
+	res.Repaired = s.readRepairLocked(key, rec, ranks, best)
 	res.Val, res.Stamp = best.val, best.stamp
 	return res
 }
@@ -734,49 +815,27 @@ func (s *Store) scanLocked(src int, iv keyspace.Interval) ScanResult {
 	start := keyspace.Owner(s.topology, s.members, iv.Lo)
 	rank := start
 	var scratch [8]int
-	var cellKeys []keyspace.Key
 	for steps := 0; steps < n; steps++ {
 		res.Cells++
 		cell := keyspace.Cell(s.topology, s.members, rank)
-		// Keys this cell's owner is responsible for, restricted to iv;
-		// every desired replica is consulted so a freshly-crashed owner
-		// does not hide its keys.
-		cellKeys = cellKeys[:0]
+		// Keys this cell's owner is responsible for, restricted to iv, in
+		// ascending key order. Cells tile the key space, so every key in
+		// the cell shares the cell's replica set; every replica is
+		// consulted so a freshly-crashed owner does not hide its keys.
 		if !cell.Empty() {
 			ranks := s.replicaRanksLocked(cell.Lo, scratch[:0])
-			for _, rk := range ranks {
-				cellKeys = s.buckets[s.members[rk]].appendInRange(cell, cellKeys)
-			}
-		}
-		sort.Slice(cellKeys, func(i, j int) bool { return cellKeys[i] < cellKeys[j] })
-		for i, k := range cellKeys {
-			if i > 0 && k == cellKeys[i-1] {
-				continue
-			}
-			if !iv.Contains(k) {
-				continue
-			}
-			kranks := s.replicaRanksLocked(k, scratch[:0])
-			var best entry
-			found := false
-			for _, rk := range kranks {
-				if e, ok := s.buckets[s.members[rk]].data[k]; ok && (!found || best.stamp.Less(e.stamp)) {
-					best, found = e, true
+			for k := range s.keys.in(cell) {
+				if !iv.Contains(k) {
+					continue
 				}
-			}
-			if !found {
-				continue
-			}
-			for _, rk := range kranks {
-				b := s.buckets[s.members[rk]]
-				if e, ok := b.data[k]; !ok || e.stamp.Less(best.stamp) {
-					b.put(k, best.val, best.stamp)
-					res.Repaired++
-					s.stats.ReadRepairs++
-					s.stats.BytesMoved += int64(len(best.val))
+				rec := s.recs[k]
+				best, found := s.newestOnLocked(rec, ranks)
+				if !found {
+					continue
 				}
+				res.Repaired += s.readRepairLocked(k, rec, ranks, best)
+				res.KVs = append(res.KVs, KV{Key: k, Val: best.val, Stamp: best.stamp})
 			}
-			res.KVs = append(res.KVs, KV{Key: k, Val: best.val, Stamp: best.stamp})
 		}
 		var covered float64
 		if s.topology == keyspace.Ring {
@@ -824,44 +883,39 @@ func (s *Store) Sweep() {
 func (s *Store) sweepLocked() {
 	s.syncLocked()
 	s.stats.Sweeps++
-	keys := s.allKeysLocked()
 	var scratch [8]int
-	for _, k := range keys {
-		s.rereplicateKeyLocked(k)
+	// Re-replication only adds copies of stored keys and the trim keeps
+	// each key's replica set, so the key index is stable under the walk.
+	for k := range s.keys.all() {
+		rec := s.rereplicateKeyLocked(k)
 		ranks := s.replicaRanksLocked(k, scratch[:0])
-		desired := make(map[keyspace.Key]bool, len(ranks))
-		for _, rk := range ranks {
-			desired[s.members[rk]] = true
-		}
-		for _, m := range s.members {
-			if desired[m] {
+		w := 0
+		for _, c := range rec {
+			if s.inRanksLocked(c.holder, ranks) {
+				rec[w] = c
+				w++
 				continue
 			}
-			b := s.buckets[m]
-			if _, ok := b.data[k]; ok {
-				b.drop(k)
-				s.stats.Trimmed++
-			}
+			slot := s.held[s.rankOfMemberLocked(c.holder)]
+			s.lists[slot] = removeKey(s.lists[slot], k)
+			s.stats.Trimmed++
+		}
+		if w < len(rec) {
+			clear(rec[w:])
+			s.recs[k] = rec[:w]
 		}
 	}
 	s.flushTransfersLocked()
 }
 
-// allKeysLocked returns every stored key, deduplicated, ascending.
-func (s *Store) allKeysLocked() []keyspace.Key {
-	var keys []keyspace.Key
-	for _, m := range s.members {
-		keys = append(keys, s.buckets[m].keys...)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w := 0
-	for i, k := range keys {
-		if i == 0 || k != keys[w-1] {
-			keys[w] = k
-			w++
+// inRanksLocked reports whether member m sits at one of ranks.
+func (s *Store) inRanksLocked(m keyspace.Key, ranks []int) bool {
+	for _, rk := range ranks {
+		if s.members[rk] == m {
+			return true
 		}
 	}
-	return keys[:w]
+	return false
 }
 
 // Backlog counts the re-replication debt: (key, replica) placements
@@ -872,19 +926,11 @@ func (s *Store) Backlog() int {
 	defer s.mu.Unlock()
 	backlog := 0
 	var scratch [8]int
-	for _, k := range s.allKeysLocked() {
-		var best entry
-		found := false
-		for _, m := range s.members {
-			if e, ok := s.buckets[m].data[k]; ok && (!found || best.stamp.Less(e.stamp)) {
-				best, found = e, true
-			}
-		}
-		if !found {
-			continue
-		}
+	for k := range s.keys.all() {
+		rec := s.recs[k]
+		best, _ := newest(rec)
 		for _, rk := range s.replicaRanksLocked(k, scratch[:0]) {
-			if e, ok := s.buckets[s.members[rk]].data[k]; !ok || e.stamp.Less(best.stamp) {
+			if i := holding(rec, s.members[rk]); i < 0 || rec[i].stamp.Less(best.stamp) {
 				backlog++
 			}
 		}
@@ -898,15 +944,9 @@ func (s *Store) Backlog() int {
 func (s *Store) Newest(k keyspace.Key) (Stamp, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var best Stamp
-	found := false
 	var scratch [8]int
-	for _, rk := range s.replicaRanksLocked(k, scratch[:0]) {
-		if e, ok := s.buckets[s.members[rk]].data[k]; ok && (!found || best.Less(e.stamp)) {
-			best, found = e.stamp, true
-		}
-	}
-	return best, found
+	best, found := s.newestOnLocked(s.recs[k], s.replicaRanksLocked(k, scratch[:0]))
+	return best.stamp, found
 }
 
 // Replicas returns R.
