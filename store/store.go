@@ -40,10 +40,10 @@
 //
 // Copies are stored per key, not per node. Each key has a record: its
 // copies as (holder, version) pairs sorted by holder identifier. Beside
-// the records sit a sorted index of the distinct stored keys and, per
+// the records sit a sorted list of the distinct stored keys and, per
 // member, the sorted list of keys it holds. A Get or Put is one record
 // lookup. A membership event reads its repair window's keys from the
-// key index and touches only their records, so handover costs
+// key list and touches only their records, so handover costs
 // O(log K + window keys × copies) for K stored keys, independent of N;
 // a departure drops the node's copies through its held-key list.
 package store
@@ -261,19 +261,15 @@ type Store struct {
 	evs bool // event-driven membership tracking
 
 	members keyspace.Points
-	// held[i] is the slot in lists of the ascending list of keys
-	// members[i] holds a copy of, so a departure drops its copies without
-	// scanning the store. held runs parallel to members; going through
-	// slots keeps the splice a membership event makes in it a copy of
-	// plain integers. free holds the slots of departed members.
-	held  []int32
-	lists []keyspace.Points
-	free  []int32
 	// recs maps each stored key to its copies, ascending by holder.
 	recs map[keyspace.Key][]replica
-	// keys indexes the distinct stored keys: the range reads of
+	// keys lists the distinct stored keys, ascending: the range reads of
 	// handover, Scan and Sweep walk it.
-	keys keyIndex
+	keys keyspace.Points
+	// held maps each member to the ascending list of keys it holds a copy
+	// of, so a departure drops its copies without scanning the store.
+	// Pointer values let an added copy cost one map lookup, not two.
+	held map[keyspace.Key]*keyspace.Points
 
 	synced   *overlaynet.Snapshot
 	router   *overlaynet.SnapshotRouter
@@ -322,6 +318,7 @@ func New(src Source, cfg Config) (*Store, error) {
 		batch:     cfg.BatchHandover,
 		overheadB: cfg.TransferOverheadBytes,
 		recs:      make(map[keyspace.Key][]replica),
+		held:      make(map[keyspace.Key]*keyspace.Points),
 	}
 	snap := src.Snapshot()
 	if snap == nil {
@@ -329,11 +326,6 @@ func New(src Source, cfg Config) (*Store, error) {
 	}
 	s.adoptLocked(snap)
 	s.members = append(keyspace.Points(nil), snap.SortedKeys()...)
-	s.held = make([]int32, len(s.members))
-	s.lists = make([]keyspace.Points, len(s.members))
-	for i := range s.held {
-		s.held[i] = int32(i)
-	}
 	return s, nil
 }
 
@@ -449,16 +441,6 @@ func (s *Store) addMemberLocked(k keyspace.Key) {
 	s.members = append(s.members, 0)
 	copy(s.members[i+1:], s.members[i:])
 	s.members[i] = k
-	var slot int32
-	if f := len(s.free); f > 0 {
-		slot, s.free = s.free[f-1], s.free[:f-1]
-	} else {
-		slot = int32(len(s.lists))
-		s.lists = append(s.lists, nil)
-	}
-	s.held = append(s.held, 0)
-	copy(s.held[i+1:], s.held[i:])
-	s.held[i] = slot
 }
 
 // removeMemberLocked drops a member and its copies — a leave is a
@@ -469,8 +451,11 @@ func (s *Store) removeMemberLocked(k keyspace.Key) {
 	if i < 0 {
 		return
 	}
-	slot := s.held[i]
-	for _, key := range s.lists[slot] {
+	var keys keyspace.Points
+	if p := s.held[k]; p != nil {
+		keys = *p
+	}
+	for _, key := range keys {
 		rec := s.recs[key]
 		j := holding(rec, k)
 		copy(rec[j:], rec[j+1:])
@@ -478,17 +463,14 @@ func (s *Store) removeMemberLocked(k keyspace.Key) {
 		rec = rec[:len(rec)-1]
 		if len(rec) == 0 {
 			delete(s.recs, key)
-			s.keys.remove(key)
+			s.keys = removeKey(s.keys, key)
 			continue
 		}
 		s.recs[key] = rec
 	}
+	delete(s.held, k)
 	copy(s.members[i:], s.members[i+1:])
 	s.members = s.members[:len(s.members)-1]
-	s.lists[slot] = s.lists[slot][:0]
-	s.free = append(s.free, slot)
-	copy(s.held[i:], s.held[i+1:])
-	s.held = s.held[:len(s.held)-1]
 }
 
 // writeCopyLocked stores e as the copy of key k held by the member at
@@ -511,21 +493,40 @@ func (s *Store) writeCopyLocked(k keyspace.Key, rec []replica, rank int, e entry
 	rec = append(rec, replica{})
 	copy(rec[i+1:], rec[i:])
 	rec[i] = replica{holder: holder, entry: e}
-	s.lists[s.held[rank]] = insertKey(s.lists[s.held[rank]], k)
+	p := s.held[holder]
+	if p == nil {
+		p = new(keyspace.Points)
+		s.held[holder] = p
+	}
+	*p = insertKey(*p, k)
 	return rec, true
 }
 
 // saveRecordLocked stores k's record back after writeCopyLocked calls
 // that started from n copies; a record that did not grow is already in
-// place, and a key's first copies enter it into the key index.
+// place, and a key's first copies enter it into the key list.
 func (s *Store) saveRecordLocked(k keyspace.Key, rec []replica, n int) {
 	if len(rec) == n {
 		return
 	}
 	if n == 0 {
-		s.keys.insert(k)
+		s.keys = insertKey(s.keys, k)
 	}
 	s.recs[k] = rec
+}
+
+// keyRunsLocked returns the stored keys inside iv as two ascending runs
+// of s.keys, to be walked in order: for a wrapping interval the keys
+// below iv.Hi come before those from iv.Lo. The runs alias s.keys, so
+// no key may enter or leave the store while they are walked.
+func (s *Store) keyRunsLocked(iv keyspace.Interval) [2]keyspace.Points {
+	from := func(k keyspace.Key) int {
+		return sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= k })
+	}
+	if iv.Lo <= iv.Hi {
+		return [2]keyspace.Points{s.keys[from(iv.Lo):from(iv.Hi)]}
+	}
+	return [2]keyspace.Points{s.keys[:from(iv.Hi)], s.keys[from(iv.Lo):]}
 }
 
 // newestOnLocked returns the newest copy of rec held by the members at
@@ -633,8 +634,10 @@ func (s *Store) repairRangeLocked(iv keyspace.Interval) {
 	if iv.Empty() || len(s.members) == 0 {
 		return
 	}
-	for k := range s.keys.in(iv) {
-		s.rereplicateKeyLocked(k)
+	for _, run := range s.keyRunsLocked(iv) {
+		for _, k := range run {
+			s.rereplicateKeyLocked(k)
+		}
 	}
 }
 
@@ -824,17 +827,19 @@ func (s *Store) scanLocked(src int, iv keyspace.Interval) ScanResult {
 		// consulted so a freshly-crashed owner does not hide its keys.
 		if !cell.Empty() {
 			ranks := s.replicaRanksLocked(cell.Lo, scratch[:0])
-			for k := range s.keys.in(cell) {
-				if !iv.Contains(k) {
-					continue
+			for _, run := range s.keyRunsLocked(cell) {
+				for _, k := range run {
+					if !iv.Contains(k) {
+						continue
+					}
+					rec := s.recs[k]
+					best, found := s.newestOnLocked(rec, ranks)
+					if !found {
+						continue
+					}
+					res.Repaired += s.readRepairLocked(k, rec, ranks, best)
+					res.KVs = append(res.KVs, KV{Key: k, Val: best.val, Stamp: best.stamp})
 				}
-				rec := s.recs[k]
-				best, found := s.newestOnLocked(rec, ranks)
-				if !found {
-					continue
-				}
-				res.Repaired += s.readRepairLocked(k, rec, ranks, best)
-				res.KVs = append(res.KVs, KV{Key: k, Val: best.val, Stamp: best.stamp})
 			}
 		}
 		var covered float64
@@ -885,8 +890,8 @@ func (s *Store) sweepLocked() {
 	s.stats.Sweeps++
 	var scratch [8]int
 	// Re-replication only adds copies of stored keys and the trim keeps
-	// each key's replica set, so the key index is stable under the walk.
-	for k := range s.keys.all() {
+	// each key's replica set, so the key list is stable under the walk.
+	for _, k := range s.keys {
 		rec := s.rereplicateKeyLocked(k)
 		ranks := s.replicaRanksLocked(k, scratch[:0])
 		w := 0
@@ -896,8 +901,8 @@ func (s *Store) sweepLocked() {
 				w++
 				continue
 			}
-			slot := s.held[s.rankOfMemberLocked(c.holder)]
-			s.lists[slot] = removeKey(s.lists[slot], k)
+			p := s.held[c.holder]
+			*p = removeKey(*p, k)
 			s.stats.Trimmed++
 		}
 		if w < len(rec) {
@@ -926,7 +931,7 @@ func (s *Store) Backlog() int {
 	defer s.mu.Unlock()
 	backlog := 0
 	var scratch [8]int
-	for k := range s.keys.all() {
+	for _, k := range s.keys {
 		rec := s.recs[k]
 		best, _ := newest(rec)
 		for _, rk := range s.replicaRanksLocked(k, scratch[:0]) {
