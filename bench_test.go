@@ -130,36 +130,6 @@ func BenchmarkRouteGreedy(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactCSR measures the delta-encoded adjacency against the
-// flat CSR on the greedy routing hot path (routing decisions are
-// byte-identical — see TestCompactRoutingEquivalence; only the bytes
-// streamed per hop differ) and reports the encoded size. Both variants
-// must stay at 0 allocs/op.
-func BenchmarkCompactCSR(b *testing.B) {
-	const n = 16384
-	nw := buildFor(b, n, smallworld.Protocol, dist.NewPower(0.8))
-	c, z := nw.CSR(), nw.CompactCSR()
-	flatBytes := int64(c.N()+1)*4 + int64(c.M())*4
-	for _, mode := range []string{"flat", "compact"} {
-		b.Run(mode, func(b *testing.B) {
-			nw.SetCompactRouting(mode == "compact")
-			defer nw.SetCompactRouting(false)
-			router := nw.NewRouter()
-			rng := xrand.New(2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				router.RouteToNode(rng.Intn(n), rng.Intn(n))
-			}
-			if mode == "compact" {
-				b.ReportMetric(float64(z.Bytes())/float64(n), "bytes/node")
-			} else {
-				b.ReportMetric(float64(flatBytes)/float64(n), "bytes/node")
-			}
-		})
-	}
-}
-
 // BenchmarkRouteGreedyObs quantifies the observability plane's overhead
 // on the hot routing path: off is the uninstrumented baseline, counters
 // adds the post-route counter/histogram block, tracing additionally

@@ -100,10 +100,11 @@
 //     chunk instead of per-node binary searches; builds stay
 //     bit-reproducible per (cfg, seed) independent of Workers;
 //   - routing runs through Router scratch buffers (Network.NewRouter)
-//     with zero steady-state heap allocations and topology-specialised
-//     inner loops — including the fault-path policies
-//     (Router.RouteGreedyAvoiding, Router.RouteBacktracking, whose
-//     visited set and frame stack live on the same scratch);
+//     with zero steady-state heap allocations — including the
+//     fault-path policies (Router.RouteGreedyAvoiding,
+//     Router.RouteBacktracking, whose visited set and frame stack live
+//     on the same scratch); every greedy scan in the repository decides
+//     each hop through the one rule keyspace.Topology.Improves;
 //     overlaynet.QueryRunner batches queries with one Router per worker
 //     and reusable result buffers, so warmed batches allocate nothing.
 //

@@ -179,12 +179,22 @@ func sortKeys(ks []keyspace.Key) {
 // ClosestLive returns the live node closest to target, or -1 when every
 // node is dead.
 func (nw *Network) ClosestLive(target keyspace.Key, fs *FailSet) int {
+	return nw.closestLive(target, fs.dead)
+}
+
+// closestLive returns the node closest to target among those not
+// marked in dead, or -1 when every node is. With dead nil it is
+// ClosestNode's binary search; otherwise a scan of the live nodes.
+func (nw *Network) closestLive(target keyspace.Key, dead []bool) int {
+	if dead == nil {
+		return nw.ClosestNode(target)
+	}
 	best, bestD := -1, nw.cfg.Topology.MaxDistance()+1
-	for u := 0; u < nw.N(); u++ {
-		if fs.Dead(u) {
+	for u, k := range nw.keys {
+		if dead[u] {
 			continue
 		}
-		if d := nw.cfg.Topology.Distance(nw.keys[u], target); d < bestD {
+		if d := nw.cfg.Topology.Distance(k, target); d < bestD {
 			best, bestD = u, d
 		}
 	}
@@ -194,38 +204,12 @@ func (nw *Network) ClosestLive(target keyspace.Key, fs *FailSet) int {
 // RouteGreedyAvoiding routes greedily while skipping crashed candidates.
 // Without backtracking the route fails whenever it reaches a live node
 // none of whose live out-neighbours improves on it — the failure mode
-// that motivates redundancy in the routing table. Like every Router
-// route, the returned Path aliases the router's scratch.
+// that motivates redundancy in the routing table. It is RouteGreedy's
+// walk with fs's dead mask; arrival is judged against the closest live
+// node. Like every Router route, the returned Path aliases the router's
+// scratch.
 func (r *Router) RouteGreedyAvoiding(src int, target keyspace.Key, fs *FailSet) Route {
-	nw := r.nw
-	topo := nw.cfg.Topology
-	cur := src
-	r.path = append(r.path[:0], src)
-	guard := maxHopsFor(nw.cfg.N)
-	dCur := topo.Distance(nw.keys[cur], target)
-	for hops := 0; ; hops++ {
-		if hops >= guard {
-			return Route{Path: r.path, Truncated: true}
-		}
-		best, bestD := -1, dCur
-		bestKey := nw.keys[cur]
-		for _, v := range nw.csr.Out(cur) {
-			if fs.Dead(int(v)) {
-				continue
-			}
-			vKey := nw.keys[v]
-			d := topo.Distance(vKey, target)
-			if better(topo, bestKey, vKey, target, d, bestD) {
-				best, bestD, bestKey = int(v), d, vKey
-			}
-		}
-		if best == -1 {
-			break
-		}
-		cur, dCur = best, bestD
-		r.path = append(r.path, cur)
-	}
-	return Route{Path: r.path, Arrived: cur == nw.ClosestLive(target, fs)}
+	return r.walk(src, target, fs.dead)
 }
 
 // RouteGreedyAvoiding is the allocating convenience form of
@@ -262,11 +246,15 @@ type btFrame struct {
 // router's scratch.
 func (r *Router) RouteBacktracking(src int, target keyspace.Key, fs *FailSet) Route {
 	nw := r.nw
-	goal := nw.ClosestLive(target, fs)
+	topo := nw.cfg.Topology
+	goal := nw.closestLive(target, fs.dead)
 	r.path = append(r.path[:0], src)
 	if goal == -1 {
 		return Route{Path: r.path}
 	}
+	// The goal test compares distances, not node identities, so either
+	// live peer of an exact tie counts as arrived (as in Network.arrived).
+	goalD := topo.Distance(nw.keys[goal], target)
 	gen := r.nextGen()
 	mark := r.mark
 	mark[src] = gen
@@ -278,7 +266,7 @@ func (r *Router) RouteBacktracking(src int, target keyspace.Key, fs *FailSet) Ro
 			return Route{Path: r.path, Truncated: true}
 		}
 		top := &r.btFrames[len(r.btFrames)-1]
-		if int(top.node) == goal {
+		if !fs.dead[top.node] && topo.Distance(nw.keys[top.node], target) <= goalD {
 			return Route{Path: r.path, Arrived: true}
 		}
 		// Advance to the next untried candidate.

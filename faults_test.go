@@ -153,6 +153,46 @@ func TestBacktrackingNoFailuresMatchesGreedy(t *testing.T) {
 	}
 }
 
+// TestFaultRoutesArriveOnExactTie is the regression for judging arrival
+// by node identity: with the target at the exact midpoint of two
+// neighbouring peers, either peer is a correct destination. Starting at
+// the one ClosestLive does not pick, every router must stop at once and
+// report a delivery.
+func TestFaultRoutesArriveOnExactTie(t *testing.T) {
+	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
+		cfg := UniformConfig(4096, 7)
+		cfg.Topology = topo
+		nw := mustBuild(t, cfg)
+		fs := NewFailSet(nw, xrand.New(1), 0)
+		tested := 0
+		for u := 0; u+1 < nw.N() && tested < 8; u++ {
+			lo, hi := nw.Key(u), nw.Key(u+1)
+			mid := keyspace.Key(float64(lo) + (float64(hi)-float64(lo))/2)
+			if topo.Distance(lo, mid) != topo.Distance(hi, mid) {
+				continue
+			}
+			tested++
+			src := u + 1
+			if nw.ClosestLive(mid, fs) == src {
+				src = u
+			}
+			for name, rt := range map[string]Route{
+				"RouteGreedy":         nw.RouteGreedy(src, mid),
+				"RouteGreedyAvoiding": nw.RouteGreedyAvoiding(src, mid, fs),
+				"RouteBacktracking":   nw.RouteBacktracking(src, mid, fs),
+			} {
+				if !rt.Arrived || rt.Hops() != 0 {
+					t.Fatalf("%v: %s from %d to the midpoint of %d and %d: path %v, arrived %v",
+						topo, name, src, u, u+1, rt.Path, rt.Arrived)
+				}
+			}
+		}
+		if tested == 0 {
+			t.Fatalf("%v: no exact-midpoint targets", topo)
+		}
+	}
+}
+
 func TestClosestLiveAllDead(t *testing.T) {
 	cfg := UniformConfig(32, 89)
 	cfg.Topology = keyspace.Ring

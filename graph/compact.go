@@ -5,9 +5,9 @@ package graph
 // escape list for deltas that don't fit. For the small-world family —
 // where node indices are key ranks and most links land within a few
 // thousand ranks — the 4-byte absolute targets shrink to 2-byte
-// deltas, roughly halving the adjacency bytes the routing inner loop
-// streams through, which is what keeps it cache-resident at 2^24
-// nodes.
+// deltas, roughly halving the adjacency bytes. The routers read the
+// flat CSR; the compact form measures how small the adjacency can be
+// stored (the footprint column of the scaling experiment).
 //
 // Encoding, per row u with sorted targets t0 ≤ t1 ≤ … ≤ tk-1:
 //
@@ -17,7 +17,7 @@ package graph
 //     unsigned slot (predecessors are below u, successors above).
 //   - slot j>0 holds tj − tj-1, the non-negative gap to the previous
 //     target.
-//   - any value that doesn't fit below EscapeSentinel is stored as the
+//   - any value that doesn't fit below escapeSentinel is stored as the
 //     sentinel, and the absolute int32 target goes to the row's escape
 //     list (indexed like a second CSR). Decoding continues delta-wise
 //     from the escaped target. Rows that violate the sorted contract
@@ -51,8 +51,8 @@ type Compact struct {
 	escapes  []int32
 }
 
-// EscapeSentinel is the delta slot value marking an escaped target.
-const EscapeSentinel = 0xFFFF
+// escapeSentinel is the delta slot value marking an escaped target.
+const escapeSentinel = 0xFFFF
 
 // maxOffsetShift bounds the adaptive block-size search. 2^16 rows per
 // base entry already makes the base array's contribution negligible.
@@ -62,9 +62,8 @@ const maxOffsetShift = 16
 // small: 0→0, -1→1, 1→2, -2→3, …
 func zigzag(x int32) uint32 { return uint32((x << 1) ^ (x >> 31)) }
 
-// Unzigzag inverts zigzag. Exported for inline row decoding in routing
-// loops (see CompactRow).
-func Unzigzag(v uint32) int32 { return int32(v>>1) ^ -int32(v&1) }
+// unzigzag inverts zigzag.
+func unzigzag(v uint32) int32 { return int32(v>>1) ^ -int32(v&1) }
 
 // packOffsets folds a flat int32 offsets array (CSR semantics, len
 // N+1, non-decreasing) into the two-level form: the largest block
@@ -114,10 +113,10 @@ func Compress(c *CSR) *Compact {
 			} else {
 				d = int64(t) - int64(prev)
 			}
-			if d >= 0 && d < EscapeSentinel {
+			if d >= 0 && d < escapeSentinel {
 				z.deltas = append(z.deltas, uint16(d))
 			} else {
-				z.deltas = append(z.deltas, EscapeSentinel)
+				z.deltas = append(z.deltas, escapeSentinel)
 				z.escapes = append(z.escapes, t)
 			}
 			prev = t
@@ -162,22 +161,23 @@ func (z *Compact) Bytes() int64 {
 }
 
 // AppendOut decodes u's full row into buf (reset to length 0 first)
-// and returns it — the generic access point, used by tests and by
-// callers that need a materialized row. Routing loops decode inline
-// via Row instead, consuming each target as it is produced.
+// and returns it. Decoding walks the row's delta slots with a running
+// previous target (initialised to u) and a cursor into the row's escape
+// list: an escape slot takes the next absolute target, the first slot
+// is unzigzag(t0 − u) from u, and every other slot is the gap from the
+// previous target.
 func (z *Compact) AppendOut(u int, buf []int32) []int32 {
 	buf = buf[:0]
-	row := z.Row(u)
-	prev := row.Base
-	e := 0
-	for i, dv := range row.Deltas {
+	escapes := z.escapes[z.escoff(u):z.escoff(u+1)]
+	prev := int32(u)
+	for i, dv := range z.deltas[z.off(u):z.off(u+1)] {
 		var t int32
 		switch {
-		case dv == EscapeSentinel:
-			t = row.Escapes[e]
-			e++
+		case dv == escapeSentinel:
+			t = escapes[0]
+			escapes = escapes[1:]
 		case i == 0:
-			t = row.Base + Unzigzag(uint32(dv))
+			t = int32(u) + unzigzag(uint32(dv))
 		default:
 			t = prev + int32(dv)
 		}
@@ -185,29 +185,4 @@ func (z *Compact) AppendOut(u int, buf []int32) []int32 {
 		prev = t
 	}
 	return buf
-}
-
-// CompactRow is one row's encoded data, exposed for inline decoding in
-// hot loops. The decode protocol, walking Deltas with a running prev
-// (initialised to Base) and an escape cursor e (initialised to 0):
-//
-//	dv == EscapeSentinel → t = Escapes[e]; e++
-//	first slot           → t = Base + Unzigzag(uint32(dv))
-//	otherwise            → t = prev + int32(dv)
-//
-// and after every slot, prev = t. Both slices alias the Compact's
-// storage and must not be modified.
-type CompactRow struct {
-	Deltas  []uint16
-	Escapes []int32
-	Base    int32
-}
-
-// Row returns u's encoded row.
-func (z *Compact) Row(u int) CompactRow {
-	return CompactRow{
-		Deltas:  z.deltas[z.off(u):z.off(u+1)],
-		Escapes: z.escapes[z.escoff(u):z.escoff(u+1)],
-		Base:    int32(u),
-	}
 }

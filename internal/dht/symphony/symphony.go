@@ -155,7 +155,7 @@ func (nw *Network) Owner(target keyspace.Key) int {
 
 // Lookup greedily routes a query for target from src, returning the hop
 // count and the node reached. Greedy distance-minimising routing with the
-// exact key-order tie-break (see keyspace.Topology.Advances) terminates
+// exact key-order tie-break (keyspace.Topology.Improves) terminates
 // at a node at minimal ring distance to the target.
 func (nw *Network) Lookup(src int, target keyspace.Key) (hops, owner int) {
 	cur := src
@@ -166,7 +166,7 @@ func (nw *Network) Lookup(src int, target keyspace.Key) (hops, owner int) {
 		for _, v := range nw.out[cur] {
 			vKey := nw.keys[v]
 			d := keyspace.Ring.Distance(vKey, target)
-			if d < bestD || (d == bestD && keyspace.Ring.Advances(bestKey, vKey, target)) {
+			if keyspace.Ring.Improves(bestKey, vKey, target, d, bestD) {
 				best, bestD, bestKey = int(v), d, vKey
 			}
 		}

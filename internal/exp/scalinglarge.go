@@ -18,9 +18,8 @@ import (
 // still ≈ c·log2 N at millions of peers. Build times are wall-clock
 // and therefore machine-dependent; every other column is
 // bit-reproducible from the seed. The trailing cB/node column is the
-// delta-encoded compact adjacency (graph.Compact) in bytes per node —
-// the representation the routers iterate under SetCompactRouting, with
-// decisions byte-identical to the flat CSR.
+// delta-encoded compact adjacency (graph.Compact) in bytes per node: how
+// small the same rows can be stored; the routers read the flat CSR.
 func E20LargeScale(scale Scale, seed uint64) Table {
 	t := Table{
 		ID:      "E20",

@@ -311,7 +311,7 @@ func (nw *Network) lookupLocked(from *Peer, target keyspace.Key) (*Peer, int) {
 				continue
 			}
 			d := keyspace.Ring.Distance(v.ID, target)
-			if d < bestD || (d == bestD && keyspace.Ring.Advances(bestKey, v.ID, target)) {
+			if keyspace.Ring.Improves(bestKey, v.ID, target, d, bestD) {
 				best, bestD, bestKey = v, d, v.ID
 			}
 		}

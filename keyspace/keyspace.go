@@ -123,6 +123,26 @@ func (t Topology) Advances(from, next, target Key) bool {
 	return an > 0 && an < 1-cw
 }
 
+// Improves is the greedy routing rule of Section 3: moving from best
+// (at distance dBest from target) to candidate v (at distance dv)
+// improves the position when v is strictly closer, or — on an exact
+// float64 distance tie — when v advances along the arc toward target.
+// The tie-break matters in extremely skewed key spaces, where whole
+// clusters of peers collapse to one rounded distance and plain greedy
+// would stall; each tie-move strictly advances along the arc, so a walk
+// that only takes improving moves still terminates. Every greedy scan
+// in the repository decides through this one rule; it is small enough
+// to inline into their inner loops.
+func (t Topology) Improves(best, v, target Key, dv, dBest float64) bool {
+	// Reject farther (or NaN) candidates with a return of their own: once
+	// inlined, the common case is then a compare-and-branch straight back
+	// to the scan loop instead of a materialised bool.
+	if !(dv <= dBest) {
+		return false
+	}
+	return dv < dBest || t.Advances(best, v, target)
+}
+
 // Interval is a half-open key range [Lo, Hi). On the ring an interval with
 // Lo > Hi wraps through 1.0 (e.g. [0.9, 0.1) covers 0.9..1 and 0..0.1).
 type Interval struct {

@@ -374,6 +374,30 @@ func TestAdvancesExactWithAbsorbedDistances(t *testing.T) {
 	}
 }
 
+func TestImproves(t *testing.T) {
+	cases := []struct {
+		topo            Topology
+		best, v, target Key
+		dv, dBest       float64
+		want            bool
+	}{
+		{Line, 0.1, 0.2, 0.5, 0.3, 0.4, true},      // strictly closer
+		{Line, 0.1, 0.9, 0.5, 0.4, 0.3, false},     // strictly farther
+		{Line, 0.4, 0.45, 0.5, 0.1, 0.1, true},     // tie, advances toward target
+		{Line, 0.45, 0.4, 0.5, 0.1, 0.1, false},    // tie, moves away
+		{Line, 0.4, 0.6, 0.5, 0.1, 0.1, false},     // tie across the target
+		{Ring, 0.95, 0.02, 0.05, 0.03, 0.03, true}, // tie, advances through 0
+		{Ring, 0.02, 0.95, 0.05, 0.03, 0.03, false},
+		{Line, 0.4, 0.45, 0.5, math.NaN(), 0.1, false},
+	}
+	for _, c := range cases {
+		if got := c.topo.Improves(c.best, c.v, c.target, c.dv, c.dBest); got != c.want {
+			t.Errorf("%v.Improves(%v,%v,%v,%v,%v) = %v, want %v",
+				c.topo, c.best, c.v, c.target, c.dv, c.dBest, got, c.want)
+		}
+	}
+}
+
 func TestIntervalString(t *testing.T) {
 	if s := (Interval{0.25, 0.75}).String(); s == "" {
 		t.Error("empty interval string")

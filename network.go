@@ -33,12 +33,10 @@ type Network struct {
 	g   *graph.Graph
 
 	// Compact adjacency (delta-encoded uint16 rows, see graph.Compact),
-	// built lazily by CompactCSR and selected into the greedy routers by
-	// SetCompactRouting. The toggle is atomic so routers on other
-	// goroutines observe it without a lock.
-	ccsrOnce     sync.Once
-	ccsr         *graph.Compact
-	compactRoute atomic.Bool
+	// built lazily by CompactCSR for footprint reporting; routing reads
+	// the flat CSR.
+	ccsrOnce sync.Once
+	ccsr     *graph.Compact
 
 	routers sync.Pool // *Router scratch for the allocating convenience API
 
@@ -333,23 +331,6 @@ func (nw *Network) CompactCSR() *graph.Compact {
 	nw.ccsrOnce.Do(func() { nw.ccsr = graph.Compress(nw.csr) })
 	return nw.ccsr
 }
-
-// SetCompactRouting selects which adjacency representation the greedy
-// routers iterate: the flat CSR (default) or the compact delta-encoded
-// form. Routing decisions are identical under either — the compact
-// loops decode the same sorted rows and run the same distance and
-// tie-break logic — only the bytes streamed per hop change. Enabling
-// it forces the one-time Compress.
-func (nw *Network) SetCompactRouting(on bool) {
-	if on {
-		nw.CompactCSR()
-	}
-	nw.compactRoute.Store(on)
-}
-
-// CompactRouting reports whether the greedy routers iterate the
-// compact adjacency.
-func (nw *Network) CompactRouting() bool { return nw.compactRoute.Load() }
 
 // LongRange returns node u's long-range targets. The slice must not be
 // modified.

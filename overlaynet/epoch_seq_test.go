@@ -13,7 +13,7 @@ import (
 // TestEpochSequenceBitIdentical drives 1k churn events through the
 // chunked-snapshot path, capturing a snapshot after every event, and
 // pins each epoch's Keys()/rank lookups bit-identical to the flat-copy
-// reference (captureFlat — the PR8-era O(N) capture). Retained
+// reference (captureFlat — the O(N) flat capture). Retained
 // (snapshot, reference) pairs are re-verified after the full run, so a
 // copy-on-write violation that mutates an already-published chunk
 // fails the test even if the at-capture comparison passed.
@@ -55,6 +55,25 @@ func TestEpochSequenceBitIdentical(t *testing.T) {
 	// Old epochs must have survived all subsequent copy-on-write churn.
 	for i, p := range retained {
 		compareSnapshotToFlat(t, -i, p.snap, p.ref)
+	}
+}
+
+// flatCapture is the O(N) flat per-epoch copy the chunked capture
+// replaced, kept as the paired A/B baseline: BenchmarkPublishEpoch
+// measures it against the structural-sharing capture, and the
+// epoch-sequence test uses it as the bit-identical flat reference for
+// every published epoch.
+type flatCapture struct {
+	keys  []keyspace.Key
+	byKey keyspace.Points
+	order []int32
+}
+
+func (o *incrementalOverlay) captureFlat() flatCapture {
+	return flatCapture{
+		keys:  append([]keyspace.Key(nil), o.keys...),
+		byKey: append(keyspace.Points(nil), o.byKey...),
+		order: append([]int32(nil), o.order...),
 	}
 }
 

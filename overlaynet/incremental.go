@@ -329,24 +329,6 @@ func (o *incrementalOverlay) CaptureSnapshot() *Snapshot {
 	}
 }
 
-// flatCapture is the PR8-era O(N) per-epoch copy, retained as the
-// paired A/B baseline: BenchmarkPublishEpoch measures it against the
-// structural-sharing capture, and the epoch-sequence test uses it as
-// the bit-identical flat reference for every published epoch.
-type flatCapture struct {
-	keys  []keyspace.Key
-	byKey keyspace.Points
-	order []int32
-}
-
-func (o *incrementalOverlay) captureFlat() flatCapture {
-	return flatCapture{
-		keys:  append([]keyspace.Key(nil), o.keys...),
-		byKey: append(keyspace.Points(nil), o.byKey...),
-		order: append([]int32(nil), o.order...),
-	}
-}
-
 // Join implements Dynamic: draw one identifier, splice the newcomer
 // into key order, and sample only its own long-range links.
 func (o *incrementalOverlay) Join(ctx context.Context) error {
@@ -780,7 +762,7 @@ func (r *incrementalRouter) Route(src int, target keyspace.Key) Result {
 		for _, v := range o.Neighbors(cur) {
 			vKey := o.keys[v]
 			d := topo.Distance(vKey, target)
-			if d < bestD || (d == bestD && topo.Advances(bestKey, vKey, target)) {
+			if topo.Improves(bestKey, vKey, target, d, bestD) {
 				best, bestD, bestKey = int(v), d, vKey
 			}
 		}

@@ -479,7 +479,7 @@ func (r *RobustRouter) buildCandidates(cur int, target keyspace.Key, dCur float6
 		}
 		vKey := keys[v]
 		d := topo.Distance(vKey, target)
-		if d < dCur || (d == dCur && topo.Advances(curKey, vKey, target)) {
+		if topo.Improves(curKey, vKey, target, d, dCur) {
 			r.cands = append(r.cands, v)
 			r.dists = append(r.dists, d)
 			r.candJ = append(r.candJ, int32(j))

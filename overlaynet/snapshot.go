@@ -291,17 +291,14 @@ func (r *SnapshotRouter) route(src int, target keyspace.Key, tr *obs.Trace) Resu
 	if s.src != nil {
 		// Delegated walk: queries/hops/outcomes still count in
 		// routeObserved, but hop spans and link traffic exist only on
-		// the CSR loops below — the source router is opaque here.
+		// the CSR walk below — the source router is opaque here.
 		if r.innerOf != s {
 			r.inner = s.src.NewRouter()
 			r.innerOf = s
 		}
 		return r.inner.Route(src, target)
 	}
-	if s.topo == keyspace.Ring {
-		return r.routeRing(src, target, tr)
-	}
-	return r.routeLine(src, target, tr)
+	return r.walk(src, target, tr)
 }
 
 // routeObserved routes against an instrumented snapshot: counters,
@@ -345,18 +342,21 @@ func (r *SnapshotRouter) bindObs(h *obsHooks) {
 	r.hooks = h
 }
 
-func (r *SnapshotRouter) routeRing(src int, target keyspace.Key, tr *obs.Trace) Result {
+// walk is the snapshot's greedy route loop: step until no live
+// neighbour improves, counting traversed links when the snapshot is
+// instrumented and appending hop spans to tr when it is sampled.
+func (r *SnapshotRouter) walk(src int, target keyspace.Key, tr *obs.Trace) Result {
 	s := r.s
 	var links []uint64
 	if s.obs != nil {
 		links = s.obs.links
 	}
 	cur := src
-	dCur := s.greedyDistance(cur, target)
-	guard := 2 * s.keys.n
+	dCur := s.topo.Distance(s.keys.At(cur), target)
+	guard := s.GreedyGuard()
 	hops := 0
 	for ; hops < guard; hops++ {
-		best, bestD, bestJ := s.stepRing(cur, dCur, target)
+		best, bestD, bestJ := s.step(cur, dCur, target)
 		if best == -1 {
 			break
 		}
@@ -366,109 +366,36 @@ func (r *SnapshotRouter) routeRing(src int, target keyspace.Key, tr *obs.Trace) 
 		tr.Hop(float64(hops), 1, int32(best), bestJ, 0, obs.SpanHop, bestD)
 		cur, dCur = best, bestD
 	}
-	return Result{Hops: hops, Dest: cur, Arrived: r.arrived(dCur, target)}
+	return Result{Hops: hops, Dest: cur, Arrived: s.GreedyArrived(dCur, target)}
 }
 
-func (r *SnapshotRouter) routeLine(src int, target keyspace.Key, tr *obs.Trace) Result {
-	s := r.s
-	var links []uint64
-	if s.obs != nil {
-		links = s.obs.links
-	}
-	cur := src
-	dCur := s.greedyDistance(cur, target)
-	guard := 2 * s.keys.n
-	hops := 0
-	for ; hops < guard; hops++ {
-		best, bestD, bestJ := s.stepLine(cur, dCur, target)
-		if best == -1 {
-			break
-		}
-		if links != nil {
-			atomic.AddUint64(&links[s.csr.RowStart(cur)+bestJ], 1)
-		}
-		tr.Hop(float64(hops), 1, int32(best), bestJ, 0, obs.SpanHop, bestD)
-		cur, dCur = best, bestD
-	}
-	return Result{Hops: hops, Dest: cur, Arrived: r.arrived(dCur, target)}
-}
-
-// stepRing is the ring geometry's greedy candidate scan — THE single
-// definition of one routing step, shared by SnapshotRouter's inner
-// loop and the stepwise GreedyStep API the sharded serving plane walks
-// hop by hop. It returns the best improving out-neighbour of cur (its
+// step is the snapshot's one greedy candidate scan, shared by
+// SnapshotRouter's walk and the stepwise GreedyStep API the sharded
+// serving plane drives hop by hop. It scans cur's mask-live
+// out-neighbours with Topology.Improves and returns the winner (its
 // index, its distance to target, and its position j in cur's row), or
-// best == -1 when no live neighbour improves on dCur. The float fold
-// and the exact-tie Advances tie-break are byte-for-byte the historic
-// inline loop: any change here changes routes everywhere at once,
-// which is exactly what the sharded bit-identity contract requires.
-func (s *Snapshot) stepRing(cur int, dCur float64, target keyspace.Key) (best int, bestD float64, bestJ int) {
-	spine, csr := s.keys.spine, s.csr
+// best == -1 when none improves on dCur. Both executors run this same
+// scan on the same float state, which is what the sharded bit-identity
+// contract requires.
+func (s *Snapshot) step(cur int, dCur float64, target keyspace.Key) (best int, bestD float64, bestJ int) {
+	topo, spine, csr := s.topo, s.keys.spine, s.csr
 	var deadMask []bool
 	if s.faults != nil {
 		deadMask = s.faults.dead
 	}
-	tf := float64(target)
 	best, bestD, bestJ = -1, dCur, -1
 	bestKey := spine[cur>>keyChunkShift][cur&keyChunkMask]
 	for j, v := range csr.Out(cur) {
-		if deadMask != nil && deadMask[v] {
+		vKey := spine[v>>keyChunkShift][v&keyChunkMask]
+		d := topo.Distance(vKey, target)
+		// The mask test runs only on improving candidates, off the common
+		// path.
+		if !topo.Improves(bestKey, vKey, target, d, bestD) || deadMask != nil && deadMask[v] {
 			continue
 		}
-		vKey := spine[v>>keyChunkShift][v&keyChunkMask]
-		d := float64(vKey) - tf
-		if d < 0 {
-			d = -d
-		}
-		if d > 0.5 {
-			d = 1 - d
-		}
-		if d < bestD || (d == bestD && keyspace.Ring.Advances(bestKey, vKey, target)) {
-			best, bestD, bestJ, bestKey = int(v), d, j, vKey
-		}
+		best, bestD, bestJ, bestKey = int(v), d, j, vKey
 	}
 	return best, bestD, bestJ
-}
-
-// stepLine is stepRing for the line geometry (no distance fold).
-func (s *Snapshot) stepLine(cur int, dCur float64, target keyspace.Key) (best int, bestD float64, bestJ int) {
-	spine, csr := s.keys.spine, s.csr
-	var deadMask []bool
-	if s.faults != nil {
-		deadMask = s.faults.dead
-	}
-	tf := float64(target)
-	best, bestD, bestJ = -1, dCur, -1
-	bestKey := spine[cur>>keyChunkShift][cur&keyChunkMask]
-	for j, v := range csr.Out(cur) {
-		if deadMask != nil && deadMask[v] {
-			continue
-		}
-		vKey := spine[v>>keyChunkShift][v&keyChunkMask]
-		d := float64(vKey) - tf
-		if d < 0 {
-			d = -d
-		}
-		if d < bestD || (d == bestD && keyspace.Line.Advances(bestKey, vKey, target)) {
-			best, bestD, bestJ, bestKey = int(v), d, j, vKey
-		}
-	}
-	return best, bestD, bestJ
-}
-
-// greedyDistance computes a node's distance to target with the exact
-// float operation sequence the routing loops have always used (manual
-// abs + ring fold), so stepwise callers start from bit-identical
-// state.
-func (s *Snapshot) greedyDistance(u int, target keyspace.Key) float64 {
-	d := float64(s.keys.spine[u>>keyChunkShift][u&keyChunkMask]) - float64(target)
-	if d < 0 {
-		d = -d
-	}
-	if s.topo == keyspace.Ring && d > 0.5 {
-		d = 1 - d
-	}
-	return d
 }
 
 // The Greedy* methods expose the snapshot's routing walk one hop at a
@@ -485,8 +412,8 @@ func (s *Snapshot) greedyDistance(u int, target keyspace.Key) float64 {
 //	arrived := s.GreedyArrived(dCur, target)
 //
 // produces bit-identical (dest, hops, arrived) to SnapshotRouter.Route
-// on the same snapshot, because both run the same step functions on
-// the same float state. dCur must be carried exactly (transports use
+// on the same snapshot, because both run the same step on the same
+// float state. dCur must be carried exactly (transports use
 // the IEEE bit pattern, wire.AppendF64) — re-deriving it from the
 // current node is equivalent, but carrying it keeps the step O(degree)
 // with no re-read.
@@ -503,40 +430,20 @@ func (s *Snapshot) GreedyInit(src int, target keyspace.Key) (d float64, ok bool)
 	if s.faults != nil && s.faults.dead[src] {
 		return 0, false
 	}
-	return s.greedyDistance(src, target), true
+	return s.topo.Distance(s.keys.At(src), target), true
 }
 
 // GreedyStep advances one hop: the best improving live neighbour of
 // cur, or next == -1 when the walk has reached its local minimum. dCur
 // must be the value the previous step (or GreedyInit) returned.
 func (s *Snapshot) GreedyStep(cur int, dCur float64, target keyspace.Key) (next int, dNext float64) {
-	if s.topo == keyspace.Ring {
-		next, dNext, _ = s.stepRing(cur, dCur, target)
-		return next, dNext
-	}
-	next, dNext, _ = s.stepLine(cur, dCur, target)
+	next, dNext, _ = s.step(cur, dCur, target)
 	return next, dNext
-}
-
-// GreedyStepJ is GreedyStep plus the chosen neighbour's position j in
-// cur's adjacency row — what per-edge side tables (obs link counters)
-// key on. j is -1 when next is.
-func (s *Snapshot) GreedyStepJ(cur int, dCur float64, target keyspace.Key) (next int, dNext float64, j int) {
-	if s.topo == keyspace.Ring {
-		return s.stepRing(cur, dCur, target)
-	}
-	return s.stepLine(cur, dCur, target)
 }
 
 // GreedyGuard is the walk's hop bound, identical to Route's: a query
 // may take at most 2·N improving steps.
 func (s *Snapshot) GreedyGuard() int { return 2 * s.keys.n }
-
-// GreedyArrived reports whether a walk that stopped at distance d
-// counts as delivered — d is minimal over the (mask-live) population.
-func (s *Snapshot) GreedyArrived(d float64, target keyspace.Key) bool {
-	return s.arrivedAt(d, target)
-}
 
 // Delegated reports whether this snapshot routes through a retained
 // source overlay (Chord, Pastry — directional rules the captured CSR
@@ -544,18 +451,12 @@ func (s *Snapshot) GreedyArrived(d float64, target keyspace.Key) bool {
 // NewRouter; the stepwise Greedy API refuses them.
 func (s *Snapshot) Delegated() bool { return s.src != nil }
 
-// arrived reports whether a route that stopped at distance d reached a
-// minimal-distance node for the target — minimal over the mask-live
-// population when the snapshot carries a fault mask (the responsible
-// node itself may be dead; stopping at its closest live neighbour is
-// then a correct delivery).
-func (r *SnapshotRouter) arrived(d float64, target keyspace.Key) bool {
-	return r.s.arrivedAt(d, target)
-}
-
-// arrivedAt is arrived's snapshot-level body, shared with the stepwise
-// Greedy API.
-func (s *Snapshot) arrivedAt(d float64, target keyspace.Key) bool {
+// GreedyArrived reports whether a walk that stopped at distance d
+// counts as delivered: d is minimal over the population — over the
+// mask-live population when the snapshot carries a fault mask (the
+// responsible node itself may be dead; stopping at its closest live
+// neighbour is then a correct delivery).
+func (s *Snapshot) GreedyArrived(d float64, target keyspace.Key) bool {
 	nearest := s.rank.Nearest(s.topo, target)
 	if nearest < 0 {
 		return false

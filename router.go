@@ -85,38 +85,28 @@ func (r *Router) RouteToNode(src, dst int) Route {
 // improves on the current node (Section 3's routing rule). With intact
 // neighbouring edges the stopping node is exactly the network-closest
 // node to the target.
-//
-// The inner loop is specialised per topology so the per-candidate
-// distance is a couple of arithmetic instructions on the flat CSR row
-// rather than a call through Topology.Distance.
 func (r *Router) RouteGreedy(src int, target keyspace.Key) Route {
-	var rt Route
-	ring := r.nw.cfg.Topology == keyspace.Ring
-	if r.nw.compactRoute.Load() {
-		// Same walk over the delta-encoded adjacency (compactroute.go).
-		if ring {
-			rt = r.routeGreedyRingCompact(src, target)
-		} else {
-			rt = r.routeGreedyLineCompact(src, target)
-		}
-	} else if ring {
-		rt = r.routeGreedyRing(src, target)
-	} else {
-		rt = r.routeGreedyLine(src, target)
-	}
+	rt := r.walk(src, target, nil)
 	if r.obsOn {
 		r.observe(&rt, target)
 	}
 	return rt
 }
 
-func (r *Router) routeGreedyRing(src int, target keyspace.Key) Route {
+// walk is the static network's one greedy scan, shared by RouteGreedy
+// and RouteGreedyAvoiding: from src, forward to the out-neighbour that
+// Topology.Improves on the current position until none does, skipping
+// candidates marked in dead (nil for an intact network); Arrived is
+// judged by Network.arrived against the same mask. The scan stays
+// inline — one call per route, not per hop — so each candidate costs
+// the flat CSR load, the inlined distance and the inlined rule.
+func (r *Router) walk(src int, target keyspace.Key, dead []bool) Route {
 	nw := r.nw
+	topo := nw.cfg.Topology
 	keys, csr := nw.keys, nw.csr
-	tf := float64(target)
 	cur := src
 	r.path = append(r.path[:0], src)
-	dCur := ringDist(float64(keys[cur]), tf)
+	dCur := topo.Distance(keys[cur], target)
 	guard := maxHopsFor(nw.cfg.N)
 	for hops := 0; ; hops++ {
 		if hops >= guard {
@@ -126,19 +116,13 @@ func (r *Router) routeGreedyRing(src int, target keyspace.Key) Route {
 		bestKey := keys[cur]
 		for _, v := range csr.Out(cur) {
 			vKey := keys[v]
-			d := float64(vKey) - tf
-			if d < 0 {
-				d = -d
+			d := topo.Distance(vKey, target)
+			// The dead test runs only on improving candidates, off the
+			// common path.
+			if !topo.Improves(bestKey, vKey, target, d, bestD) || dead != nil && dead[v] {
+				continue
 			}
-			if d > 0.5 {
-				d = 1 - d
-			}
-			if d < bestD {
-				best, bestD, bestKey = int(v), d, vKey
-			} else if d == bestD && keyspace.Ring.Advances(bestKey, vKey, target) {
-				// Exact-tie plateau: advance along the arc (see better()).
-				best, bestD, bestKey = int(v), d, vKey
-			}
+			best, bestD, bestKey = int(v), d, vKey
 		}
 		if best == -1 {
 			break
@@ -146,54 +130,7 @@ func (r *Router) routeGreedyRing(src int, target keyspace.Key) Route {
 		cur, dCur = best, bestD
 		r.path = append(r.path, cur)
 	}
-	return Route{Path: r.path, Arrived: nw.isNearest(cur, target)}
-}
-
-func (r *Router) routeGreedyLine(src int, target keyspace.Key) Route {
-	nw := r.nw
-	keys, csr := nw.keys, nw.csr
-	tf := float64(target)
-	cur := src
-	r.path = append(r.path[:0], src)
-	dCur := math.Abs(float64(keys[cur]) - tf)
-	guard := maxHopsFor(nw.cfg.N)
-	for hops := 0; ; hops++ {
-		if hops >= guard {
-			return Route{Path: r.path, Truncated: true}
-		}
-		best, bestD := -1, dCur
-		bestKey := keys[cur]
-		for _, v := range csr.Out(cur) {
-			vKey := keys[v]
-			d := float64(vKey) - tf
-			if d < 0 {
-				d = -d
-			}
-			if d < bestD {
-				best, bestD, bestKey = int(v), d, vKey
-			} else if d == bestD && keyspace.Line.Advances(bestKey, vKey, target) {
-				best, bestD, bestKey = int(v), d, vKey
-			}
-		}
-		if best == -1 {
-			break
-		}
-		cur, dCur = best, bestD
-		r.path = append(r.path, cur)
-	}
-	return Route{Path: r.path, Arrived: nw.isNearest(cur, target)}
-}
-
-// ringDist is the ring metric min(|u-v|, 1-|u-v|).
-func ringDist(u, v float64) float64 {
-	d := u - v
-	if d < 0 {
-		d = -d
-	}
-	if d > 0.5 {
-		d = 1 - d
-	}
-	return d
+	return Route{Path: r.path, Arrived: nw.arrived(cur, target, dead)}
 }
 
 // RouteGreedyNoN routes with one-hop lookahead ("know thy neighbour's
@@ -243,7 +180,7 @@ func (r *Router) routeGreedyNoN(src int, target keyspace.Key) Route {
 			r.mark[v] = gen
 			vKey := keys[v]
 			d := topo.Distance(vKey, target)
-			if better(topo, bestKey1, vKey, target, d, bestD1) {
+			if topo.Improves(bestKey1, vKey, target, d, bestD1) {
 				best1, bestD1, bestKey1 = int(v), d, vKey
 			}
 		}
@@ -270,7 +207,7 @@ func (r *Router) routeGreedyNoN(src int, target keyspace.Key) Route {
 			r.path = append(r.path, best1)
 			cur, dCur = best1, bestD1
 		default:
-			return Route{Path: r.path, Arrived: nw.isNearest(cur, target)}
+			return Route{Path: r.path, Arrived: nw.arrived(cur, target, nil)}
 		}
 	}
 	return Route{Path: r.path, Truncated: true}

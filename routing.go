@@ -29,21 +29,6 @@ func (r Route) Hops() int { return len(r.Path) - 1 }
 // allow twice that.
 func maxHopsFor(n int) int { return 2 * n }
 
-// better reports whether moving to candidate v improves on the current
-// position (curKey, dCur) for the given target: strictly smaller distance,
-// or — on an exact float64 distance tie — strictly between the current
-// key and the target in arc order. The tie-break matters in extremely
-// skewed key spaces, where whole clusters of peers collapse to one
-// rounded distance value and plain greedy would stall; key-order
-// comparisons stay exact there. Each tie-move strictly advances along
-// the arc, so routing still terminates.
-func better(topo keyspace.Topology, curKey, vKey, target keyspace.Key, dv, dCur float64) bool {
-	if dv < dCur {
-		return true
-	}
-	return dv == dCur && topo.Advances(curKey, vKey, target)
-}
-
 // RouteGreedy is the allocating convenience form of Router.RouteGreedy:
 // it borrows a pooled router and returns a route whose path the caller
 // owns. Hot loops that route millions of queries should hold a Router
@@ -72,10 +57,15 @@ func (nw *Network) RouteToNode(src, dst int) Route {
 	return nw.RouteGreedy(src, nw.keys[dst])
 }
 
-// isNearest reports whether node u is at the minimal distance to target
-// over the whole network.
-func (nw *Network) isNearest(u int, target keyspace.Key) bool {
-	c := nw.ClosestNode(target)
+// arrived reports whether node u is a correct destination for target:
+// live, and no farther from target than the closest node not marked in
+// dead (than every node when dead is nil). Comparing distances rather
+// than node identities counts either peer of an exact tie as arrived.
+func (nw *Network) arrived(u int, target keyspace.Key, dead []bool) bool {
+	if dead != nil && dead[u] {
+		return false
+	}
+	c := nw.closestLive(target, dead)
 	topo := nw.cfg.Topology
-	return topo.Distance(nw.keys[u], target) <= topo.Distance(nw.keys[c], target)
+	return c >= 0 && topo.Distance(nw.keys[u], target) <= topo.Distance(nw.keys[c], target)
 }

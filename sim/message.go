@@ -249,7 +249,7 @@ func (e *Engine) buildFlightCands(f *flight) {
 	for _, v := range e.ov.Neighbors(f.cur) {
 		vKey := e.ov.Key(int(v))
 		d := topo.Distance(vKey, f.target)
-		if d < dCur || (d == dCur && topo.Advances(f.curKey, vKey, f.target)) {
+		if topo.Improves(f.curKey, vKey, f.target, d, dCur) {
 			f.cands = append(f.cands, candidate{slot: int(v), key: vKey, d: d})
 		}
 	}
