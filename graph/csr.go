@@ -55,6 +55,13 @@ func (c *CSR) OutDegree(u int) int {
 // side tables (e.g. obs link-traffic counters) are addressed this way.
 func (c *CSR) RowStart(u int) int { return int(c.offsets[u]) }
 
+// Rows returns the out-rows of nodes lo..hi-1 back to back: global
+// edges RowStart(lo) up to RowStart(hi). The slice aliases the CSR's
+// storage and must not be modified.
+func (c *CSR) Rows(lo, hi int) []int32 {
+	return c.targets[c.offsets[lo]:c.offsets[hi]]
+}
+
 // HasEdge reports whether the directed edge u -> v exists (binary search
 // on the sorted row).
 func (c *CSR) HasEdge(u, v int) bool {

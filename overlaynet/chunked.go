@@ -1,6 +1,7 @@
 package overlaynet
 
 import (
+	"math"
 	"sort"
 
 	"smallworld/keyspace"
@@ -9,16 +10,15 @@ import (
 // This file implements the structural-sharing backing stores behind
 // Snapshot: persistent chunked arrays with copy-on-write chunks.
 //
-// The flat capture (`append(nil, keys...)` × 3) costs O(N) per publish
-// — ~20 MB of memmove per epoch at N=2^20, which dominates the
-// publish path and caps the epoch rate. Here the writer (the
-// incremental overlay) keeps its data in fixed-size chunks behind a
-// spine of pointers; CaptureSnapshot copies only the spine (O(N/chunk)
-// pointers) and marks every chunk shared. The writer then clones a
-// chunk the first time it touches it after a capture (copy-on-write),
-// so an epoch with Δ membership events costs O(Δ·chunk + N/chunk)
-// instead of O(N). Snapshots hold immutable views: a frozen spine that
-// no writer ever mutates through.
+// The writer (the incremental overlay) keeps its identifiers and its
+// rank index only here, in fixed-size chunks behind a spine of
+// pointers, and reads them in place. CaptureSnapshot copies only the
+// spine (O(N/chunk) pointers) and marks every chunk shared; the writer
+// then clones a chunk the first time it touches it after a capture
+// (copy-on-write), so an epoch with Δ membership events costs
+// O(Δ·chunk + N/chunk) instead of the O(N) flat copies a capture of
+// flat arrays would need. Snapshots hold immutable views: a frozen
+// spine that no writer ever mutates through.
 //
 // Two stores exist because the two snapshot arrays have different
 // shapes:
@@ -27,12 +27,14 @@ import (
 //     append/truncate-only plus point writes (a Leave's last-slot
 //     rename), so fixed 1024-entry chunks with shift/mask indexing
 //     work directly.
-//   - rankStore: the sorted rank index (byKey + order fused as
-//     parallel arrays). Rank positions shift on every insert/remove,
+//   - rankStore: the sorted rank index (identifier and slot per rank,
+//     as parallel arrays). Rank positions shift on every insert/remove,
 //     which would touch O(N/chunk) chunks if chunks were fixed-size —
 //     so rank chunks are variable-length (split at 512, built at 256)
 //     and a small cumulative-count spine locates a rank in
-//     O(log #chunks). An insert shifts entries within ONE chunk.
+//     O(log #chunks). An insert shifts entries within ONE chunk. The
+//     store embeds the rankView it would hand out, so the writer's
+//     searches and the snapshots' searches are the same code.
 
 const (
 	keyChunkShift = 10
@@ -154,7 +156,7 @@ func (ks *keyStore) capture() keyView {
 
 // rankChunk holds a contiguous run of the rank index: keys[i] is the
 // i-th identifier of the run in ascending order, slots[i] the slot
-// holding it (the fused byKey/order pair).
+// holding it.
 type rankChunk struct {
 	keys  []keyspace.Key
 	slots []int32
@@ -170,10 +172,11 @@ func (c *rankChunk) clone() *rankChunk {
 	return d
 }
 
-// rankView is a frozen rank index shared into a Snapshot. cum[j] is
-// the number of rank entries before chunk j (len(chunks)+1 entries),
-// so rank→chunk location is a binary search over a few dozen int32s.
-// Invariant: every chunk is non-empty (an empty index has no chunks).
+// rankView is a rank index: a frozen one shared into a Snapshot, or the
+// live one a rankStore embeds. cum[j] is the number of rank entries
+// before chunk j (len(chunks)+1 entries), so rank→chunk location is a
+// binary search over a few dozen int32s. Invariant: every chunk is
+// non-empty (an empty index has no chunks).
 type rankView struct {
 	chunks []*rankChunk
 	cum    []int32
@@ -184,18 +187,19 @@ type rankView struct {
 func (v rankView) Len() int { return v.n }
 
 // chunkOf locates global rank i: the chunk index and in-chunk offset.
+// Rank n locates to (len(chunks), 0), one past the last chunk.
 func (v rankView) chunkOf(i int) (int, int) {
 	c := sort.Search(len(v.chunks), func(j int) bool { return int(v.cum[j+1]) > i })
 	return c, i - int(v.cum[c])
 }
 
-// KeyAt returns the identifier at rank i (byKey[i] in the flat world).
+// KeyAt returns the identifier at rank i.
 func (v rankView) KeyAt(i int) keyspace.Key {
 	c, off := v.chunkOf(i)
 	return v.chunks[c].keys[off]
 }
 
-// SlotAt returns the slot holding rank i (order[i] in the flat world).
+// SlotAt returns the slot holding rank i.
 func (v rankView) SlotAt(i int) int32 {
 	c, off := v.chunkOf(i)
 	return v.chunks[c].slots[off]
@@ -262,6 +266,76 @@ func (v rankView) Nearest(t keyspace.Topology, x keyspace.Key) int {
 	return succ
 }
 
+// NearestExcluding mirrors keyspace.Points.NearestExcluding exactly:
+// the rank closest to x other than self, lower rank on a tie, probing
+// outward from x's successor the same ranks in the same order; -1 with
+// fewer than two entries. The incremental overlay's link draws resolve
+// through it.
+func (v rankView) NearestExcluding(t keyspace.Topology, x keyspace.Key, self int) int {
+	n := v.n
+	if n < 2 {
+		return -1
+	}
+	best, bestD := -1, math.Inf(1)
+	start := v.Successor(x)
+	for off := 0; off < n; off++ {
+		for _, i := range [2]int{(start + off) % n, ((start-off-1)%n + n) % n} {
+			if i == self {
+				continue
+			}
+			if d := t.Distance(v.KeyAt(i), x); d < bestD || (d == bestD && i < best) {
+				best, bestD = i, d
+			}
+		}
+		if best >= 0 && off >= 2 {
+			break
+		}
+	}
+	return best
+}
+
+// Has reports whether x is one of the indexed identifiers.
+func (v rankView) Has(x keyspace.Key) bool {
+	i := v.succIdx(x)
+	return i < v.n && v.KeyAt(i) == x
+}
+
+// Cell mirrors keyspace.Cell over the sorted identifiers: it hands
+// keyspace.Cell rank i and its rank neighbours, all the points the cell
+// of i depends on, so the cell arithmetic stays in one place.
+func (v rankView) Cell(t keyspace.Topology, i int) keyspace.Interval {
+	n := v.n
+	if i < 0 || i >= n {
+		return keyspace.Interval{}
+	}
+	if t == keyspace.Ring && n > 1 {
+		w := keyspace.Points{v.KeyAt((i + n - 1) % n), v.KeyAt(i), v.KeyAt((i + 1) % n)}
+		return keyspace.Cell(t, w, 1)
+	}
+	lo, hi := max(i-1, 0), min(i+2, n)
+	var w [3]keyspace.Key
+	for j := lo; j < hi; j++ {
+		w[j-lo] = v.KeyAt(j)
+	}
+	return keyspace.Cell(t, w[:hi-lo], i-lo)
+}
+
+// rankOf returns the rank of slot u, whose identifier is k, or -1 when
+// u is not indexed. Binary search lands on the first rank holding k;
+// duplicate identifiers (which only the generic NewSnapshot path can
+// index) are resolved by scanning the equal run for the slot itself.
+func (v rankView) rankOf(k keyspace.Key, u int32) int {
+	for i := v.succIdx(k); i < v.n; i++ {
+		if v.SlotAt(i) == u {
+			return i
+		}
+		if v.KeyAt(i) != k {
+			break
+		}
+	}
+	return -1
+}
+
 // materializeKeys copies the sorted identifiers into a flat Points —
 // the lazy compatibility path behind Snapshot.SortedKeys().
 func (v rankView) materializeKeys() keyspace.Points {
@@ -282,33 +356,26 @@ func (v rankView) materializeSlots() []int32 {
 	return out
 }
 
-// rankStore is the writer side of the rank index. Inserts and removes
-// shift entries within a single chunk; the cum spine is rebuilt from
-// the touched chunk onward (O(#chunks) int32 writes per event).
+// rankStore is the writer side of the rank index and the incremental
+// overlay's only copy of it. The embedded rankView is the live index:
+// the writer searches it in place, and capture() freezes a copy of its
+// spine. Inserts and removes shift entries within a single chunk; the
+// cum spine is rebuilt from the touched chunk onward (O(#chunks) int32
+// writes per event).
 type rankStore struct {
-	chunks []*rankChunk
-	owned  []bool
-	cum    []int32
-	n      int
+	rankView
+	owned []bool // owned[j]: chunk j not shared with any snapshot
 }
 
+// newRankStore indexes a flat ascending identifier array, byKey[i]
+// held by slot order[i], in owned chunks with room to grow.
 func newRankStore(byKey keyspace.Points, order []int32) *rankStore {
-	rs := &rankStore{n: len(byKey)}
-	for lo := 0; lo < len(byKey); lo += rankChunkFill {
-		hi := lo + rankChunkFill
-		if hi > len(byKey) {
-			hi = len(byKey)
-		}
-		c := &rankChunk{
-			keys:  make([]keyspace.Key, hi-lo, rankChunkCap),
-			slots: make([]int32, hi-lo, rankChunkCap),
-		}
-		copy(c.keys, byKey[lo:hi])
-		copy(c.slots, order[lo:hi])
-		rs.chunks = append(rs.chunks, c)
-		rs.owned = append(rs.owned, true)
+	rs := &rankStore{rankView: newRankView(byKey, order)}
+	rs.owned = make([]bool, len(rs.chunks))
+	for j, c := range rs.chunks {
+		rs.chunks[j] = c.clone()
+		rs.owned[j] = true
 	}
-	rs.rebuildCum(0)
 	return rs
 }
 
@@ -325,12 +392,6 @@ func (rs *rankStore) rebuildCum(c int) {
 	}
 }
 
-// locate returns the chunk index and in-chunk offset of global rank i.
-func (rs *rankStore) locate(i int) (int, int) {
-	c := sort.Search(len(rs.chunks), func(j int) bool { return int(rs.cum[j+1]) > i })
-	return c, i - int(rs.cum[c])
-}
-
 func (rs *rankStore) ensureOwned(c int) *rankChunk {
 	if !rs.owned[c] {
 		rs.chunks[c] = rs.chunks[c].clone()
@@ -339,8 +400,8 @@ func (rs *rankStore) ensureOwned(c int) *rankChunk {
 	return rs.chunks[c]
 }
 
-// insert mirrors the flat rank-index insert at rank i:
-// byKey = insert(byKey, i, k); order = insert(order, i, slot).
+// insert places identifier k, held by slot, at rank i, shifting ranks
+// i.. up by one.
 func (rs *rankStore) insert(i int, k keyspace.Key, slot int32) {
 	if len(rs.chunks) == 0 {
 		c := &rankChunk{
@@ -351,7 +412,7 @@ func (rs *rankStore) insert(i int, k keyspace.Key, slot int32) {
 		rs.owned = append(rs.owned, true)
 		rs.rebuildCum(0)
 	}
-	c, off := rs.locate(i)
+	c, off := rs.chunkOf(i)
 	if c == len(rs.chunks) {
 		// Append past the end: goes into the last chunk.
 		c = len(rs.chunks) - 1
@@ -391,9 +452,9 @@ func (rs *rankStore) insert(i int, k keyspace.Key, slot int32) {
 	rs.rebuildCum(lo)
 }
 
-// remove mirrors the flat rank-index splice at rank i.
+// remove deletes rank i, shifting ranks i+1.. down by one.
 func (rs *rankStore) remove(i int) {
-	c, off := rs.locate(i)
+	c, off := rs.chunkOf(i)
 	ch := rs.ensureOwned(c)
 	copy(ch.keys[off:], ch.keys[off+1:])
 	ch.keys = ch.keys[:len(ch.keys)-1]
@@ -409,9 +470,10 @@ func (rs *rankStore) remove(i int) {
 	rs.rebuildCum(c)
 }
 
-// setSlot mirrors order[i] = slot (a Leave's last-slot rename).
+// setSlot records that rank i is now held by slot (a Leave's last-slot
+// rename).
 func (rs *rankStore) setSlot(i int, slot int32) {
-	c, off := rs.locate(i)
+	c, off := rs.chunkOf(i)
 	rs.ensureOwned(c).slots[off] = slot
 }
 
@@ -430,7 +492,8 @@ func (rs *rankStore) capture() rankView {
 }
 
 // newRankView chunks a flat byKey/order pair directly (the generic
-// NewSnapshot path, where no writer store exists).
+// NewSnapshot path, where no writer store exists). The chunks alias
+// the flat arrays.
 func newRankView(byKey keyspace.Points, order []int32) rankView {
 	v := rankView{n: len(byKey)}
 	for lo := 0; lo < len(byKey); lo += rankChunkFill {

@@ -1,8 +1,10 @@
 package overlaynet
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"smallworld/dist"
@@ -12,8 +14,9 @@ import (
 
 // TestEpochSequenceBitIdentical drives 1k churn events through the
 // chunked-snapshot path, capturing a snapshot after every event, and
-// pins each epoch's Keys()/rank lookups bit-identical to the flat-copy
-// reference (captureFlat — the O(N) flat capture). Retained
+// pins each epoch's Keys()/rank lookups bit-identical to the flat
+// reference (captureFlat, which derives the rank index by sorting the
+// identifiers). Retained
 // (snapshot, reference) pairs are re-verified after the full run, so a
 // copy-on-write violation that mutates an already-published chunk
 // fails the test even if the at-capture comparison passed.
@@ -58,29 +61,37 @@ func TestEpochSequenceBitIdentical(t *testing.T) {
 	}
 }
 
-// flatCapture is the O(N) flat per-epoch copy the chunked capture
-// replaced, kept as the paired A/B baseline: BenchmarkPublishEpoch
-// measures it against the structural-sharing capture, and the
-// epoch-sequence test uses it as the bit-identical flat reference for
-// every published epoch.
+// flatCapture is the flat reference for one epoch: the identifier of
+// every slot, and the rank index as flat arrays — byKey the identifiers
+// ascending, order[i] the slot holding byKey[i].
 type flatCapture struct {
 	keys  []keyspace.Key
 	byKey keyspace.Points
 	order []int32
 }
 
+// captureFlat copies the overlay's identifiers and derives the rank
+// index from them by sorting, so it never reads the chunked rank store
+// it is the reference for.
 func (o *incrementalOverlay) captureFlat() flatCapture {
-	return flatCapture{
-		keys:  append([]keyspace.Key(nil), o.keys...),
-		byKey: append(keyspace.Points(nil), o.byKey...),
-		order: append([]int32(nil), o.order...),
+	keys := append([]keyspace.Key(nil), o.keys...)
+	order := make([]int32, len(keys))
+	for u := range order {
+		order[u] = int32(u)
 	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	byKey := make(keyspace.Points, len(keys))
+	for i, u := range order {
+		byKey[i] = keys[u]
+	}
+	return flatCapture{keys: keys, byKey: byKey, order: order}
 }
 
 // compareSnapshotToFlat checks every read surface of a chunked
 // snapshot against the flat reference arrays: per-slot keys, the full
-// Keys() materialization, per-rank key/slot reads, and the search
-// family (Successor/Predecessor/Nearest) on a probe sweep.
+// Keys() materialization, per-rank key/slot reads, the search family
+// (Successor/Predecessor/Nearest) on a probe sweep, and the mirrors the
+// writer reads (NearestExcluding, Has, Cell) at chunk boundaries.
 func compareSnapshotToFlat(t *testing.T, ev int, s *Snapshot, ref flatCapture) {
 	t.Helper()
 	n := len(ref.keys)
@@ -133,4 +144,40 @@ func compareSnapshotToFlat(t *testing.T, ev int, s *Snapshot, ref flatCapture) {
 	probe(0)
 	probe(keyspace.Key(0.5))
 	probe(keyspace.Key(math.Nextafter(1, 0)))
+
+	// The writer's mirrors, against keyspace.Points and keyspace.Cell on
+	// the reference: at ranks 0 and n-1 (the ring wrap), the first and
+	// last rank of every chunk, and exact midpoints, with the excluded
+	// rank at the probe, on either side of it, and absent.
+	topos := []keyspace.Topology{keyspace.Ring, keyspace.Line}
+	ranks := []int{0, n - 1}
+	for j := range s.rank.chunks {
+		ranks = append(ranks, int(s.rank.cum[j]), int(s.rank.cum[j+1])-1)
+	}
+	for _, i := range ranks {
+		for _, topo := range topos {
+			if got, want := s.rank.Cell(topo, i), keyspace.Cell(topo, ref.byKey, i); got != want {
+				t.Fatalf("ev %d: Cell(%v, %d) = %v, want %v", ev, topo, i, got, want)
+			}
+		}
+		lo, hi := ref.byKey[i], ref.byKey[(i+1)%n]
+		for _, x := range []keyspace.Key{
+			lo,
+			keyspace.Key(math.Nextafter(float64(lo), 1)),
+			keyspace.Key((float64(lo) + float64(hi)) / 2),
+			keyspace.MidpointRing(lo, hi),
+		} {
+			_, member := slices.BinarySearch(ref.byKey, x)
+			if got := s.rank.Has(x); got != member {
+				t.Fatalf("ev %d: Has(%v) = %v, want %v", ev, x, got, member)
+			}
+			for _, self := range []int{i, (i + 1) % n, (i + n - 1) % n, -1} {
+				for _, topo := range topos {
+					if got, want := s.rank.NearestExcluding(topo, x, self), ref.byKey.NearestExcluding(topo, x, self); got != want {
+						t.Fatalf("ev %d: NearestExcluding(%v, %v, %d) = %d, want %d", ev, topo, x, self, got, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"smallworld"
 	"smallworld/dist"
@@ -65,25 +65,24 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 		in:       make([][]int32, n),
 		succ:     make([]int32, n),
 		pred:     make([]int32, n),
-		byKey:    append(keyspace.Points(nil), nw.Keys()...),
-		order:    make([]int32, n),
 		csr:      nw.CSR(),
 		delta:    make(map[int32][]int32),
 		compact:  defaultCompactEvery,
 		rng:      xrand.New(opts.Seed ^ incrementalSeedSalt),
 	}
+	order := make([]int32, n)
 	for u := 0; u < n; u++ {
 		o.long[u] = append([]int32(nil), nw.LongRange(u)...)
-		o.order[u] = int32(u) // slots start out rank-ordered
+		order[u] = int32(u) // slots start out rank-ordered
 		for _, v := range o.long[u] {
 			o.in[v] = append(o.in[v], int32(u))
 		}
 	}
+	o.rankM = newRankStore(nw.Keys(), order)
 	for rank := 0; rank < n; rank++ {
 		o.wireRank(rank)
 	}
 	o.keysM = newKeyStore(o.keys)
-	o.rankM = newRankStore(o.byKey, o.order)
 	return o, nil
 }
 
@@ -118,17 +117,15 @@ type incrementalOverlay struct {
 	succ []int32   // key-order successor (-1 at the line's top end)
 	pred []int32   // key-order predecessor (-1 at the line's bottom end)
 
-	// Rank index: byKey is the sorted identifier array, order[i] the
-	// slot holding byKey[i].
-	byKey keyspace.Points
-	order []int32
-
-	// Chunked copy-on-write mirrors of keys and (byKey, order), written
-	// through on every mutation. CaptureSnapshot shares them into the
-	// published Snapshot for O(spine) cost instead of O(N) flat copies;
-	// the flat fields above remain the live read path (Keys, rankOf,
-	// the drawTarget NearestExcluding probe) so every existing read
-	// stays bit-identical and O(1).
+	// keysM is a chunked copy-on-write mirror of keys, written through
+	// on every mutation; rankM is the rank index (identifiers in
+	// ascending order, with the slot holding each), kept only in chunked
+	// form. Every rank read — rankOf, wireRank, drawKey's membership
+	// probe, drawTarget's NearestExcluding, the watcher's cells — goes
+	// through rankM's in-place rankView, so a membership event shifts
+	// entries within one chunk instead of O(N) flat arrays.
+	// CaptureSnapshot shares both stores into the published Snapshot for
+	// O(spine) cost.
 	keysM *keyStore
 	rankM *rankStore
 
@@ -217,34 +214,30 @@ func (o *incrementalOverlay) Ops() (draws, placed, repairs int64) {
 // rankOf returns node u's position in key order (exact: identifiers are
 // unique by construction).
 func (o *incrementalOverlay) rankOf(u int) int {
-	k := o.keys[u]
-	i := sort.Search(len(o.byKey), func(i int) bool { return o.byKey[i] >= k })
-	for o.order[i] != int32(u) {
-		i++ // defensive: cannot happen with unique keys
-	}
-	return i
+	return o.rankM.rankOf(o.keys[u], int32(u))
 }
 
 // wireRank points the node at the given rank at its key-order
 // neighbours (cyclic on the ring, -1 sentinels at the line's ends).
 func (o *incrementalOverlay) wireRank(rank int) {
-	n := len(o.order)
-	id := o.order[rank]
+	rs := o.rankM
+	n := rs.n
+	id := rs.SlotAt(rank)
 	if o.topo == keyspace.Ring {
-		o.pred[id] = o.order[(rank-1+n)%n]
-		o.succ[id] = o.order[(rank+1)%n]
+		o.pred[id] = rs.SlotAt((rank - 1 + n) % n)
+		o.succ[id] = rs.SlotAt((rank + 1) % n)
 		if o.pred[id] == id {
 			o.pred[id], o.succ[id] = -1, -1 // single node
 		}
 		return
 	}
 	if rank > 0 {
-		o.pred[id] = o.order[rank-1]
+		o.pred[id] = rs.SlotAt(rank - 1)
 	} else {
 		o.pred[id] = -1
 	}
 	if rank+1 < n {
-		o.succ[id] = o.order[rank+1]
+		o.succ[id] = rs.SlotAt(rank + 1)
 	} else {
 		o.succ[id] = -1
 	}
@@ -266,7 +259,7 @@ func (o *incrementalOverlay) markDirty(u int32) {
 		row = append(row, o.succ[u])
 	}
 	row = append(row, o.long[u]...)
-	sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+	slices.Sort(row)
 	w := 0
 	for i, v := range row {
 		if i == 0 || v != row[w-1] {
@@ -287,19 +280,44 @@ func (o *incrementalOverlay) afterEvent() {
 }
 
 // compactNow folds the delta rows into a fresh base CSR and clears the
-// delta overlay. The previous CSR is never mutated — snapshots holding
-// it stay valid.
+// delta overlay, in one pass over the rows: the dirty row ids are
+// sorted once, each run of clean rows between two dirty ones is copied
+// from the base with one copy and its offsets shifted by a constant,
+// and delta is read only for the dirty rows. Every slot at or above
+// the base's N joined (or was renamed) since the last compaction and
+// is dirty, so every clean row exists in the base. The previous CSR is
+// never mutated — snapshots holding it stay valid.
 func (o *incrementalOverlay) compactNow() {
 	n := len(o.keys)
-	offsets := make([]int32, n+1)
-	size := 0
-	for u := 0; u < n; u++ {
-		size += len(o.Neighbors(u))
+	base := o.csr
+	cleanEnd := min(n, base.N()) // every clean row lies below it
+	size := base.RowStart(cleanEnd)
+	dirty := make([]int, 0, len(o.delta)+1)
+	for u, row := range o.delta {
+		dirty = append(dirty, int(u))
+		size += len(row)
+		if int(u) < cleanEnd {
+			size -= base.OutDegree(int(u))
+		}
 	}
-	targets := make([]int32, 0, size)
-	for u := 0; u < n; u++ {
-		targets = append(targets, o.Neighbors(u)...)
-		offsets[u+1] = int32(len(targets))
+	slices.Sort(dirty)
+	dirty = append(dirty, n) // sentinel: closes the last clean run
+	offsets := make([]int32, n+1)
+	targets := make([]int32, size)
+	w, lo := 0, 0
+	for _, d := range dirty {
+		if lo < d {
+			shift := int32(w - base.RowStart(lo))
+			w += copy(targets[w:], base.Rows(lo, d))
+			for u := lo; u < d; u++ {
+				offsets[u+1] = int32(base.RowStart(u+1)) + shift
+			}
+		}
+		if d < n {
+			w += copy(targets[w:], o.delta[int32(d)])
+			offsets[d+1] = int32(w)
+		}
+		lo = d + 1
 	}
 	o.csr = graph.NewCSR(offsets, targets)
 	clear(o.delta)
@@ -312,10 +330,10 @@ func (o *incrementalOverlay) Topology() keyspace.Topology { return o.topo }
 // into the base CSR, then share that CSR with the snapshot (it is
 // immutable; future compactions replace the pointer rather than the
 // array). The identifier array and the rank index are shared
-// structurally through the chunked COW mirrors — the capture copies
+// structurally through the chunked COW stores — the capture copies
 // only the chunk spines, O(Δ·chunk + N/chunk) amortised per epoch
-// instead of the former O(N) flat copies, which is what keeps
-// publish cost flat as N grows (see BenchmarkPublishEpoch).
+// instead of O(N) flat copies, which is what keeps publish cost flat
+// as N grows (see BenchmarkPublishEpoch).
 func (o *incrementalOverlay) CaptureSnapshot() *Snapshot {
 	if len(o.delta) > 0 {
 		o.compactNow()
@@ -347,16 +365,10 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	o.succ = append(o.succ, -1)
 	o.pred = append(o.pred, -1)
 
-	rank := sort.Search(len(o.byKey), func(i int) bool { return o.byKey[i] >= k })
-	o.byKey = append(o.byKey, 0)
-	copy(o.byKey[rank+1:], o.byKey[rank:])
-	o.byKey[rank] = k
-	o.order = append(o.order, 0)
-	copy(o.order[rank+1:], o.order[rank:])
-	o.order[rank] = id
+	rank := o.rankM.succIdx(k)
 	o.rankM.insert(rank, k, id)
 
-	n := len(o.order)
+	n := len(o.keys)
 	o.wireRank((rank - 1 + n) % n)
 	o.wireRank(rank)
 	o.wireRank((rank + 1) % n)
@@ -371,7 +383,7 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	if o.watcher != nil {
 		// The newcomer's cell was stolen from its flanks, split at their
 		// former mutual boundary.
-		cell := keyspace.Cell(o.topo, o.byKey, rank)
+		cell := o.rankM.Cell(o.topo, rank)
 		for _, ch := range o.splitCell(true, k, cell, o.pred[id], o.succ[id]) {
 			o.watcher(ch)
 		}
@@ -495,7 +507,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	// watcher itself runs after the event completes).
 	var changes []OwnershipChange
 	if o.watcher != nil {
-		cell := keyspace.Cell(o.topo, o.byKey, o.rankOf(u))
+		cell := o.rankM.Cell(o.topo, o.rankOf(u))
 		changes = o.splitCell(false, o.keys[uid], cell, o.pred[uid], o.succ[uid])
 	}
 
@@ -515,16 +527,12 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	// Splice u out of the rank index; its former flanks become
 	// key-order neighbours of each other.
 	rank := o.rankOf(u)
-	copy(o.byKey[rank:], o.byKey[rank+1:])
-	o.byKey = o.byKey[:n-1]
-	copy(o.order[rank:], o.order[rank+1:])
-	o.order = o.order[:n-1]
 	o.rankM.remove(rank)
 	nn := n - 1
 	o.wireRank((rank - 1 + nn) % nn)
 	o.wireRank(rank % nn)
-	o.markDirty(o.order[(rank-1+nn)%nn])
-	o.markDirty(o.order[rank%nn])
+	o.markDirty(o.rankM.SlotAt((rank - 1 + nn) % nn))
+	o.markDirty(o.rankM.SlotAt(rank % nn))
 
 	// Move the last slot into the hole so slots stay dense. Everything
 	// that mentions the old id — rank index, neighbour pointers of its
@@ -538,9 +546,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		o.in[uid] = o.in[last]
 		o.succ[uid] = o.succ[last]
 		o.pred[uid] = o.pred[last]
-		lastRank := o.rankOf(int(last))
-		o.order[lastRank] = uid
-		o.rankM.setSlot(lastRank, uid)
+		o.rankM.setSlot(o.rankOf(int(last)), uid)
 		if p := o.pred[uid]; p >= 0 {
 			o.succ[p] = uid
 			o.markDirty(p)
@@ -636,7 +642,7 @@ func (o *incrementalOverlay) renameTarget(w, from, to int32) {
 func (o *incrementalOverlay) drawKey() (keyspace.Key, error) {
 	for attempt := 0; attempt < maxDrawAttempts; attempt++ {
 		k := keyspace.Clamp(o.d.Quantile(o.rng.Float64()))
-		for taken(o.byKey, k) {
+		for o.rankM.Has(k) {
 			next := keyspace.Key(math.Nextafter(float64(k), 1))
 			if next >= 1 {
 				k = 0 // fell off the top: restart the probe from 0
@@ -644,17 +650,11 @@ func (o *incrementalOverlay) drawKey() (keyspace.Key, error) {
 			}
 			k = next
 		}
-		if k.Valid() && !taken(o.byKey, k) {
+		if k.Valid() && !o.rankM.Has(k) {
 			return k, nil
 		}
 	}
 	return 0, fmt.Errorf("overlaynet: could not draw a fresh identifier")
-}
-
-// taken reports whether k is already an identifier.
-func taken(p keyspace.Points, k keyspace.Key) bool {
-	i := sort.Search(len(p), func(i int) bool { return p[i] >= k })
-	return i < len(p) && p[i] == k
 }
 
 // sampleInto draws long-range links for node u until it holds m of them
@@ -729,11 +729,11 @@ func (o *incrementalOverlay) drawTarget(pos float64, rank int) int {
 	} else {
 		key = keyspace.Clamp(target)
 	}
-	nearest := o.byKey.NearestExcluding(o.topo, key, rank)
+	nearest := o.rankM.NearestExcluding(o.topo, key, rank)
 	if nearest < 0 {
 		return -1
 	}
-	return int(o.order[nearest])
+	return int(o.rankM.SlotAt(nearest))
 }
 
 // NewRouter returns greedy routing scratch over the live adjacency
@@ -772,8 +772,8 @@ func (r *incrementalRouter) Route(src int, target keyspace.Key) Result {
 		cur, dCur = best, bestD
 	}
 	arrived := false
-	if nearest := o.byKey.Nearest(topo, target); nearest >= 0 {
-		arrived = dCur <= topo.Distance(o.byKey[nearest], target)
+	if nearest := o.rankM.Nearest(topo, target); nearest >= 0 {
+		arrived = dCur <= topo.Distance(o.rankM.KeyAt(nearest), target)
 	}
 	return Result{Hops: hops, Dest: cur, Arrived: arrived}
 }

@@ -3,16 +3,20 @@ package overlaynet
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"smallworld/dist"
+	"smallworld/graph"
 	"smallworld/keyspace"
+	"smallworld/xrand"
 )
 
 // checkIncrementalInvariants verifies the full internal consistency of
-// an incremental overlay: the rank index is a sorted permutation of the
-// live identifiers, neighbour pointers follow key order, in-lists
+// an incremental overlay: the rank index equals the one derived by
+// sorting the live (unique) identifiers, neighbour pointers follow key
+// order, in-lists
 // mirror the long links exactly, and — most importantly — the adjacency
 // every router reads (base CSR + delta rows) equals the adjacency
 // recomputed from scratch. The last check is what catches a stale base
@@ -20,33 +24,29 @@ import (
 func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 	t.Helper()
 	n := len(o.keys)
-	if len(o.byKey) != n || len(o.order) != n || len(o.long) != n || len(o.in) != n {
+	if o.rankM.Len() != n || len(o.long) != n || len(o.in) != n {
 		t.Fatalf("inconsistent state sizes at n=%d", n)
 	}
-	seen := make(map[int32]bool, n)
-	for rank, id := range o.order {
-		if seen[id] {
-			t.Fatalf("slot %d appears twice in the rank index", id)
+	ref := o.captureFlat()
+	for rank, id := range ref.order {
+		if rank > 0 && ref.byKey[rank] <= ref.byKey[rank-1] {
+			t.Fatalf("identifier %v held twice", ref.byKey[rank])
 		}
-		seen[id] = true
-		if o.keys[id] != o.byKey[rank] {
-			t.Fatalf("rank %d: order/byKey disagree: key %v vs %v", rank, o.keys[id], o.byKey[rank])
-		}
-		if rank > 0 && o.byKey[rank] <= o.byKey[rank-1] {
-			t.Fatalf("rank index not strictly ascending at %d", rank)
+		if k, slot := o.rankM.KeyAt(rank), o.rankM.SlotAt(rank); k != ref.byKey[rank] || slot != id {
+			t.Fatalf("rank %d: index holds %v in slot %d, want %v in slot %d", rank, k, slot, ref.byKey[rank], id)
 		}
 	}
-	for rank, id := range o.order {
+	for rank, id := range ref.order {
 		wantPred, wantSucc := int32(-1), int32(-1)
 		if o.topo == keyspace.Ring && n > 1 {
-			wantPred = o.order[(rank-1+n)%n]
-			wantSucc = o.order[(rank+1)%n]
+			wantPred = ref.order[(rank-1+n)%n]
+			wantSucc = ref.order[(rank+1)%n]
 		} else {
 			if rank > 0 {
-				wantPred = o.order[rank-1]
+				wantPred = ref.order[rank-1]
 			}
 			if rank+1 < n {
-				wantSucc = o.order[rank+1]
+				wantSucc = ref.order[rank+1]
 			}
 		}
 		if o.pred[id] != wantPred || o.succ[id] != wantSucc {
@@ -162,6 +162,106 @@ func TestIncrementalInvariantsUnderChurn(t *testing.T) {
 			}
 			if frac := float64(arrived) / 200; frac < 0.99 {
 				t.Fatalf("only %.0f%% of queries arrived after churn", 100*frac)
+			}
+		})
+	}
+}
+
+// compactRowByRow is the row-by-row delta fold that compactNow's
+// one-pass fold replaced, kept as its reference: every row read through
+// Neighbors, one delta lookup per row. It leaves the overlay untouched.
+func (o *incrementalOverlay) compactRowByRow() *graph.CSR {
+	n := len(o.keys)
+	offsets := make([]int32, n+1)
+	size := 0
+	for u := 0; u < n; u++ {
+		size += len(o.Neighbors(u))
+	}
+	targets := make([]int32, 0, size)
+	for u := 0; u < n; u++ {
+		targets = append(targets, o.Neighbors(u)...)
+		offsets[u+1] = int32(len(targets))
+	}
+	return graph.NewCSR(offsets, targets)
+}
+
+// TestCompactMatchesRowByRowFold pins compactNow to the row-by-row
+// reference fold — identical offsets and targets — at compaction
+// boundaries where the population shrank below the base CSR's N, grew
+// above it, lost its last slot, and had an empty delta, then across a
+// mixed churn run compacted at irregular intervals.
+func TestCompactMatchesRowByRowFold(t *testing.T) {
+	ctx := context.Background()
+	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
+		t.Run(topo.String(), func(t *testing.T) {
+			dyn, err := NewIncremental(ctx, "smallworld-skewed",
+				Options{N: 200, Seed: 5, Dist: dist.NewPower(0.7), Topology: topo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := dyn.(*incrementalOverlay)
+			o.compact = math.MaxInt // compact only where the test does
+			fold := func(boundary string) {
+				t.Helper()
+				want := o.compactRowByRow()
+				o.compactNow()
+				got := o.csr
+				if got.N() != want.N() || !slices.Equal(got.Rows(0, got.N()), want.Rows(0, want.N())) {
+					t.Fatalf("%s: targets differ from the row-by-row fold", boundary)
+				}
+				for u := 0; u <= got.N(); u++ {
+					if got.RowStart(u) != want.RowStart(u) {
+						t.Fatalf("%s: offset %d = %d, want %d", boundary, u, got.RowStart(u), want.RowStart(u))
+					}
+				}
+				if len(o.delta) != 0 {
+					t.Fatalf("%s: %d delta rows survive the fold", boundary, len(o.delta))
+				}
+				checkIncrementalInvariants(t, o)
+			}
+			leave := func(u int) {
+				t.Helper()
+				if err := o.Leave(ctx, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			join := func() {
+				t.Helper()
+				if err := o.Join(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			fold("empty delta")
+			for i := 0; i < 12; i++ {
+				leave((i * 53) % o.N())
+			}
+			if o.N() >= o.csr.N() {
+				t.Fatalf("population %d did not shrink below the base's %d", o.N(), o.csr.N())
+			}
+			fold("shrank")
+			for i := 0; i < 20; i++ {
+				join()
+			}
+			leave(0)
+			if o.N() <= o.csr.N() {
+				t.Fatalf("population %d did not grow above the base's %d", o.N(), o.csr.N())
+			}
+			fold("grew")
+			leave(o.N() - 1)
+			fold("lost its last slot")
+			fold("empty delta after a fold")
+
+			rng := xrand.New(17)
+			for i := 0; i < 40; i++ {
+				for ev := rng.Intn(9); ev >= 0; ev-- {
+					if rng.Bool(0.5) {
+						join()
+					} else {
+						leave(rng.Intn(o.N()))
+					}
+				}
+				fold("mixed churn")
 			}
 		})
 	}

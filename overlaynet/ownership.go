@@ -19,24 +19,7 @@ func OwnedRange(s *Snapshot, u int) keyspace.Interval {
 	if s == nil || u < 0 || u >= s.keys.n {
 		return keyspace.Interval{}
 	}
-	return keyspace.Cell(s.topo, s.SortedKeys(), s.rankOf(u))
-}
-
-// rankOf returns slot u's position in the ascending rank index. Binary
-// search lands on the first rank holding u's identifier; duplicate
-// identifiers (possible only transiently) are resolved by scanning the
-// equal run for the slot itself.
-func (s *Snapshot) rankOf(u int) int {
-	k := s.keys.At(u)
-	for i := s.rank.succIdx(k); i < s.rank.n; i++ {
-		if int(s.rank.SlotAt(i)) == u {
-			return i
-		}
-		if s.rank.KeyAt(i) != k {
-			break
-		}
-	}
-	return -1
+	return keyspace.Cell(s.topo, s.SortedKeys(), s.rank.rankOf(s.keys.At(u), int32(u)))
 }
 
 // SortedKeys returns the snapshot's identifiers in ascending key order —

@@ -134,8 +134,9 @@ func TestOwnershipChangeNarratesChurn(t *testing.T) {
 			for i := 0; i < 257; i++ {
 				probes = append(probes, keyspace.Key(float64(i)/257))
 			}
+			sorted := o.captureFlat().byKey
 			owner := func(k keyspace.Key) keyspace.Key {
-				return o.byKey[keyspace.Owner(o.topo, o.byKey, k)]
+				return sorted[keyspace.Owner(o.topo, sorted, k)]
 			}
 			model := make(map[keyspace.Key]keyspace.Key, len(probes))
 			for _, k := range probes {
@@ -174,6 +175,7 @@ func TestOwnershipChangeNarratesChurn(t *testing.T) {
 						}
 					}
 				}
+				sorted = o.captureFlat().byKey
 				for _, k := range probes {
 					if got := owner(k); got != model[k] {
 						t.Fatalf("%s event %d: probe %v owned by %v, event-driven model says %v", tc.name, i, k, got, model[k])

@@ -13,15 +13,13 @@ import (
 	"smallworld/xrand"
 )
 
-// BenchmarkPublishEpoch is the paired A/B measurement behind the
-// structural-sharing tentpole: the per-epoch cost of capturing a
-// snapshot after 64 membership events (the default epoch boundary),
-// through the chunked copy-on-write path versus the PR8-era flat copy
-// of keys + byKey + order. The 64 events are applied outside the
-// timer, followed by a GC checkpoint so collector assists owed to the
-// churn's garbage are never paid inside the timed window; the number
-// is purely the capture — O(Δ·chunk + N/chunk) chunked vs O(N) flat.
-// Set SW_PUBLISH_BENCH_FULL=1 to extend the size sweep to 2^22 (the
+// BenchmarkPublishEpoch measures the per-epoch cost of capturing a
+// snapshot after 64 membership events (the default epoch boundary)
+// through the chunked copy-on-write stores. The 64 events are applied
+// outside the timer, followed by a GC checkpoint so collector assists
+// owed to the churn's garbage are never paid inside the timed window;
+// the number is purely the capture, O(Δ·chunk + N/chunk). Set
+// SW_PUBLISH_BENCH_FULL=1 to extend the size sweep to 2^22 (the
 // PERFORMANCE.md frontier run).
 func BenchmarkPublishEpoch(b *testing.B) {
 	sizes := []int{1 << 16, 1 << 18, 1 << 20}
@@ -41,15 +39,37 @@ func BenchmarkPublishEpoch(b *testing.B) {
 				benchSnapSink = o.CaptureSnapshot()
 			}
 		})
-		b.Run(fmt.Sprintf("flatcopy/n=%d", n), func(b *testing.B) {
-			rng := xrand.New(uint64(n) + 7)
+	}
+}
+
+// BenchmarkChurnEvent measures one membership event on the writer side
+// of an incremental overlay: each op is one Join or Leave, alternating,
+// with a uniformly drawn leaver, so the population stays at n and the
+// delta fold runs every defaultCompactEvery ops, its cost amortised
+// into ns/op as it is in a live overlay. No snapshot is captured.
+func BenchmarkChurnEvent(b *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 20} {
+		var o *incrementalOverlay // built on first use, so -bench filters skip it
+		rng := xrand.New(uint64(n) + 3)
+		events := 0 // across the b.N probes, so joins and leaves alternate
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if o == nil {
+				o = newBenchOverlay(b, n)
+				b.ResetTimer()
+			}
+			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				publishBenchChurn(b, o, rng)
-				runtime.GC()
-				b.StartTimer()
-				benchFlatSink = o.captureFlat()
+				var err error
+				if events%2 == 0 {
+					err = o.Join(ctx)
+				} else {
+					err = o.Leave(ctx, rng.Intn(o.N()))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				events++
 			}
 		})
 	}
@@ -57,15 +77,14 @@ func BenchmarkPublishEpoch(b *testing.B) {
 
 var (
 	benchSnapSink *Snapshot
-	benchFlatSink flatCapture
 
 	publishBenchMu    sync.Mutex
 	publishBenchCache = map[int]*incrementalOverlay{}
 )
 
-// publishBenchOverlay builds (once per size, cached across the A/B
-// pair — construction at 2^20 costs seconds and is not what is being
-// measured) an incremental overlay of n nodes.
+// publishBenchOverlay builds (once per size, cached across -count
+// repetitions — construction at 2^20 costs seconds and is not what is
+// being measured) an incremental overlay of n nodes.
 func publishBenchOverlay(b *testing.B, n int) *incrementalOverlay {
 	b.Helper()
 	publishBenchMu.Lock()
@@ -73,15 +92,21 @@ func publishBenchOverlay(b *testing.B, n int) *incrementalOverlay {
 	if o, ok := publishBenchCache[n]; ok {
 		return o
 	}
+	o := newBenchOverlay(b, n)
+	publishBenchCache[n] = o
+	return o
+}
+
+// newBenchOverlay builds an incremental skewed ring of n nodes.
+func newBenchOverlay(b *testing.B, n int) *incrementalOverlay {
+	b.Helper()
 	dyn, err := NewIncremental(context.Background(), "smallworld-skewed", Options{
 		N: n, Seed: 9, Dist: dist.NewPower(0.7), Topology: keyspace.Ring,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	o := dyn.(*incrementalOverlay)
-	publishBenchCache[n] = o
-	return o
+	return dyn.(*incrementalOverlay)
 }
 
 // publishBenchChurn applies exactly one epoch's worth of membership

@@ -196,8 +196,11 @@ func (sv *server) handle(frame []byte) {
 		}
 		snap := sv.c.snap.Load()
 		if cur < 0 || cur >= snap.N() {
-			// A forward that raced a shrink rebind; the query dies like
-			// a misdelivered datagram and the client's timeout recovers.
+			// A forward that raced a shrink rebind names a slot the new
+			// epoch no longer has: the query fails cleanly, as a
+			// crashed-source query does, instead of leaving a client
+			// without a timeout waiting forever.
+			sv.sendResult(origin, f.Corr, -1, hops, crossings, false)
 			return
 		}
 		sv.walk(snap, origin, f.Corr, cur, dCur, target, hops, crossings)

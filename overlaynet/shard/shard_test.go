@@ -3,12 +3,14 @@ package shard
 import (
 	"context"
 	"testing"
+	"time"
 
 	"smallworld/dist"
 	"smallworld/keyspace"
 	"smallworld/netmodel"
 	"smallworld/obs"
 	"smallworld/overlaynet"
+	"smallworld/wire"
 	"smallworld/xrand"
 )
 
@@ -207,6 +209,42 @@ func TestShardObsCounters(t *testing.T) {
 	// Every query costs 1 query frame + crossings forwards + 1 result.
 	if want := uint64(2*queries + totalCross); reg.WireSends.Value() != want {
 		t.Fatalf("wire sends %d, want %d", reg.WireSends.Value(), want)
+	}
+}
+
+// TestForwardPastPopulationFailsCleanly pins liveness across a shrink
+// rebind: a forward naming a slot the serving epoch no longer has comes
+// back to its origin as a clean failure (Dest -1), so a client that
+// waits without a timeout on a loss-free wire is never left waiting.
+func TestForwardPastPopulationFailsCleanly(t *testing.T) {
+	pub := newChurnPublisher(t, 64, keyspace.Ring, 5)
+	cluster, err := New(pub, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	client, err := cluster.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Timeout = 5 * time.Second // bounds the test only if the result is lost
+	p := wire.AppendU32(nil, uint32(client.addr))
+	p = wire.AppendU32(p, uint32(cluster.Snapshot().N())) // one past the last slot
+	p = wire.AppendU32(p, 3)                              // hops so far
+	p = wire.AppendU32(p, 1)                              // crossings so far
+	p = wire.AppendF64(p, 0.25)
+	p = wire.AppendF64(p, 0.5)
+	const corr = 42
+	frame := wire.AppendFrame(nil, wire.Frame{Type: msgForward, From: 0, To: 1, Corr: corr, Payload: p})
+	if err := cluster.Transport().Send(1, frame); err != nil {
+		t.Fatal(err)
+	}
+	r, ok := client.await(corr)
+	if !ok {
+		t.Fatal("a forward past the population was dropped: no result came back")
+	}
+	if r.dest != -1 || r.arrived {
+		t.Fatalf("result %+v, want a clean failure (dest -1, not arrived)", r)
 	}
 }
 
