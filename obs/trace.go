@@ -81,7 +81,8 @@ type Span struct {
 	// Node is the slot the step involved.
 	Node int32 `json:"node"`
 	// Rank is the candidate's position in the sender's sorted candidate
-	// list (0 = best improving neighbour).
+	// list (0 = best improving neighbour), or -1 when Node is not a
+	// candidate (a hijacking relay's detour target).
 	Rank int16 `json:"rank"`
 	// Retries counts resends burned on this candidate before this step.
 	Retries uint16 `json:"retries"`

@@ -17,11 +17,13 @@
 // metrics and benchmark machinery by adding one adapter.
 //
 // Routing can also run against a hostile message plane: RobustRouter
-// executes a RobustPolicy (per-hop timeout, bounded retries with
-// exponential backoff and jitter, next-best-neighbour fallback) over
-// any Transport — package netmodel supplies loss, latency, dead/slow/
-// byzantine nodes and partitions — and returns a typed Outcome:
-// Delivered, DeliveredDegraded, TimedOut or Unroutable.
+// drives RobustWalk, the one retry state machine (per-hop timeout,
+// bounded retries with exponential backoff and jitter, next-best-
+// neighbour fallback), over any Transport — package netmodel supplies
+// loss, latency, dead/slow/byzantine nodes and partitions — and
+// returns a typed Outcome: Delivered, DeliveredDegraded, TimedOut or
+// Unroutable. Package sim's message flights drive the same machine in
+// virtual time.
 //
 // Identifier convention: every overlay projects its nodes onto the unit
 // key space [0,1) of package keyspace, whatever its native identifier

@@ -3,6 +3,7 @@ package overlaynet_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"smallworld/dist"
@@ -22,22 +23,26 @@ import (
 // contract: candidate scratch is reused, so routing allocates nothing
 // once warm.
 func BenchmarkRouteRobust(b *testing.B) {
-	type config struct {
-		name string
-		cfg  netmodel.Config
-		mask bool
-	}
-	configs := []config{
-		{"perfect", netmodel.Config{}, false},
-		{"loss=5%", netmodel.Config{Loss: 0.05}, false},
-		{"dead=10%/mask=off", netmodel.Config{DeadFrac: 0.1}, false},
-		{"dead=10%/mask=on", netmodel.Config{DeadFrac: 0.1}, true},
-	}
-	for _, cfg := range configs {
+	for _, cfg := range robustConfigs {
 		b.Run(fmt.Sprintf("N=%d/%s", 1<<12, cfg.name), func(b *testing.B) {
 			benchRouteRobust(b, 1<<12, cfg.cfg, cfg.mask)
 		})
 	}
+}
+
+// robustConfig is one fault configuration robust routing is measured
+// under: a netmodel plane and whether the snapshot carries its mask.
+type robustConfig struct {
+	name string
+	cfg  netmodel.Config
+	mask bool
+}
+
+var robustConfigs = []robustConfig{
+	{"perfect", netmodel.Config{}, false},
+	{"loss=5%", netmodel.Config{Loss: 0.05}, false},
+	{"dead=10%/mask=off", netmodel.Config{DeadFrac: 0.1}, false},
+	{"dead=10%/mask=on", netmodel.Config{DeadFrac: 0.1}, true},
 }
 
 // BenchmarkRouteRobustObs is BenchmarkRouteRobust's loss=5% row under
@@ -70,18 +75,59 @@ func benchRouteRobust(b *testing.B, n int, cfg netmodel.Config, mask bool) {
 }
 
 func benchRouteRobustWith(b *testing.B, n int, cfg netmodel.Config, mask bool, reg *obs.Registry, tracer *obs.Tracer) {
+	rr, srcs, targets := robustWorkload(b, n, cfg, mask, reg, tracer)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (len(srcs) - 1)
+		rr.RouteRobust(srcs[j], targets[j])
+	}
+}
+
+// TestRouteRobustZeroAlloc makes the zero-allocation contract a test:
+// once its candidate scratch is warm, RouteRobust allocates nothing
+// under every BenchmarkRouteRobust fault configuration plus a byzantine
+// one, with observability off and with counters on.
+func TestRouteRobustZeroAlloc(t *testing.T) {
+	byzantine := robustConfig{"byzantine=10%", netmodel.Config{Loss: 0.05, ByzantineFrac: 0.1}, false}
+	for _, cfg := range append(slices.Clip(robustConfigs), byzantine) {
+		for _, counters := range []bool{false, true} {
+			var reg *obs.Registry
+			if counters {
+				reg = obs.NewRegistry()
+			}
+			rr, srcs, targets := robustWorkload(t, 1<<10, cfg.cfg, cfg.mask, reg, nil)
+			batch := func() {
+				for i := range srcs {
+					rr.RouteRobust(srcs[i], targets[i])
+				}
+			}
+			batch() // warm the candidate scratch
+			// AllocsPerRun truncates the per-run mean, so each run routes
+			// the whole batch: one allocation anywhere in it fails.
+			if allocs := testing.AllocsPerRun(4, batch); allocs != 0 {
+				t.Errorf("%s/counters=%v: %v allocations per %d routes, want 0", cfg.name, counters, allocs, len(srcs))
+			}
+		}
+	}
+}
+
+// robustWorkload builds a skewed ring of n nodes, a RobustRouter over
+// its snapshot behind a netmodel plane built from cfg (nil transport
+// for the zero config), and 4096 queries from live sources.
+func robustWorkload(tb testing.TB, n int, cfg netmodel.Config, mask bool, reg *obs.Registry, tracer *obs.Tracer) (*overlaynet.RobustRouter, []int, []keyspace.Key) {
 	ctx := context.Background()
 	dyn, err := overlaynet.NewIncremental(ctx, "smallworld-skewed", overlaynet.Options{
 		N: n, Seed: 9, Dist: dist.NewPower(0.7), Topology: keyspace.Ring,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var tr overlaynet.Transport
 	var m *netmodel.Model
 	if cfg != (netmodel.Config{}) {
 		if m, err = netmodel.New(cfg, 7); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		tr = m
 	}
@@ -89,14 +135,14 @@ func benchRouteRobustWith(b *testing.B, n int, cfg netmodel.Config, mask bool, r
 	if mask {
 		pub, err := overlaynet.NewPublisher(dyn)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		pub.SetFaultPlane(m)
 		snap = pub.Snapshot()
 	}
 	rr, err := overlaynet.NewRobustRouter(snap, tr, overlaynet.RobustPolicy{}, 3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if reg != nil || tracer != nil {
 		rr.SetObs(reg, tracer)
@@ -113,10 +159,5 @@ func benchRouteRobustWith(b *testing.B, n int, cfg netmodel.Config, mask bool, r
 		}
 		targets[i] = keyspace.Key(rng.Float64())
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i & (len(srcs) - 1)
-		rr.RouteRobust(srcs[j], targets[j])
-	}
+	return rr, srcs, targets
 }

@@ -7,6 +7,7 @@ import (
 
 	"smallworld/keyspace"
 	"smallworld/netmodel"
+	"smallworld/obs"
 	"smallworld/xrand"
 )
 
@@ -413,4 +414,38 @@ func TestServeFaultInjectedRace(t *testing.T) {
 	}()
 
 	wg.Wait()
+}
+
+// A byzantine detour target is not a candidate: its span records rank
+// -1, while every hop and timeout span ranks a real candidate.
+func TestRobustHijackSpanRank(t *testing.T) {
+	s := robustSnapshot(t, 256)
+	m, _ := netmodel.New(netmodel.Config{Loss: 0.05, ByzantineFrac: 0.2}, 61)
+	rr, err := NewRobustRouter(s, m, RobustPolicy{}, 67)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(obs.TracerConfig{Sample: 1, Keep: 400})
+	rr.SetObs(nil, tracer)
+	srcs, targets := robustPairs(s, 71, 400)
+	for i := range srcs {
+		rr.RouteRobust(srcs[i], targets[i])
+	}
+	hijacks := 0
+	for _, tr := range tracer.Traces() {
+		for _, sp := range tr.Spans {
+			switch {
+			case sp.Kind == obs.SpanHijack:
+				hijacks++
+				if sp.Rank != -1 {
+					t.Fatalf("hijack span to node %d records rank %d, want -1", sp.Node, sp.Rank)
+				}
+			case sp.Rank < 0:
+				t.Fatalf("%v span to node %d records rank %d", sp.Kind, sp.Node, sp.Rank)
+			}
+		}
+	}
+	if hijacks == 0 {
+		t.Fatal("no hijack spans traced; the byzantine plane is inert")
+	}
 }

@@ -464,58 +464,36 @@ func (s *Snapshot) GreedyArrived(d float64, target keyspace.Key) bool {
 	if s.faults == nil || !s.faults.dead[s.rank.SlotAt(nearest)] {
 		return d <= s.topo.Distance(s.rank.KeyAt(nearest), target)
 	}
-	best, ok := s.nearestLiveDistance(target, nearest)
-	if !ok {
-		return false
-	}
-	return d <= best
+	return d <= s.nearestLiveDistance(target, nearest, nil)
 }
 
 // nearestLiveDistance returns the distance from target to the closest
-// mask-live node, scanning rank-outward from the nearest rank. Each
-// directional scan may stop at its first live hit: arc displacement
-// grows monotonically per direction, and the true nearest live node is
-// the closer of the two first hits. Reports false when every node is
-// masked.
-func (s *Snapshot) nearestLiveDistance(target keyspace.Key, start int) (float64, bool) {
+// live node, or -1 when no node is live. A node is live unless the
+// snapshot's mask marks it dead or oracle (when non-nil) reports it
+// crashed. The scan runs rank-outward from start, the nearest rank,
+// and each direction stops at its first live hit: arc displacement
+// grows monotonically per direction, so the true nearest live node is
+// the closer of the two first hits, and the cost is the dead run around
+// the target, not N.
+func (s *Snapshot) nearestLiveDistance(target keyspace.Key, start int, oracle deadOracle) float64 {
 	n := s.rank.n
-	dead := s.faults.dead
-	if s.faults.n >= n {
-		return 0, false
-	}
-	best := s.topo.MaxDistance() + 1
-	found := false
-	// Ascending-key direction (clockwise on the ring).
-	for step, i := 0, start; step < n; step++ {
-		if !dead[s.rank.SlotAt(i)] {
-			if d := s.topo.Distance(s.rank.KeyAt(i), target); d < best {
-				best, found = d, true
-			}
-			break
-		}
-		i++
-		if i == n {
-			if s.topo != keyspace.Ring {
+	best := -1.0
+	// Ascending-key direction (clockwise on the ring), then descending.
+	for _, dir := range [2]int{1, -1} {
+		for step, i := 0, start; step < n; step++ {
+			if !s.Dead(int(s.rank.SlotAt(i))) && (oracle == nil || !oracle.Dead(s.rank.KeyAt(i))) {
+				if d := s.topo.Distance(s.rank.KeyAt(i), target); best < 0 || d < best {
+					best = d
+				}
 				break
 			}
-			i = 0
+			if i += dir; i == n || i < 0 {
+				if s.topo != keyspace.Ring {
+					break
+				}
+				i = (i + n) % n
+			}
 		}
 	}
-	// Descending-key direction (counter-clockwise).
-	for step, i := 0, start; step < n; step++ {
-		if !dead[s.rank.SlotAt(i)] {
-			if d := s.topo.Distance(s.rank.KeyAt(i), target); d < best {
-				best, found = d, true
-			}
-			break
-		}
-		i--
-		if i < 0 {
-			if s.topo != keyspace.Ring {
-				break
-			}
-			i = n - 1
-		}
-	}
-	return best, found
+	return best
 }

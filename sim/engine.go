@@ -117,8 +117,7 @@ type Engine struct {
 	// from the master chain above — adding faults must not shift the
 	// legacy stream assignment.
 	model    *netmodel.Model
-	pol      overlaynet.RobustPolicy // resolved Retry policy
-	faultRNG *xrand.Stream           // backoff jitter, byzantine detour picks
+	faultRNG *xrand.Stream // backoff jitter, byzantine detour picks
 	topo     keyspace.Topology
 	flights  []flight
 	freeFl   []int // free-listed flight slots
@@ -186,7 +185,6 @@ func newEngine(ctx context.Context, ov overlaynet.Dynamic, sc Scenario) *Engine 
 		e.model = m
 		m.SetObs(sc.Obs)
 		e.faultRNG = xrand.New(fseed ^ faultRNGSalt)
-		e.pol = sc.Retry.Resolved()
 		e.topo = keyspace.Ring
 		if th, ok := ov.(interface{ Topology() keyspace.Topology }); ok {
 			e.topo = th.Topology()

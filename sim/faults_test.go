@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smallworld/netmodel"
+	"smallworld/obs"
 	"smallworld/overlaynet"
 	"smallworld/sim"
 )
@@ -279,5 +280,38 @@ func BenchmarkMessageLoop(b *testing.B) {
 		if rep.Totals.Queries == 0 {
 			b.Fatal("inert run")
 		}
+	}
+}
+
+// A flight's byzantine detour target is not a candidate: its span
+// records rank -1, while every hop and timeout span ranks a real one.
+func TestFlightHijackSpanRank(t *testing.T) {
+	sc, err := sim.Preset("byzantine", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Seed = 4
+	sc.Duration = 30
+	tracer := obs.NewTracer(obs.TracerConfig{Sample: 1, Keep: 1024})
+	sc.Tracer = tracer
+	if _, err := sim.Run(context.Background(), buildProtocol(t, 64, 9), sc); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	hijacks := 0
+	for _, tr := range tracer.Traces() {
+		for _, sp := range tr.Spans {
+			switch {
+			case sp.Kind == obs.SpanHijack:
+				hijacks++
+				if sp.Rank != -1 {
+					t.Fatalf("hijack span to node %d records rank %d, want -1", sp.Node, sp.Rank)
+				}
+			case sp.Rank < 0:
+				t.Fatalf("%v span to node %d records rank %d", sp.Kind, sp.Node, sp.Rank)
+			}
+		}
+	}
+	if hijacks == 0 {
+		t.Fatal("no hijack spans traced; the byzantine plane is inert")
 	}
 }

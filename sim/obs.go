@@ -35,12 +35,12 @@ func (e *Engine) observeQuery(res overlaynet.Result) {
 
 // observeFlight publishes counters for one completed message flight and
 // finishes its sampled trace, if it carries one.
-func (e *Engine) observeFlight(f *flight, o overlaynet.Outcome, hops int, lat float64) {
+func (e *Engine) observeFlight(f *flight, o overlaynet.Outcome, hops, retries int, lat float64) {
 	if reg := e.obsReg; reg != nil {
 		h := e.obsHint
 		reg.RouteQueries.Inc(h)
 		reg.RouteHops.Add(h, uint64(hops))
-		reg.RouteRetries.Add(h, uint64(f.retries))
+		reg.RouteRetries.Add(h, uint64(retries))
 		reg.RouteOutcomes[int(o)].Inc(h)
 		if o.Arrived() {
 			reg.HopsPerQuery.Observe(float64(hops))

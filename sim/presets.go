@@ -104,7 +104,8 @@ var presetFuncs = map[string]func(n int) Scenario{
 	},
 	// byzantine: a tenth of the population misroutes or drops traffic,
 	// over a lightly lossy plane with light churn — the adversarial
-	// scenario for hijack bounding (MaxHops) and detour recovery.
+	// scenario for hijack bounding (the 4·N hop cap) and detour
+	// recovery.
 	"byzantine": func(n int) Scenario {
 		return Scenario{
 			Name:     "byzantine",

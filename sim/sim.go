@@ -18,9 +18,11 @@
 // Scenarios can additionally run their queries over a hostile network:
 // setting Scenario.Faults builds a netmodel fault plane, and every
 // query becomes a per-hop message flight — sampled link latencies,
-// loss, dead and byzantine nodes, partitions (PartitionEvent) — routed
-// under a RobustPolicy of timeouts, retries with backoff and next-best
-// fallbacks. Reports then carry typed outcome rates (delivered /
+// loss, dead and byzantine nodes, partitions (PartitionEvent) — that
+// drives overlaynet.RobustWalk, the retry state machine RobustRouter
+// also runs: timeouts, retries with backoff under Scenario.Retry's
+// budget, and next-best fallbacks, with each wait scheduled in virtual
+// time. Reports then carry typed outcome rates (delivered /
 // degraded / timed-out / unroutable) and wall-clock latency quantiles
 // per window. Presets "lossy", "partition-heal" and "byzantine" are
 // ready-made hostile scenarios.
@@ -90,7 +92,8 @@ type Scenario struct {
 	// TimeoutHops counts a query as timed out when it consumes at least
 	// this many hops (it still counts as arrived if it arrived). 0
 	// disables the timeout series. Ignored when Faults is set: message
-	// flights have real timeouts (Retry.QueryTimeout, per-hop budgets).
+	// flights have real timeouts (per-hop timeouts and resend budgets,
+	// and a cap of 4·N delivered hops per query).
 	TimeoutHops int
 	// Faults, when non-nil, replaces instantaneous routing with per-hop
 	// message flights over a netmodel fault plane built from this
@@ -111,8 +114,8 @@ type Scenario struct {
 	// churn and load by changing FaultSeed alone.
 	FaultSeed uint64
 	// Retry is the robust-routing policy queries fly under when Faults
-	// is set. The zero value means overlaynet.RobustPolicy's documented
-	// defaults.
+	// is set: the per-candidate resend budget. The zero value means
+	// overlaynet.RobustPolicy's default of 2.
 	Retry overlaynet.RobustPolicy
 	// Store, when non-nil, runs the replicated range store (package
 	// store) as the scenario's workload: every load event becomes a
@@ -226,19 +229,6 @@ func (sc Scenario) validate() error {
 	if sc.Faults != nil {
 		if err := sc.Faults.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
-		}
-		for _, f := range []struct {
-			name string
-			v    float64
-		}{
-			{"hop timeout", sc.Retry.HopTimeout},
-			{"backoff", sc.Retry.Backoff},
-			{"jitter", sc.Retry.Jitter},
-			{"query timeout", sc.Retry.QueryTimeout},
-		} {
-			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-				return fmt.Errorf("sim: retry %s %v must be finite", f.name, f.v)
-			}
 		}
 	}
 	if sc.Store != nil {

@@ -516,17 +516,17 @@ func (ss *storeState) scanMatches(iv keyspace.Interval, res store.ScanResult) bo
 // completeFlight finishes a storage flight: an arrived flight executes
 // its op (locate already paid in flight hops), a failed one records a
 // failed op — and, for puts, writes nothing: no partial writes.
-func (ss *storeState) completeFlight(f *flight, o overlaynet.Outcome) (overlaynet.Outcome, int) {
+func (ss *storeState) completeFlight(f *flight, o overlaynet.Outcome, hops int) (overlaynet.Outcome, int) {
 	ss.winOps++
 	if !o.Arrived() {
 		ss.opsFailed++
-		return o, f.hops
+		return o, hops
 	}
 	opHops, ok := ss.perform(-1, f.op, f.opKey, f.opSpan)
 	if !ok && o == overlaynet.Delivered {
 		o = overlaynet.DeliveredDegraded
 	}
-	return o, f.hops + opHops
+	return o, hops + opHops
 }
 
 // audit runs the end-of-run durability check: every acked write must
