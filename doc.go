@@ -130,8 +130,8 @@
 // experiment E19 uses it to show O(log N) routing surviving ≥10%
 // per-window churn. Static topologies become drivable through
 // overlaynet.NewRebuild (idealised full reconstruction per event) or
-// overlaynet.NewIncremental (O(k) local rewiring per event behind a
-// delta-overlay CSR — hundreds of times cheaper at equal routing
+// overlaynet.NewIncremental (O(k) local rewiring per event in
+// copy-on-write row blocks — hundreds of times cheaper at equal routing
 // quality; experiment E20 and the churn benchmarks quantify both).
 //
 // For real concurrency — goroutines routing while membership mutates —

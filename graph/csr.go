@@ -23,9 +23,9 @@ type CSR struct {
 // NewCSR wraps pre-assembled offset/target arrays as a CSR. offsets must
 // have one entry per node plus a trailing total, start at zero, be
 // nondecreasing, and end at len(targets); each row must be sorted
-// ascending. Callers that maintain adjacency incrementally (the
-// overlaynet delta overlay) compact into this form. The slices are
-// adopted, not copied.
+// ascending. Callers that keep adjacency in another layout (the
+// overlaynet snapshots' row blocks) materialise into this form for
+// analysis. The slices are adopted, not copied.
 func NewCSR(offsets, targets []int32) *CSR {
 	if len(offsets) == 0 || offsets[0] != 0 || int(offsets[len(offsets)-1]) != len(targets) {
 		panic("graph: malformed CSR offsets")
@@ -54,13 +54,6 @@ func (c *CSR) OutDegree(u int) int {
 // begins: edge j of Out(u) is global edge RowStart(u)+j. Per-edge
 // side tables (e.g. obs link-traffic counters) are addressed this way.
 func (c *CSR) RowStart(u int) int { return int(c.offsets[u]) }
-
-// Rows returns the out-rows of nodes lo..hi-1 back to back: global
-// edges RowStart(lo) up to RowStart(hi). The slice aliases the CSR's
-// storage and must not be modified.
-func (c *CSR) Rows(lo, hi int) []int32 {
-	return c.targets[c.offsets[lo]:c.offsets[hi]]
-}
 
 // HasEdge reports whether the directed edge u -> v exists (binary search
 // on the sorted row).

@@ -2,25 +2,27 @@ package overlaynet
 
 import (
 	"math"
+	"slices"
 	"sort"
 
+	"smallworld/graph"
 	"smallworld/keyspace"
 )
 
 // This file implements the structural-sharing backing stores behind
 // Snapshot: persistent chunked arrays with copy-on-write chunks.
 //
-// The writer (the incremental overlay) keeps its identifiers and its
-// rank index only here, in fixed-size chunks behind a spine of
-// pointers, and reads them in place. CaptureSnapshot copies only the
-// spine (O(N/chunk) pointers) and marks every chunk shared; the writer
-// then clones a chunk the first time it touches it after a capture
-// (copy-on-write), so an epoch with Δ membership events costs
-// O(Δ·chunk + N/chunk) instead of the O(N) flat copies a capture of
-// flat arrays would need. Snapshots hold immutable views: a frozen
-// spine that no writer ever mutates through.
+// The writer (the incremental overlay) keeps its rank index and its
+// out-rows only here, and a mirror of its identifiers, in chunks
+// behind a spine of pointers, and reads them in place. CaptureSnapshot
+// copies only the spine (O(N/chunk) pointers) and marks every chunk
+// shared; the writer then clones a chunk the first time it touches it
+// after a capture (copy-on-write), so an epoch with Δ membership
+// events costs O(Δ·chunk + N/chunk) instead of the O(N+M) flat copies
+// a capture of flat arrays would need. Snapshots hold immutable views:
+// a frozen spine that no writer ever mutates through.
 //
-// Two stores exist because the two snapshot arrays have different
+// Three stores exist because the three snapshot arrays have different
 // shapes:
 //
 //   - keyStore:  slot-indexed identifiers (Snapshot.keys). Slots are
@@ -35,6 +37,11 @@ import (
 //     O(log #chunks). An insert shifts entries within ONE chunk. The
 //     store embeds the rankView it would hand out, so the writer's
 //     searches and the snapshots' searches are the same code.
+//   - adjStore:  slot-indexed out-rows (Snapshot.adj), in blocks of a
+//     fixed number of slots. Rows vary in length (Log2Degree gives
+//     late joiners longer ones), so a block is a block-local CSR and a
+//     row edit shifts targets within ONE block. Like rankStore, the
+//     key and row stores embed the view they hand out.
 
 const (
 	keyChunkShift = 10
@@ -43,6 +50,15 @@ const (
 
 	rankChunkCap  = 512 // split threshold
 	rankChunkFill = 256 // initial fill, leaving headroom for inserts
+
+	adjBlockShift = 4
+	adjBlockLen   = 1 << adjBlockShift // rows per block
+	adjBlockMask  = adjBlockLen - 1
+	adjSpanShift  = 6
+	adjSpanLen    = 1 << adjSpanShift // blocks per span
+	adjSpanMask   = adjSpanLen - 1
+
+	adjSpanRowShift = adjBlockShift + adjSpanShift // rows per span: 1<<adjSpanRowShift
 )
 
 // keyChunk is one immutable-once-shared block of slot identifiers.
@@ -87,20 +103,18 @@ func newKeyView(keys []keyspace.Key) keyView {
 
 // keyStore is the writer side: the incremental overlay mirrors every
 // mutation of its flat keys slice into the store, and capture() hands
-// out an immutable view for O(spine) cost.
+// out an immutable view for O(spine) cost. The embedded keyView is the
+// live mapping the overlay's own router reads.
 type keyStore struct {
-	spine []*keyChunk
+	keyView
 	owned []bool // owned[j]: chunk j not shared with any snapshot
-	n     int
 }
 
 func newKeyStore(keys []keyspace.Key) *keyStore {
-	ks := &keyStore{n: len(keys)}
-	for lo := 0; lo < len(keys); lo += keyChunkLen {
-		ch := new(keyChunk)
-		copy(ch[:], keys[lo:])
-		ks.spine = append(ks.spine, ch)
-		ks.owned = append(ks.owned, true)
+	ks := &keyStore{keyView: newKeyView(keys)}
+	ks.owned = make([]bool, len(ks.spine))
+	for j := range ks.owned {
+		ks.owned[j] = true
 	}
 	return ks
 }
@@ -509,4 +523,165 @@ func newRankView(byKey keyspace.Points, order []int32) rankView {
 		v.cum[j+1] = v.cum[j] + int32(len(ch.keys))
 	}
 	return v
+}
+
+// Row blocks. A block holds the out-rows of adjBlockLen consecutive
+// slots as a block-local CSR: its row bounds and the slice of its
+// targets fill one cache line, apart from the targets themselves, so a
+// reader finds a row with one line of bounds, as with a flat CSR's
+// offsets array, and the bounds take as many bytes. Spans of
+// adjSpanLen blocks hang off the spine. A capture copies the spine
+// (1024 entries at N = 2^20, small enough to stay in cache for
+// readers); the writer then clones a span, and a block in it, the
+// first time it edits a row there.
+
+// adjBlock holds rows: row i is tgt[off[i]:off[i+1]], and rows past
+// the population are empty. 64 bytes, so the bounds take 4 bytes a row
+// as in a flat CSR; uint16 bounds cap a block at 65535 targets.
+type adjBlock struct {
+	off [adjBlockLen + 1]uint16
+	tgt []int32
+}
+
+// adjView is a slot→out-row mapping: a frozen one shared into a
+// Snapshot, or the live one an adjStore embeds. Each span is an
+// immutable-once-shared run of adjSpanLen blocks, held as a slice
+// rather than an array pointer: indexing it then checks the length
+// the spine already holds, where a pointer's nil check would load
+// one more cache line per row read.
+type adjView struct {
+	spans [][]adjBlock
+	n     int
+}
+
+// block returns the block holding u's row.
+func (v adjView) block(u int) *adjBlock {
+	return &v.spans[u>>adjSpanRowShift][(u>>adjBlockShift)&adjSpanMask]
+}
+
+// Row returns u's sorted out-row. The slice aliases the block and must
+// not be modified.
+func (v adjView) Row(u int) []int32 {
+	b, i := v.block(u), u&adjBlockMask
+	return b.tgt[b.off[i]:b.off[i+1]]
+}
+
+// blockStarts numbers the edges the way a flat CSR of the same rows
+// would: entry b counts the edges in blocks before b, and the last
+// entry counts them all. rowStart(starts, u)+j is then the number of
+// edge j of Row(u), as in graph.CSR.RowStart.
+func (v adjView) blockStarts() []int32 {
+	starts := make([]int32, (v.n+adjBlockMask)>>adjBlockShift+1)
+	for b := 1; b < len(starts); b++ {
+		starts[b] = starts[b-1] + int32(v.block((b - 1) << adjBlockShift).off[adjBlockLen])
+	}
+	return starts
+}
+
+func (v adjView) rowStart(starts []int32, u int) int {
+	return int(starts[u>>adjBlockShift]) + int(v.block(u).off[u&adjBlockMask])
+}
+
+// csr materialises the rows as one flat CSR, a block at a time.
+func (v adjView) csr() *graph.CSR {
+	offsets := make([]int32, v.n+1)
+	var targets []int32
+	for u := 0; u < v.n; u += adjBlockLen {
+		b := v.block(u)
+		for i := 1; i <= adjBlockLen && u+i <= v.n; i++ {
+			offsets[u+i] = int32(len(targets) + int(b.off[i]))
+		}
+		targets = append(targets, b.tgt...)
+	}
+	return graph.NewCSR(offsets, targets)
+}
+
+// adjStore is the writer side of the adjacency and the incremental
+// overlay's only copy of it. The embedded adjView is the live mapping
+// the writer's Neighbors and router read; capture() freezes a copy of
+// its spine.
+type adjStore struct {
+	adjView
+	// spanShared[s] marks span s as possibly read by a snapshot, and
+	// bit j of shared[s] marks block j of it.
+	spanShared []bool
+	shared     []uint64
+}
+
+// newAdjStore lays rows 0..n-1, as row(u) returns them, out in blocks,
+// each sized once so that setRow fills it in place.
+func newAdjStore(n int, row func(u int) []int32) *adjStore {
+	as := new(adjStore)
+	for u := 0; u < n; u++ {
+		as.push()
+		if u&adjBlockMask == 0 {
+			size := 0
+			for v := u; v < min(u+adjBlockLen, n); v++ {
+				size += len(row(v))
+			}
+			as.block(u).tgt = make([]int32, 0, size)
+		}
+		as.setRow(u, row(u))
+	}
+	return as
+}
+
+// setRow replaces u's out-row with row in place, cloning u's span and
+// then its block first if a snapshot may still read them.
+func (as *adjStore) setRow(u int, row []int32) {
+	s, j := u>>adjSpanRowShift, (u>>adjBlockShift)&adjSpanMask
+	if as.spanShared[s] {
+		as.spans[s] = slices.Clone(as.spans[s])
+		as.spanShared[s] = false
+	}
+	b := &as.spans[s][j]
+	if as.shared[s]&(1<<j) != 0 {
+		b.tgt = slices.Clone(b.tgt)
+		as.shared[s] &^= 1 << j
+	}
+	i, blk := u&adjBlockMask, b.tgt
+	lo, hi := int(b.off[i]), int(b.off[i+1])
+	if d := len(row) - (hi - lo); d != 0 {
+		end := len(blk)
+		if end+d > math.MaxUint16 {
+			panic("overlaynet: a row block would hold more than 65535 targets")
+		}
+		blk = slices.Grow(blk, max(d, 0))[:end+d]
+		copy(blk[hi+d:], blk[hi:end])
+		for k := i + 1; k <= adjBlockLen; k++ {
+			b.off[k] = uint16(int(b.off[k]) + d)
+		}
+		b.tgt = blk
+	}
+	copy(blk[lo:], row)
+}
+
+// push appends an empty row for slot n.
+func (as *adjStore) push() {
+	if as.n&(1<<adjSpanRowShift-1) == 0 {
+		as.spans = append(as.spans, make([]adjBlock, adjSpanLen))
+		as.spanShared = append(as.spanShared, false)
+		as.shared = append(as.shared, 0)
+	}
+	as.n++
+}
+
+// pop drops the last slot's row, and its span once that is empty.
+func (as *adjStore) pop() {
+	as.setRow(as.n-1, nil)
+	if as.n--; as.n&(1<<adjSpanRowShift-1) == 0 {
+		as.spans = as.spans[:len(as.spans)-1]
+		as.spanShared = as.spanShared[:len(as.spanShared)-1]
+		as.shared = as.shared[:len(as.shared)-1]
+	}
+}
+
+// capture freezes the current rows into a view: every span and block
+// is marked shared, so the next edit clones what it touches, and the
+// spine is copied.
+func (as *adjStore) capture() adjView {
+	for s := range as.shared {
+		as.spanShared[s], as.shared[s] = true, ^uint64(0)
+	}
+	return adjView{spans: slices.Clone(as.spans), n: as.n}
 }

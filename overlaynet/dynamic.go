@@ -97,7 +97,7 @@ func (o *rebuildOverlay) Stats() Stats            { return o.cur.Stats() }
 // wholesale), so the snapshot retains it and routes through the
 // overlay's own semantics — Chord's clockwise fingers or Pastry's
 // digit correction would strand most queries under the generic
-// distance-greedy CSR router.
+// distance-greedy router over the captured rows.
 func (o *rebuildOverlay) CaptureSnapshot() *Snapshot {
 	var s *Snapshot
 	if snapper, ok := o.cur.(Snapshotter); ok {

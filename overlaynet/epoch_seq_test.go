@@ -14,12 +14,12 @@ import (
 
 // TestEpochSequenceBitIdentical drives 1k churn events through the
 // chunked-snapshot path, capturing a snapshot after every event, and
-// pins each epoch's Keys()/rank lookups bit-identical to the flat
-// reference (captureFlat, which derives the rank index by sorting the
-// identifiers). Retained
+// pins each epoch's Keys()/rank lookups and every out-row bit-identical
+// to the flat reference (captureFlat, which derives the rank index by
+// sorting the identifiers and each row from pred/succ/long). Retained
 // (snapshot, reference) pairs are re-verified after the full run, so a
-// copy-on-write violation that mutates an already-published chunk
-// fails the test even if the at-capture comparison passed.
+// copy-on-write violation that mutates an already-published chunk or
+// row block fails the test even if the at-capture comparison passed.
 func TestEpochSequenceBitIdentical(t *testing.T) {
 	dyn, err := NewIncremental(context.Background(), "smallworld-skewed", Options{
 		N: 512, Seed: 23, Dist: dist.NewPower(0.7), Topology: keyspace.Ring,
@@ -62,17 +62,20 @@ func TestEpochSequenceBitIdentical(t *testing.T) {
 }
 
 // flatCapture is the flat reference for one epoch: the identifier of
-// every slot, and the rank index as flat arrays — byKey the identifiers
-// ascending, order[i] the slot holding byKey[i].
+// every slot, the rank index as flat arrays — byKey the identifiers
+// ascending, order[i] the slot holding byKey[i] — and every slot's
+// out-row.
 type flatCapture struct {
 	keys  []keyspace.Key
 	byKey keyspace.Points
 	order []int32
+	rows  [][]int32
 }
 
-// captureFlat copies the overlay's identifiers and derives the rank
-// index from them by sorting, so it never reads the chunked rank store
-// it is the reference for.
+// captureFlat copies the overlay's identifiers, derives the rank index
+// from them by sorting and rebuilds every row from pred, succ and the
+// long links (sorted, deduplicated), so it never reads the chunked
+// stores it is the reference for.
 func (o *incrementalOverlay) captureFlat() flatCapture {
 	keys := append([]keyspace.Key(nil), o.keys...)
 	order := make([]int32, len(keys))
@@ -84,19 +87,53 @@ func (o *incrementalOverlay) captureFlat() flatCapture {
 	for i, u := range order {
 		byKey[i] = keys[u]
 	}
-	return flatCapture{keys: keys, byKey: byKey, order: order}
+	rows := make([][]int32, len(keys))
+	for u := range rows {
+		row := append([]int32(nil), o.long[u]...)
+		for _, v := range [2]int32{o.pred[u], o.succ[u]} {
+			if v >= 0 {
+				row = append(row, v)
+			}
+		}
+		slices.Sort(row)
+		rows[u] = slices.Compact(row)
+	}
+	return flatCapture{keys: keys, byKey: byKey, order: order, rows: rows}
 }
 
 // compareSnapshotToFlat checks every read surface of a chunked
 // snapshot against the flat reference arrays: per-slot keys, the full
-// Keys() materialization, per-rank key/slot reads, the search family
-// (Successor/Predecessor/Nearest) on a probe sweep, and the mirrors the
-// writer reads (NearestExcluding, Has, Cell) at chunk boundaries.
+// Keys() materialization, every out-row with its edge numbering and
+// the CSR() materialization, per-rank key/slot reads, the search
+// family (Successor/Predecessor/Nearest) on a probe sweep, and the
+// mirrors the writer reads (NearestExcluding, Has, Cell) at chunk
+// boundaries.
 func compareSnapshotToFlat(t *testing.T, ev int, s *Snapshot, ref flatCapture) {
 	t.Helper()
 	n := len(ref.keys)
-	if s.N() != n || s.rank.Len() != n {
-		t.Fatalf("ev %d: N %d / rank %d, want %d", ev, s.N(), s.rank.Len(), n)
+	fold := rowByRowFold(ref.rows)
+	starts := s.adj.blockStarts()
+	if m := int(starts[len(starts)-1]); s.N() != n || s.rank.Len() != n || s.adj.n != n || m != fold.M() {
+		t.Fatalf("ev %d: N %d / rank %d / rows %d, M %d, want N %d, M %d",
+			ev, s.N(), s.rank.Len(), s.adj.n, m, n, fold.M())
+	}
+	for u := 0; u < n; u++ {
+		if !slices.Equal(s.Neighbors(u), ref.rows[u]) {
+			t.Fatalf("ev %d: Neighbors(%d) = %v, want %v", ev, u, s.Neighbors(u), ref.rows[u])
+		}
+		if got := s.adj.rowStart(starts, u); got != fold.RowStart(u) {
+			t.Fatalf("ev %d: rowStart(%d) = %d, want %d", ev, u, got, fold.RowStart(u))
+		}
+	}
+	csr := s.CSR()
+	if csr.N() != n || csr.M() != fold.M() {
+		t.Fatalf("ev %d: CSR() N %d M %d, want N %d M %d", ev, csr.N(), csr.M(), n, fold.M())
+	}
+	for u := 0; u < n; u++ {
+		if csr.RowStart(u) != fold.RowStart(u) || !slices.Equal(csr.Out(u), ref.rows[u]) {
+			t.Fatalf("ev %d: CSR() row %d = %v at %d, want %v at %d",
+				ev, u, csr.Out(u), csr.RowStart(u), ref.rows[u], fold.RowStart(u))
+		}
 	}
 	for u := 0; u < n; u++ {
 		if s.Key(u) != ref.keys[u] {

@@ -8,7 +8,6 @@ import (
 
 	"smallworld"
 	"smallworld/dist"
-	"smallworld/graph"
 	"smallworld/keyspace"
 	"smallworld/xrand"
 )
@@ -33,11 +32,12 @@ import (
 //
 // Internally node slots are stable: indices are join order, not key
 // rank, so a membership event never renumbers the population (a Leave
-// moves only the last slot into the hole). Routing reads a compacted
-// CSR base plus a small per-row delta overlay holding the rows touched
-// since the last compaction; every CompactEvery events the deltas are
-// folded into a fresh CSR. Identifiers are NOT sorted by node index —
-// use Keys()/Key like any other Dynamic overlay.
+// moves only the last slot into the hole). Out-rows live in
+// copy-on-write row blocks (adjStore, chunked.go): an event rewrites
+// the rows it touches in place, and CaptureSnapshot shares the blocks
+// with the snapshot, so no event ever copies the whole adjacency.
+// Identifiers are NOT sorted by node index — use Keys()/Key like any
+// other Dynamic overlay.
 func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, error) {
 	base, err := Build(ctx, name, opts)
 	if err != nil {
@@ -65,9 +65,7 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 		in:       make([][]int32, n),
 		succ:     make([]int32, n),
 		pred:     make([]int32, n),
-		csr:      nw.CSR(),
-		delta:    make(map[int32][]int32),
-		compact:  defaultCompactEvery,
+		adj:      newAdjStore(n, nw.CSR().Out),
 		rng:      xrand.New(opts.Seed ^ incrementalSeedSalt),
 	}
 	order := make([]int32, n)
@@ -87,11 +85,6 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 }
 
 const (
-	// defaultCompactEvery is K, the number of membership events between
-	// delta-overlay compactions. The amortised compaction cost per event
-	// is O((N+M)/K); the delta map stays O(K·k) rows.
-	defaultCompactEvery = 64
-
 	// incrementalSeedSalt decorrelates the churn stream from the
 	// construction stream derived from the same Options.Seed.
 	incrementalSeedSalt = 0xd1b54a32d192ed03
@@ -123,17 +116,14 @@ type incrementalOverlay struct {
 	// form. Every rank read — rankOf, wireRank, drawKey's membership
 	// probe, drawTarget's NearestExcluding, the watcher's cells — goes
 	// through rankM's in-place rankView, so a membership event shifts
-	// entries within one chunk instead of O(N) flat arrays.
-	// CaptureSnapshot shares both stores into the published Snapshot for
-	// O(spine) cost.
+	// entries within one chunk instead of O(N) flat arrays. adj holds
+	// every slot's out-row, rebuilt from pred/succ/long by markDirty.
+	// CaptureSnapshot shares all three stores into the published
+	// Snapshot for O(spine) cost.
 	keysM *keyStore
 	rankM *rankStore
-
-	// Adjacency the routers read: compacted base + rows touched since.
-	csr     *graph.CSR
-	delta   map[int32][]int32
-	events  int
-	compact int
+	adj   *adjStore
+	row   []int32 // markDirty's scratch
 
 	rng *xrand.Stream
 
@@ -194,14 +184,8 @@ func (o *incrementalOverlay) Key(u int) keyspace.Key { return o.keys[u] }
 func (o *incrementalOverlay) Keys() []keyspace.Key   { return o.keys }
 func (o *incrementalOverlay) Stats() Stats           { return statsOf(o) }
 
-// Neighbors returns u's current out-row: the delta row when u was
-// touched since the last compaction, the base CSR row otherwise.
-func (o *incrementalOverlay) Neighbors(u int) []int32 {
-	if row, ok := o.delta[int32(u)]; ok {
-		return row
-	}
-	return o.csr.Out(u)
-}
+// Neighbors returns u's current out-row.
+func (o *incrementalOverlay) Neighbors(u int) []int32 { return o.adj.Row(u) }
 
 // Ops reports the cumulative churn-repair work in build-equivalent
 // operations: link-draw attempts, links placed, and departure repairs.
@@ -243,15 +227,14 @@ func (o *incrementalOverlay) wireRank(rank int) {
 	}
 }
 
-// markDirty rebuilds node u's delta row from its current neighbour and
+// markDirty rebuilds node u's out-row from its current neighbour and
 // long-range links (sorted, deduplicated — a repair can transiently
 // make a long link coincide with a neighbouring edge).
 func (o *incrementalOverlay) markDirty(u int32) {
 	if u < 0 {
 		return
 	}
-	row := o.delta[u]
-	row = row[:0]
+	row := o.row[:0]
 	if o.pred[u] >= 0 {
 		row = append(row, o.pred[u])
 	}
@@ -260,89 +243,25 @@ func (o *incrementalOverlay) markDirty(u int32) {
 	}
 	row = append(row, o.long[u]...)
 	slices.Sort(row)
-	w := 0
-	for i, v := range row {
-		if i == 0 || v != row[w-1] {
-			row[w] = v
-			w++
-		}
-	}
-	o.delta[u] = row[:w]
-}
-
-// afterEvent folds the delta overlay into a fresh base CSR every
-// compact events.
-func (o *incrementalOverlay) afterEvent() {
-	o.events++
-	if o.events%o.compact == 0 {
-		o.compactNow()
-	}
-}
-
-// compactNow folds the delta rows into a fresh base CSR and clears the
-// delta overlay, in one pass over the rows: the dirty row ids are
-// sorted once, each run of clean rows between two dirty ones is copied
-// from the base with one copy and its offsets shifted by a constant,
-// and delta is read only for the dirty rows. Every slot at or above
-// the base's N joined (or was renamed) since the last compaction and
-// is dirty, so every clean row exists in the base. The previous CSR is
-// never mutated — snapshots holding it stay valid.
-func (o *incrementalOverlay) compactNow() {
-	n := len(o.keys)
-	base := o.csr
-	cleanEnd := min(n, base.N()) // every clean row lies below it
-	size := base.RowStart(cleanEnd)
-	dirty := make([]int, 0, len(o.delta)+1)
-	for u, row := range o.delta {
-		dirty = append(dirty, int(u))
-		size += len(row)
-		if int(u) < cleanEnd {
-			size -= base.OutDegree(int(u))
-		}
-	}
-	slices.Sort(dirty)
-	dirty = append(dirty, n) // sentinel: closes the last clean run
-	offsets := make([]int32, n+1)
-	targets := make([]int32, size)
-	w, lo := 0, 0
-	for _, d := range dirty {
-		if lo < d {
-			shift := int32(w - base.RowStart(lo))
-			w += copy(targets[w:], base.Rows(lo, d))
-			for u := lo; u < d; u++ {
-				offsets[u+1] = int32(base.RowStart(u+1)) + shift
-			}
-		}
-		if d < n {
-			w += copy(targets[w:], o.delta[int32(d)])
-			offsets[d+1] = int32(w)
-		}
-		lo = d + 1
-	}
-	o.csr = graph.NewCSR(offsets, targets)
-	clear(o.delta)
+	o.row = slices.Compact(row)
+	o.adj.setRow(int(u), o.row)
 }
 
 // Topology returns the key-space geometry the overlay routes under.
 func (o *incrementalOverlay) Topology() keyspace.Topology { return o.topo }
 
-// CaptureSnapshot implements Snapshotter: fold any pending delta rows
-// into the base CSR, then share that CSR with the snapshot (it is
-// immutable; future compactions replace the pointer rather than the
-// array). The identifier array and the rank index are shared
-// structurally through the chunked COW stores — the capture copies
-// only the chunk spines, O(Δ·chunk + N/chunk) amortised per epoch
-// instead of O(N) flat copies, which is what keeps publish cost flat
-// as N grows (see BenchmarkPublishEpoch).
+// CaptureSnapshot implements Snapshotter. The identifiers, the rank
+// index and the out-rows are shared structurally through the chunked
+// COW stores — the capture copies only their spines, O(N/chunk), and
+// the writer clones a chunk or block the first time it touches it
+// afterwards, so an epoch of Δ events costs O(Δ·chunk + N/chunk)
+// instead of O(N+M) flat copies (see BenchmarkPublishEpoch).
 func (o *incrementalOverlay) CaptureSnapshot() *Snapshot {
-	if len(o.delta) > 0 {
-		o.compactNow()
-	}
 	return &Snapshot{
 		kind: o.kind,
 		topo: o.topo,
 		keys: o.keysM.capture(),
-		csr:  o.csr,
+		adj:  o.adj.capture(),
 		rank: o.rankM.capture(),
 	}
 }
@@ -360,6 +279,7 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	id := int32(len(o.keys))
 	o.keys = append(o.keys, k)
 	o.keysM.push(k)
+	o.adj.push()
 	o.long = append(o.long, nil)
 	o.in = append(o.in, nil)
 	o.succ = append(o.succ, -1)
@@ -379,7 +299,6 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	o.handover(id)
 	o.sampleInto(id, m)
 	o.markDirty(id)
-	o.afterEvent()
 	if o.watcher != nil {
 		// The newcomer's cell was stolen from its flanks, split at their
 		// former mutual boundary.
@@ -571,11 +490,11 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	}
 	o.keys = o.keys[:n-1]
 	o.keysM.pop()
+	o.adj.pop()
 	o.long = o.long[:n-1]
 	o.in = o.in[:n-1]
 	o.succ = o.succ[:n-1]
 	o.pred = o.pred[:n-1]
-	delete(o.delta, last)
 
 	// Repair: one replacement draw per broken link.
 	for _, w := range repair {
@@ -584,7 +503,6 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		}
 		o.markDirty(w)
 	}
-	o.afterEvent()
 	if o.watcher != nil {
 		for _, ch := range changes {
 			o.watcher(ch)
@@ -736,44 +654,21 @@ func (o *incrementalOverlay) drawTarget(pos float64, rank int) int {
 	return int(o.rankM.SlotAt(nearest))
 }
 
-// NewRouter returns greedy routing scratch over the live adjacency
-// (base CSR + delta rows).
-func (o *incrementalOverlay) NewRouter() Router {
-	return &incrementalRouter{o: o}
-}
+// NewRouter returns a router over the live overlay: each Route walks
+// the writer's current key, row and rank views through the snapshot
+// walk, without capturing them. Like any Dynamic router it must not
+// run concurrently with Join or Leave.
+func (o *incrementalOverlay) NewRouter() Router { return &liveRouter{o: o} }
 
-type incrementalRouter struct {
+type liveRouter struct {
 	o *incrementalOverlay
+	s Snapshot
+	r SnapshotRouter
 }
 
-// Route routes greedily by key distance, exactly like the static
-// small-world router: forward to the out-neighbour closest to the
-// target (arc-advance tie-break), stop when no neighbour improves.
-func (r *incrementalRouter) Route(src int, target keyspace.Key) Result {
+func (r *liveRouter) Route(src int, target keyspace.Key) Result {
 	o := r.o
-	topo := o.topo
-	cur := src
-	dCur := topo.Distance(o.keys[cur], target)
-	guard := 2 * len(o.keys)
-	hops := 0
-	for ; hops < guard; hops++ {
-		best, bestD := -1, dCur
-		bestKey := o.keys[cur]
-		for _, v := range o.Neighbors(cur) {
-			vKey := o.keys[v]
-			d := topo.Distance(vKey, target)
-			if topo.Improves(bestKey, vKey, target, d, bestD) {
-				best, bestD, bestKey = int(v), d, vKey
-			}
-		}
-		if best == -1 {
-			break
-		}
-		cur, dCur = best, bestD
-	}
-	arrived := false
-	if nearest := o.rankM.Nearest(topo, target); nearest >= 0 {
-		arrived = dCur <= topo.Distance(o.rankM.KeyAt(nearest), target)
-	}
-	return Result{Hops: hops, Dest: cur, Arrived: arrived}
+	r.s.topo, r.s.keys, r.s.adj, r.s.rank = o.topo, o.keysM.keyView, o.adj.adjView, o.rankM.rankView
+	r.r.Rebind(&r.s)
+	return r.r.Route(src, target)
 }

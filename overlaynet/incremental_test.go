@@ -4,8 +4,8 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 	"testing"
+	"unsafe"
 
 	"smallworld/dist"
 	"smallworld/graph"
@@ -16,15 +16,14 @@ import (
 // checkIncrementalInvariants verifies the full internal consistency of
 // an incremental overlay: the rank index equals the one derived by
 // sorting the live (unique) identifiers, neighbour pointers follow key
-// order, in-lists
-// mirror the long links exactly, and — most importantly — the adjacency
-// every router reads (base CSR + delta rows) equals the adjacency
-// recomputed from scratch. The last check is what catches a stale base
-// row surviving a slot rename.
+// order, in-lists mirror the long links exactly, the row blocks are
+// well formed, and — most importantly — every row the routers read
+// equals the row recomputed from scratch. The last check is what
+// catches a stale row surviving a slot rename.
 func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 	t.Helper()
 	n := len(o.keys)
-	if o.rankM.Len() != n || len(o.long) != n || len(o.in) != n {
+	if o.rankM.Len() != n || len(o.long) != n || len(o.in) != n || o.adj.n != n {
 		t.Fatalf("inconsistent state sizes at n=%d", n)
 	}
 	ref := o.captureFlat()
@@ -78,30 +77,45 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 			t.Fatalf("link %d->%d missing from the in-list (count %d)", key[1], key[0], c)
 		}
 	}
+	if len(o.adj.shared) != len(o.adj.spans) || len(o.adj.spanShared) != len(o.adj.spans) {
+		t.Fatalf("%d/%d sharing flags for %d spans", len(o.adj.spanShared), len(o.adj.shared), len(o.adj.spans))
+	}
+	checkAdjBlocks(t, o.adj.adjView)
 	// The routed adjacency equals the adjacency recomputed from state.
 	for u := 0; u < n; u++ {
-		var want []int32
-		if o.pred[u] >= 0 {
-			want = append(want, o.pred[u])
+		if got, want := o.Neighbors(u), ref.rows[u]; !slices.Equal(got, want) {
+			t.Fatalf("slot %d row %v, want %v", u, got, want)
 		}
-		if o.succ[u] >= 0 {
-			want = append(want, o.succ[u])
+	}
+}
+
+// checkAdjBlocks verifies the row-block layout of an adjacency view:
+// adjSpanLen blocks of adjBlockLen rows per span and no span past the
+// last; bounds that start at 0, never decrease and end at the block's
+// length; and empty rows and blocks past the population.
+func checkAdjBlocks(t *testing.T, v adjView) {
+	t.Helper()
+	nb := (v.n + adjBlockMask) >> adjBlockShift
+	if want := (nb + adjSpanMask) >> adjSpanShift; len(v.spans) != want {
+		t.Fatalf("%d spans for %d rows, want %d", len(v.spans), v.n, want)
+	}
+	for b := 0; b < len(v.spans)<<adjSpanShift; b++ {
+		off, blk := v.spans[b>>adjSpanShift][b&adjSpanMask].off, v.spans[b>>adjSpanShift][b&adjSpanMask].tgt
+		if unsafe.Sizeof(v.spans[0][0]) != 64 {
+			t.Fatalf("a block header takes %d bytes, not one 64-byte cache line", unsafe.Sizeof(v.spans[0][0]))
 		}
-		want = append(want, o.long[u]...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		dedup := want[:0]
-		for i, v := range want {
-			if i == 0 || v != dedup[len(dedup)-1] {
-				dedup = append(dedup, v)
+		if b >= nb {
+			if len(blk) != 0 || off != [adjBlockLen + 1]uint16{} {
+				t.Fatalf("block %d past the %d in use: bounds %v, targets %v", b, nb, off, blk)
 			}
+			continue
 		}
-		got := o.Neighbors(u)
-		if len(got) != len(dedup) {
-			t.Fatalf("slot %d row %v, want %v", u, got, dedup)
+		if off[0] != 0 || int(off[adjBlockLen]) != len(blk) {
+			t.Fatalf("block %d: bounds %v over %d targets", b, off, len(blk))
 		}
-		for i := range got {
-			if got[i] != dedup[i] {
-				t.Fatalf("slot %d row %v, want %v", u, got, dedup)
+		for i := 0; i < adjBlockLen; i++ {
+			if off[i+1] < off[i] || b<<adjBlockShift+i >= v.n && off[i+1] != off[i] {
+				t.Fatalf("block %d: row %d bounds %d..%d at n=%d", b, i, off[i], off[i+1], v.n)
 			}
 		}
 	}
@@ -124,12 +138,15 @@ func TestIncrementalInvariantsUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := dyn.(*incrementalOverlay)
-			o.compact = 5 // exercise compaction boundaries often
 			checkIncrementalInvariants(t, o)
-			// A deterministic mixed churn schedule crossing several
-			// compactions, including leaves of the freshest slot and of
-			// slot 0 (rename edge cases).
+			// A deterministic mixed churn schedule with a capture every
+			// five events, so edits hit shared and owned blocks alike,
+			// including leaves of the freshest slot and of slot 0
+			// (rename edge cases).
 			for i := 0; i < 150; i++ {
+				if i%5 == 0 {
+					o.CaptureSnapshot()
+				}
 				switch {
 				case i%3 == 0:
 					if err := o.Join(ctx); err != nil {
@@ -167,57 +184,50 @@ func TestIncrementalInvariantsUnderChurn(t *testing.T) {
 	}
 }
 
-// compactRowByRow is the row-by-row delta fold that compactNow's
-// one-pass fold replaced, kept as its reference: every row read through
-// Neighbors, one delta lookup per row. It leaves the overlay untouched.
-func (o *incrementalOverlay) compactRowByRow() *graph.CSR {
-	n := len(o.keys)
-	offsets := make([]int32, n+1)
-	size := 0
-	for u := 0; u < n; u++ {
-		size += len(o.Neighbors(u))
-	}
-	targets := make([]int32, 0, size)
-	for u := 0; u < n; u++ {
-		targets = append(targets, o.Neighbors(u)...)
-		offsets[u+1] = int32(len(targets))
-	}
-	return graph.NewCSR(offsets, targets)
-}
-
-// TestCompactMatchesRowByRowFold pins compactNow to the row-by-row
-// reference fold — identical offsets and targets — at compaction
-// boundaries where the population shrank below the base CSR's N, grew
-// above it, lost its last slot, and had an empty delta, then across a
-// mixed churn run compacted at irregular intervals.
+// TestCompactMatchesRowByRowFold pins the row blocks to the row-by-row
+// reference — every row rebuilt from pred/succ/long, and a flat CSR
+// folded from those rows one by one — at the boundaries where the
+// population shrank below its starting size, grew above it, lost its
+// last slot, and saw no event at all, then across a mixed churn run
+// captured at irregular intervals. Each boundary also materialises the
+// blocks through CSR() and checks the captured view's edge numbering
+// (blockStarts/rowStart, what the obs link counters index by) against
+// the fold.
 func TestCompactMatchesRowByRowFold(t *testing.T) {
 	ctx := context.Background()
 	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
 		t.Run(topo.String(), func(t *testing.T) {
+			const n0 = 200
 			dyn, err := NewIncremental(ctx, "smallworld-skewed",
-				Options{N: 200, Seed: 5, Dist: dist.NewPower(0.7), Topology: topo})
+				Options{N: n0, Seed: 5, Dist: dist.NewPower(0.7), Topology: topo})
 			if err != nil {
 				t.Fatal(err)
 			}
 			o := dyn.(*incrementalOverlay)
-			o.compact = math.MaxInt // compact only where the test does
-			fold := func(boundary string) {
+			check := func(boundary string) {
 				t.Helper()
-				want := o.compactRowByRow()
-				o.compactNow()
-				got := o.csr
-				if got.N() != want.N() || !slices.Equal(got.Rows(0, got.N()), want.Rows(0, want.N())) {
-					t.Fatalf("%s: targets differ from the row-by-row fold", boundary)
+				checkIncrementalInvariants(t, o)
+				want := rowByRowFold(o.captureFlat().rows)
+				s := o.CaptureSnapshot()
+				checkAdjBlocks(t, s.adj)
+				got, starts := s.CSR(), s.adj.blockStarts()
+				if m := int(starts[len(starts)-1]); got.N() != want.N() || got.M() != want.M() || m != want.M() {
+					t.Fatalf("%s: CSR() has N=%d M=%d (numbered M=%d), fold N=%d M=%d",
+						boundary, got.N(), got.M(), m, want.N(), want.M())
 				}
-				for u := 0; u <= got.N(); u++ {
+				for u := 0; u <= want.N(); u++ {
 					if got.RowStart(u) != want.RowStart(u) {
-						t.Fatalf("%s: offset %d = %d, want %d", boundary, u, got.RowStart(u), want.RowStart(u))
+						t.Fatalf("%s: CSR() offset %d = %d, fold %d", boundary, u, got.RowStart(u), want.RowStart(u))
 					}
 				}
-				if len(o.delta) != 0 {
-					t.Fatalf("%s: %d delta rows survive the fold", boundary, len(o.delta))
+				for u := 0; u < want.N(); u++ {
+					if !slices.Equal(got.Out(u), want.Out(u)) || !slices.Equal(s.Neighbors(u), want.Out(u)) {
+						t.Fatalf("%s: row %d differs from the fold", boundary, u)
+					}
+					if got := s.adj.rowStart(starts, u); got != want.RowStart(u) {
+						t.Fatalf("%s: rowStart(%d) = %d, fold %d", boundary, u, got, want.RowStart(u))
+					}
 				}
-				checkIncrementalInvariants(t, o)
 			}
 			leave := func(u int) {
 				t.Helper()
@@ -232,25 +242,25 @@ func TestCompactMatchesRowByRowFold(t *testing.T) {
 				}
 			}
 
-			fold("empty delta")
+			check("no events")
 			for i := 0; i < 12; i++ {
 				leave((i * 53) % o.N())
 			}
-			if o.N() >= o.csr.N() {
-				t.Fatalf("population %d did not shrink below the base's %d", o.N(), o.csr.N())
+			if o.N() >= n0 {
+				t.Fatalf("population %d did not shrink below %d", o.N(), n0)
 			}
-			fold("shrank")
+			check("shrank")
 			for i := 0; i < 20; i++ {
 				join()
 			}
 			leave(0)
-			if o.N() <= o.csr.N() {
-				t.Fatalf("population %d did not grow above the base's %d", o.N(), o.csr.N())
+			if o.N() <= n0 {
+				t.Fatalf("population %d did not grow above %d", o.N(), n0)
 			}
-			fold("grew")
+			check("grew")
 			leave(o.N() - 1)
-			fold("lost its last slot")
-			fold("empty delta after a fold")
+			check("lost its last slot")
+			check("no events after a capture")
 
 			rng := xrand.New(17)
 			for i := 0; i < 40; i++ {
@@ -261,10 +271,21 @@ func TestCompactMatchesRowByRowFold(t *testing.T) {
 						leave(rng.Intn(o.N()))
 					}
 				}
-				fold("mixed churn")
+				check("mixed churn")
 			}
 		})
 	}
+}
+
+// rowByRowFold folds rows into a flat CSR one row at a time.
+func rowByRowFold(rows [][]int32) *graph.CSR {
+	offsets := make([]int32, len(rows)+1)
+	var targets []int32
+	for u, row := range rows {
+		targets = append(targets, row...)
+		offsets[u+1] = int32(len(targets))
+	}
+	return graph.NewCSR(offsets, targets)
 }
 
 // TestIncrementalOpsRatio pins the tentpole claim at unit-test scale:

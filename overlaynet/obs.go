@@ -17,14 +17,20 @@ import (
 
 // obsHooks is the instrumentation a snapshot carries: the registry to
 // count into, the tracer to sample against, and — when the registry
-// asks for it — one traffic accumulator per CSR edge.
+// asks for it — one traffic accumulator per edge.
 type obsHooks struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	// links[csr.RowStart(u)+j] counts queries forwarded over edge j of
-	// u's out-row. Allocated per publication (each epoch has its own
-	// CSR), updated with one atomic add per routed hop.
-	links []uint64
+	// links[adj.rowStart(starts, u)+j] counts queries forwarded over
+	// edge j of u's out-row. Both are built per publication, and
+	// updated with one atomic add per routed hop.
+	links  []uint64
+	starts []int32
+}
+
+// countLink counts one query forwarded over edge j of u's row in a.
+func (h *obsHooks) countLink(a adjView, u, j int) {
+	atomic.AddUint64(&h.links[a.rowStart(h.starts, u)+j], 1)
 }
 
 // SetObs installs a metrics registry and an optional tracer on the
@@ -49,8 +55,9 @@ func (p *Publisher) attachObsLocked(s *Snapshot) {
 		return
 	}
 	h := &obsHooks{reg: reg, tracer: p.obsTracer}
-	if reg != nil && reg.TrackLinks && s.csr != nil {
-		h.links = make([]uint64, s.csr.M())
+	if reg != nil && reg.TrackLinks {
+		h.starts = s.adj.blockStarts()
+		h.links = make([]uint64, h.starts[len(h.starts)-1])
 	}
 	s.obs = h
 	if reg != nil {

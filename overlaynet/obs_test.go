@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +78,10 @@ func TestSnapshotObsCounters(t *testing.T) {
 	// construction carries no hooks), same query stream.
 	plain := overlaynet.NewSnapshot(buildObsOverlay(t, n)).NewRouter()
 
+	// wantLinks replays every query stepwise and counts each hop at
+	// CSR().RowStart(u)+j, the numbering LinkTraffic documents.
+	csr := snap.CSR()
+	wantLinks := make([]uint64, csr.M())
 	var hops, arrived, failed uint64
 	rng, rng2 := xrand.New(21), xrand.New(21)
 	for i := 0; i < queries; i++ {
@@ -85,6 +90,13 @@ func TestSnapshotObsCounters(t *testing.T) {
 		res := router.Route(src, target)
 		if want := plain.Route(rng2.Intn(n), keyspace.Key(rng2.Float64())); res != want {
 			t.Fatalf("query %d: instrumented result %+v != uninstrumented %+v", i, res, want)
+		}
+		d, _ := snap.GreedyInit(src, target)
+		for cur, h := src, 0; h < res.Hops; h++ {
+			next, dn := snap.GreedyStep(cur, d, target)
+			j := slices.Index(csr.Out(cur), int32(next))
+			wantLinks[csr.RowStart(cur)+j]++
+			cur, d = next, dn
 		}
 		hops += uint64(res.Hops)
 		if res.Arrived {
@@ -117,6 +129,9 @@ func TestSnapshotObsCounters(t *testing.T) {
 	}
 	if linkSum != hops {
 		t.Errorf("LinkTraffic sums to %d, want %d (one increment per hop)", linkSum, hops)
+	}
+	if got := snap.LinkTraffic(); !slices.Equal(got, wantLinks) {
+		t.Errorf("LinkTraffic is not numbered by CSR().RowStart(u)+j")
 	}
 
 	// 1-in-8 sampling over 400 queries must have retained traces, and a

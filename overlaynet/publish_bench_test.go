@@ -18,7 +18,9 @@ import (
 // through the chunked copy-on-write stores. The 64 events are applied
 // outside the timer, followed by a GC checkpoint so collector assists
 // owed to the churn's garbage are never paid inside the timed window;
-// the number is purely the capture, O(Δ·chunk + N/chunk). Set
+// the number is purely the capture, O(N/chunk): spine copies. The
+// block clones the capture causes land in the next epoch's events and
+// are timed by BenchmarkChurnEvent's publish arm. Set
 // SW_PUBLISH_BENCH_FULL=1 to extend the size sweep to 2^22 (the
 // PERFORMANCE.md frontier run).
 func BenchmarkPublishEpoch(b *testing.B) {
@@ -44,34 +46,47 @@ func BenchmarkPublishEpoch(b *testing.B) {
 
 // BenchmarkChurnEvent measures one membership event on the writer side
 // of an incremental overlay: each op is one Join or Leave, alternating,
-// with a uniformly drawn leaver, so the population stays at n and the
-// delta fold runs every defaultCompactEvery ops, its cost amortised
-// into ns/op as it is in a live overlay. No snapshot is captured.
+// with a uniformly drawn leaver, so the population stays at n. The
+// plain arm captures no snapshot, so no row block is ever shared and
+// no edit clones one. The publish arm captures a snapshot after every
+// defaultPublishEvery events and keeps it until the next, as a
+// Publisher at its default cadence does, so ns/op includes the
+// amortised capture and every block clone it causes. Both arms at one
+// size churn the same overlay, built on first use so -bench filters
+// skip it.
 func BenchmarkChurnEvent(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 20} {
-		var o *incrementalOverlay // built on first use, so -bench filters skip it
+		var o *incrementalOverlay
 		rng := xrand.New(uint64(n) + 3)
-		events := 0 // across the b.N probes, so joins and leaves alternate
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			if o == nil {
-				o = newBenchOverlay(b, n)
-				b.ResetTimer()
-			}
-			ctx := context.Background()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if events%2 == 0 {
-					err = o.Join(ctx)
-				} else {
-					err = o.Leave(ctx, rng.Intn(o.N()))
+		for _, arm := range []struct {
+			name  string
+			every int // events between captures; 0 never captures
+		}{{"", 0}, {"publish/", defaultPublishEvery}} {
+			events := 0 // across the b.N probes, so joins and leaves alternate
+			b.Run(fmt.Sprintf("%sn=%d", arm.name, n), func(b *testing.B) {
+				if o == nil {
+					o = newBenchOverlay(b, n)
+					b.ResetTimer()
 				}
-				if err != nil {
-					b.Fatal(err)
+				ctx := context.Background()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if events%2 == 0 {
+						err = o.Join(ctx)
+					} else {
+						err = o.Leave(ctx, rng.Intn(o.N()))
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					events++
+					if arm.every > 0 && events%arm.every == 0 {
+						benchSnapSink = o.CaptureSnapshot()
+					}
 				}
-				events++
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -110,13 +125,12 @@ func newBenchOverlay(b *testing.B, n int) *incrementalOverlay {
 }
 
 // publishBenchChurn applies exactly one epoch's worth of membership
-// events (64, half joins / half leaves, population stays ~n). The
-// count matches defaultCompactEvery, so the delta fold lands inside
-// afterEvent and the timed capture is the pure epoch-boundary cost —
-// exactly where Publisher's default cadence takes it.
+// events (defaultPublishEvery, half joins / half leaves, population
+// stays ~n), so the timed capture is the epoch-boundary cost at
+// Publisher's default cadence.
 func publishBenchChurn(b *testing.B, o *incrementalOverlay, rng *xrand.Stream) {
 	b.Helper()
-	for ev := 0; ev < defaultCompactEvery; ev++ {
+	for ev := 0; ev < defaultPublishEvery; ev++ {
 		if ev%2 == 0 {
 			if err := o.Join(context.Background()); err != nil {
 				b.Fatal(err)

@@ -28,14 +28,14 @@ import (
 //	// one writer (or several; the Publisher serialises them):
 //	pub.Join(ctx)
 //
-// The epoch boundary defaults to every 64 membership events, matching
-// NewIncremental's delta compaction: right after the incremental
-// overlay folds its deltas into a fresh base CSR, capturing a snapshot
-// is one keys/rank-index copy plus a shared pointer to that CSR.
-// Between boundaries readers route against the previous epoch — the
-// staleness any deployed overlay accepts in exchange for an
-// uncontended read path. PublishEvery(1) trades that for per-event
-// capture cost; Publish forces a boundary on demand.
+// The epoch boundary defaults to every 64 membership events. A capture
+// of the incremental overlay copies only the spines of its
+// copy-on-write stores, and the writer then clones each chunk or
+// block it touches once per epoch. Between boundaries readers route
+// against the previous epoch — the staleness any deployed overlay
+// accepts in exchange for an uncontended read path. PublishEvery(1)
+// trades that for per-event capture and clone cost; Publish forces a
+// boundary on demand.
 //
 // The Publisher itself implements Overlay by delegating every read to
 // the current snapshot (so it drops into QueryRunner and the registry
@@ -84,6 +84,9 @@ type Publisher struct {
 
 	cur atomic.Pointer[Snapshot]
 }
+
+// defaultPublishEvery is the default epoch boundary, in events.
+const defaultPublishEvery = 64
 
 // FaultPlane is the node-fault view a Publisher materialises into each
 // snapshot it publishes: which identifiers are crashed, stamped with a
@@ -138,8 +141,8 @@ func (p *Publisher) SetVantage(k keyspace.Key) {
 type PublisherOption func(*Publisher)
 
 // PublishEvery sets the epoch boundary: a new snapshot is published
-// after every k membership events (default 64, the incremental
-// overlay's compaction interval). k = 1 publishes on every event.
+// after every k membership events (default 64). k = 1 publishes on
+// every event.
 func PublishEvery(k int) PublisherOption {
 	return func(p *Publisher) {
 		if k > 0 {
@@ -153,7 +156,7 @@ func NewPublisher(dyn Dynamic, opts ...PublisherOption) (*Publisher, error) {
 	if dyn == nil {
 		return nil, fmt.Errorf("overlaynet: nil dynamic overlay")
 	}
-	p := &Publisher{dyn: dyn, every: defaultCompactEvery}
+	p := &Publisher{dyn: dyn, every: defaultPublishEvery}
 	for _, opt := range opts {
 		opt(p)
 	}

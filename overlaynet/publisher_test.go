@@ -2,6 +2,7 @@ package overlaynet
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,9 +34,9 @@ func newTestPublisher(t *testing.T, n int, opts ...PublisherOption) *Publisher {
 func checkSnapshotIntact(t *testing.T, s *Snapshot) {
 	t.Helper()
 	n := s.keys.n
-	if s.csr.N() != n || s.rank.n != n {
-		t.Fatalf("torn snapshot: keys %d, csr %d, rank %d",
-			n, s.csr.N(), s.rank.n)
+	if s.adj.n != n || s.rank.n != n {
+		t.Fatalf("torn snapshot: keys %d, rows %d, rank %d",
+			n, s.adj.n, s.rank.n)
 	}
 	byKey := s.rank.materializeKeys()
 	order := s.rank.materializeSlots()
@@ -363,30 +364,53 @@ func TestPublisherOverDirectionalDHT(t *testing.T) {
 	}
 }
 
-// TestIncrementalCaptureSharesCompactedCSR: capturing right at the
-// compaction boundary shares the base CSR instead of copying it.
-func TestIncrementalCaptureSharesCompactedCSR(t *testing.T) {
+// TestIncrementalCaptureSharesRowBlocks: a capture shares every span
+// of row blocks with the writer instead of copying it; the writer's
+// next edit clones only the spans and blocks it touches, never writing
+// one a snapshot holds; and a second capture shares the untouched
+// blocks with the first.
+func TestIncrementalCaptureSharesRowBlocks(t *testing.T) {
 	ctx := context.Background()
 	dyn, err := NewIncremental(ctx, "smallworld-skewed", Options{
-		N: 128, Seed: 4, Dist: dist.NewPower(0.7), Topology: keyspace.Ring,
+		N: 1 << 13, Seed: 4, Dist: dist.NewPower(0.7), Topology: keyspace.Ring,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inc := dyn.(*incrementalOverlay)
 	snap := inc.CaptureSnapshot()
-	if snap.csr != inc.csr {
-		t.Fatal("capture with empty delta copied the CSR")
+	for s := range snap.adj.spans {
+		if &snap.adj.spans[s][0] != &inc.adj.spans[s][0] {
+			t.Fatalf("capture copied span %d", s)
+		}
 	}
-	// Dirty the delta, capture again: the fold must leave the previous
-	// snapshot's CSR untouched.
+	nb := (snap.N() + adjBlockMask) >> adjBlockShift
+	block := func(s *Snapshot, b int) []int32 { return s.adj.block(b << adjBlockShift).tgt }
+	before := make([][]int32, nb)
+	for b := range before {
+		before[b] = slices.Clone(block(snap, b))
+	}
 	if err := dyn.Join(ctx); err != nil {
 		t.Fatal(err)
 	}
 	snap2 := inc.CaptureSnapshot()
 	checkSnapshotIntact(t, snap2)
 	checkSnapshotIntact(t, snap)
-	if snap2.N() != 129 || snap.N() != 128 {
+	if snap2.N() != 1<<13+1 || snap.N() != 1<<13 {
 		t.Fatalf("capture Ns: %d then %d", snap.N(), snap2.N())
+	}
+	cloned := 0
+	for b := range before {
+		if !slices.Equal(block(snap, b), before[b]) {
+			t.Fatalf("the join wrote block %d of the earlier snapshot", b)
+		}
+		if &block(snap, b)[0] != &block(snap2, b)[0] {
+			cloned++
+		}
+	}
+	// A join edits the newcomer's row, its two flanks and the handed-over
+	// in-links: a handful of blocks; the rest stay shared.
+	if cloned == 0 || cloned > nb/8 {
+		t.Fatalf("a join cloned %d of %d blocks", cloned, nb)
 	}
 }

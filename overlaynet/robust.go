@@ -2,7 +2,6 @@ package overlaynet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"smallworld/keyspace"
 	"smallworld/netmodel"
@@ -275,7 +274,7 @@ type snapPlane RobustRouter
 
 func (p *snapPlane) N() int                  { return p.snap.keys.n }
 func (p *snapPlane) Key(u int) keyspace.Key  { return p.snap.keys.At(u) }
-func (p *snapPlane) Neighbors(u int) []int32 { return p.snap.csr.Out(u) }
+func (p *snapPlane) Neighbors(u int) []int32 { return p.snap.adj.Row(u) }
 
 // Locate: a snapshot never renames its slots.
 func (p *snapPlane) Locate(slot int, _ keyspace.Key) (int, bool) { return slot, true }
@@ -289,7 +288,7 @@ func (p *snapPlane) Offer(w *RobustWalk, u int) {
 	if s.faults != nil {
 		dead = s.faults.dead
 	}
-	for j, v := range s.csr.Out(u) {
+	for j, v := range s.adj.Row(u) {
 		if dead == nil || !dead[v] {
 			w.Consider(v, int32(j), spine[v>>keyChunkShift][v&keyChunkMask])
 		}
@@ -305,7 +304,7 @@ func (p *snapPlane) Send(from int, fromKey keyspace.Key, c *RobustCandidate) net
 		d = p.tr.Send(fromKey, c.Key)
 	}
 	if h := p.snap.obs; d.Status == netmodel.SendOK && h != nil && h.links != nil {
-		atomic.AddUint64(&h.links[p.snap.csr.RowStart(from)+int(c.Row)], 1)
+		h.countLink(p.snap.adj, from, int(c.Row))
 	}
 	return d
 }

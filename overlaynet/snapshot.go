@@ -10,8 +10,8 @@ import (
 )
 
 // Snapshot is an immutable, routable picture of an overlay at one
-// publication epoch: the full CSR adjacency, the identifier array, and
-// the sorted rank index. Everything a query needs is frozen inside the
+// publication epoch: the out-rows, the identifier array, and the
+// sorted rank index. Everything a query needs is frozen inside the
 // value, so any number of goroutines may route against the same
 // Snapshot concurrently — and against *different* Snapshots of the same
 // overlay — without synchronisation. Snapshots are produced by a
@@ -22,9 +22,9 @@ type Snapshot struct {
 	kind  string
 	epoch uint64
 	topo  keyspace.Topology
-	keys  keyView    // identifier per slot (chunked, structurally shared)
-	csr   *graph.CSR // full out-adjacency at capture time
-	rank  rankView   // sorted rank index: rank→(key, slot), chunked
+	keys  keyView  // identifier per slot (chunked, structurally shared)
+	adj   adjView  // out-row per slot (row blocks, structurally shared)
+	rank  rankView // sorted rank index: rank→(key, slot), chunked
 
 	// Lazily-materialized flat copies for compatibility callers
 	// (Overlay.Keys, the store's SortedKeys). Built at most once per
@@ -37,7 +37,7 @@ type Snapshot struct {
 
 	// src, when non-nil, is a retained *immutable* overlay whose own
 	// routing semantics the snapshot delegates to. Distance-greedy
-	// routing over the captured CSR is exact for the small-world family
+	// routing over the captured rows is exact for the small-world family
 	// (bidirectional rings), but overlays with directional routing
 	// rules — Chord's clockwise fingers, Pastry's digit correction —
 	// would strand most queries under it; their rebuild generations are
@@ -86,10 +86,11 @@ func buildFaultMask(s *Snapshot, fp FaultPlane, vantage keyspace.Key, hasVantage
 
 // Snapshotter is implemented by Dynamic overlays that can emit an
 // immutable snapshot of their current state more cheaply than the
-// generic row-by-row capture (the incremental overlay shares its
-// compacted base CSR). CaptureSnapshot must only be called from the
-// writer side — concurrent membership mutation during capture is the
-// caller's race, not the Snapshot's.
+// generic row-by-row capture (the incremental overlay shares its key
+// chunks, rank chunks and row blocks, copying only their spines).
+// CaptureSnapshot must only be called from the writer side —
+// concurrent membership mutation during capture is the caller's race,
+// not the Snapshot's.
 type Snapshotter interface {
 	CaptureSnapshot() *Snapshot
 }
@@ -103,9 +104,10 @@ type topologyHaver interface {
 
 // NewSnapshot captures ov's current state as an immutable Snapshot. If
 // ov implements Snapshotter the overlay's own (cheaper) capture is
-// used; otherwise keys and adjacency are copied row by row and the rank
-// index is rebuilt, O(N log N + M). The caller must guarantee ov is not
-// mutated during the capture (hold the writer lock; Publisher does).
+// used; otherwise keys are copied, rows are laid out in row blocks one
+// by one and the rank index is rebuilt, O(N log N + M). The caller
+// must guarantee ov is not mutated during the capture (hold the writer
+// lock; Publisher does).
 func NewSnapshot(ov Overlay) *Snapshot {
 	if s, ok := ov.(Snapshotter); ok {
 		return s.CaptureSnapshot()
@@ -122,17 +124,7 @@ func NewSnapshot(ov Overlay) *Snapshot {
 	flat := append([]keyspace.Key(nil), ov.Keys()...)
 	s.keys = newKeyView(flat)
 	s.flatKeys.Store(&flat)
-	offsets := make([]int32, n+1)
-	size := 0
-	for u := 0; u < n; u++ {
-		size += len(ov.Neighbors(u))
-	}
-	targets := make([]int32, 0, size)
-	for u := 0; u < n; u++ {
-		targets = append(targets, ov.Neighbors(u)...)
-		offsets[u+1] = int32(len(targets))
-	}
-	s.csr = graph.NewCSR(offsets, targets)
+	s.adj = newAdjStore(n, ov.Neighbors).adjView
 	s.buildRankIndex(flat)
 	return s
 }
@@ -211,13 +203,16 @@ func (s *Snapshot) Keys() []keyspace.Key {
 }
 
 // Neighbors returns u's frozen out-row. Read-only, never allocates.
-func (s *Snapshot) Neighbors(u int) []int32 { return s.csr.Out(u) }
+func (s *Snapshot) Neighbors(u int) []int32 { return s.adj.Row(u) }
 
 // Stats summarises the frozen adjacency.
 func (s *Snapshot) Stats() Stats { return statsOf(s) }
 
-// CSR exposes the frozen adjacency for analysis callers. Read-only.
-func (s *Snapshot) CSR() *graph.CSR { return s.csr }
+// CSR copies the frozen rows into a fresh flat CSR for analysis
+// callers: O(N+M) time and memory on every call, never cached. Edge j
+// of u's row is its edge RowStart(u)+j, the numbering LinkTraffic
+// uses.
+func (s *Snapshot) CSR() *graph.CSR { return s.adj.csr() }
 
 // Responsible returns the slot whose identifier is nearest to target
 // under the snapshot's topology — the node a correctly terminating
@@ -291,7 +286,7 @@ func (r *SnapshotRouter) route(src int, target keyspace.Key, tr *obs.Trace) Resu
 	if s.src != nil {
 		// Delegated walk: queries/hops/outcomes still count in
 		// routeObserved, but hop spans and link traffic exist only on
-		// the CSR walk below — the source router is opaque here.
+		// the walk below — the source router is opaque here.
 		if r.innerOf != s {
 			r.inner = s.src.NewRouter()
 			r.innerOf = s
@@ -347,9 +342,9 @@ func (r *SnapshotRouter) bindObs(h *obsHooks) {
 // instrumented and appending hop spans to tr when it is sampled.
 func (r *SnapshotRouter) walk(src int, target keyspace.Key, tr *obs.Trace) Result {
 	s := r.s
-	var links []uint64
-	if s.obs != nil {
-		links = s.obs.links
+	var links *obsHooks
+	if s.obs != nil && s.obs.links != nil {
+		links = s.obs
 	}
 	cur := src
 	dCur := s.topo.Distance(s.keys.At(cur), target)
@@ -361,7 +356,7 @@ func (r *SnapshotRouter) walk(src int, target keyspace.Key, tr *obs.Trace) Resul
 			break
 		}
 		if links != nil {
-			atomic.AddUint64(&links[s.csr.RowStart(cur)+bestJ], 1)
+			links.countLink(s.adj, cur, bestJ)
 		}
 		tr.Hop(float64(hops), 1, int32(best), bestJ, 0, obs.SpanHop, bestD)
 		cur, dCur = best, bestD
@@ -378,14 +373,14 @@ func (r *SnapshotRouter) walk(src int, target keyspace.Key, tr *obs.Trace) Resul
 // scan on the same float state, which is what the sharded bit-identity
 // contract requires.
 func (s *Snapshot) step(cur int, dCur float64, target keyspace.Key) (best int, bestD float64, bestJ int) {
-	topo, spine, csr := s.topo, s.keys.spine, s.csr
+	topo, spine := s.topo, s.keys.spine
 	var deadMask []bool
 	if s.faults != nil {
 		deadMask = s.faults.dead
 	}
 	best, bestD, bestJ = -1, dCur, -1
 	bestKey := spine[cur>>keyChunkShift][cur&keyChunkMask]
-	for j, v := range csr.Out(cur) {
+	for j, v := range s.adj.Row(cur) {
 		vKey := spine[v>>keyChunkShift][v&keyChunkMask]
 		d := topo.Distance(vKey, target)
 		// The mask test runs only on improving candidates, off the common
@@ -446,7 +441,7 @@ func (s *Snapshot) GreedyStep(cur int, dCur float64, target keyspace.Key) (next 
 func (s *Snapshot) GreedyGuard() int { return 2 * s.keys.n }
 
 // Delegated reports whether this snapshot routes through a retained
-// source overlay (Chord, Pastry — directional rules the captured CSR
+// source overlay (Chord, Pastry — directional rules the captured rows
 // cannot express greedily). Delegated snapshots route only through
 // NewRouter; the stepwise Greedy API refuses them.
 func (s *Snapshot) Delegated() bool { return s.src != nil }

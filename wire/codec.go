@@ -51,11 +51,14 @@ func ParseFrame(b []byte) (f Frame, n int, err error) {
 	f.From = Addr(leU32(b[2:]))
 	f.To = Addr(leU32(b[6:]))
 	f.Corr = leU64(b[10:])
+	// Compare the length prefix with the bytes left rather than adding
+	// it to HeaderLen first: where int is 32 bits, a prefix near 2^31
+	// wraps that sum negative.
 	plen := int(leU32(b[18:]))
-	n = HeaderLen + plen
-	if plen < 0 || len(b) < n {
+	if plen < 0 || plen > len(b)-HeaderLen {
 		return Frame{}, 0, ErrTruncated
 	}
+	n = HeaderLen + plen
 	f.Payload = b[HeaderLen:n:n]
 	return f, n, nil
 }

@@ -84,6 +84,44 @@ func TestFrameStreamSplit(t *testing.T) {
 	}
 }
 
+// TestParseFrameHugeLengthPrefix: a header whose length prefix claims
+// far more payload than the buffer holds is ErrTruncated, including
+// prefixes near 2^31 and 2^32, which overflow a 32-bit int when added
+// to HeaderLen (GOARCH=386 runs this in CI).
+func TestParseFrameHugeLengthPrefix(t *testing.T) {
+	for _, plen := range []uint32{0x7fffffff, 0x7fffffff - HeaderLen + 1, 0x80000000, 0xffffffff} {
+		b := AppendFrame(nil, Frame{Type: 3, From: 1, To: 2, Corr: 9, Payload: []byte{1, 2, 3}})
+		copy(b[18:], AppendU32(nil, plen))
+		if _, n, err := ParseFrame(b); err != ErrTruncated || n != 0 {
+			t.Fatalf("length prefix %#x: n=%d err=%v, want ErrTruncated", plen, n, err)
+		}
+	}
+}
+
+// FuzzParseFrame checks the frame decoder on arbitrary bytes: it never
+// panics, a parsed frame consumes 0 < n <= len(b) bytes, and
+// re-encoding it through AppendFrame reproduces b[:n] byte for byte.
+// The seed corpus in testdata/fuzz/FuzzParseFrame holds a valid frame,
+// a short header, a bad version and a length prefix that overflows a
+// 32-bit int.
+func FuzzParseFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, n, err := ParseFrame(b)
+		if err != nil {
+			if err != ErrTruncated && err != ErrVersion {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+		if n <= 0 || n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		if enc := AppendFrame(nil, fr); !bytes.Equal(enc, b[:n]) {
+			t.Fatalf("re-encoded %x, parsed from %x", enc, b[:n])
+		}
+	})
+}
+
 // TestReaderSticky pins the sticky-error decode contract.
 func TestReaderSticky(t *testing.T) {
 	p := AppendU32(nil, 42)
