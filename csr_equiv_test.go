@@ -1,6 +1,7 @@
 package smallworld
 
 import (
+	"slices"
 	"testing"
 
 	"smallworld/dist"
@@ -9,32 +10,45 @@ import (
 )
 
 // The direct-to-CSR assembly must be bit-identical to the legacy
-// Graph+Freeze path it replaced: same flat adjacency for every
-// (topology, measure, sampler, seed), and independent of Workers. These
-// tests rebuild the legacy mutable graph from the network's neighbour
-// rule and sampled links — exactly what build() used to do — and
-// compare the frozen result row by row.
+// build-a-graph-then-freeze path it replaced: same flat adjacency for
+// every (topology, measure, sampler, seed), and independent of Workers.
+// These tests rebuild the adjacency from the network's neighbour rule
+// and sampled links the way the legacy path did and compare the result
+// row by row.
 
-// legacyCSR reconstructs the pre-PR4 assembly: per-edge inserts into
-// the sorted-row mutable Graph (neighbouring edges, then the sampled
-// long-range links in bulk), then Freeze.
+// legacyCSR reconstructs the legacy assembly independently of
+// AssembleCSR: every edge except a self-loop appended to its source's
+// row (neighbouring edges, then the sampled long-range links), each row
+// sorted and deduplicated, then the rows concatenated into a CSR.
 func legacyCSR(nw *Network) *graph.CSR {
 	n := nw.N()
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		if i+1 < n {
-			g.AddEdge(i, i+1)
-			g.AddEdge(i+1, i)
+	rows := make([][]int32, n)
+	edge := func(u, v int) {
+		if u != v {
+			rows[u] = append(rows[u], int32(v))
 		}
 	}
+	for i := 0; i+1 < n; i++ {
+		edge(i, i+1)
+		edge(i+1, i)
+	}
 	if nw.Config().Topology == keyspace.Ring && n > 2 {
-		g.AddEdge(n-1, 0)
-		g.AddEdge(0, n-1)
+		edge(n-1, 0)
+		edge(0, n-1)
 	}
 	for u := 0; u < n; u++ {
-		g.AddEdges(u, nw.LongRange(u))
+		for _, v := range nw.LongRange(u) {
+			edge(u, int(v))
+		}
 	}
-	return g.Freeze()
+	offsets := make([]int32, n+1)
+	var targets []int32
+	for u, row := range rows {
+		slices.Sort(row)
+		targets = append(targets, slices.Compact(row)...)
+		offsets[u+1] = int32(len(targets))
+	}
+	return graph.NewCSR(offsets, targets)
 }
 
 // equalCSR compares two CSRs bit for bit.

@@ -144,17 +144,27 @@ type TruncNormal struct {
 }
 
 // NewTruncNormal returns the truncated normal with the given location and
-// scale. It panics unless sigma > 0.
+// scale. It panics unless sigma > 0 and the density has mass in [0,1).
 func NewTruncNormal(mu, sigma float64) TruncNormal {
+	n, err := newTruncNormal(mu, sigma)
+	if err != nil {
+		panic("dist: " + err.Error())
+	}
+	return n
+}
+
+// newTruncNormal is NewTruncNormal reporting bad parameters as an
+// error, for Parse.
+func newTruncNormal(mu, sigma float64) (TruncNormal, error) {
 	if !(sigma > 0) {
-		panic(fmt.Sprintf("dist: truncnormal sigma %v must be positive", sigma))
+		return TruncNormal{}, fmt.Errorf("truncnormal sigma %v must be positive", sigma)
 	}
 	lo := stdNormCDF((0 - mu) / sigma)
 	hi := stdNormCDF((1 - mu) / sigma)
 	if hi <= lo {
-		panic(fmt.Sprintf("dist: truncnormal(%v,%v) has no mass in [0,1)", mu, sigma))
+		return TruncNormal{}, fmt.Errorf("truncnormal(%v,%v) has no mass in [0,1)", mu, sigma)
 	}
-	return TruncNormal{mu: mu, sigma: sigma, lo: lo, span: hi - lo}
+	return TruncNormal{mu: mu, sigma: sigma, lo: lo, span: hi - lo}, nil
 }
 
 // CDF returns (Phi((x-mu)/sigma) - Phi((0-mu)/sigma)) / span.

@@ -90,9 +90,9 @@
 //
 //   - construction assembles the CSR (compressed sparse row) adjacency
 //     directly in two parallel passes (graph.AssembleCSR: degree count →
-//     prefix-sum offsets → parallel fill, per-node sort in place) — the
-//     mutable builder graph is never materialised, only thawed lazily
-//     for fault injection;
+//     prefix-sum offsets → parallel fill, per-node sort in place), and
+//     that one CSR is what routing, fault injection and every analysis
+//     read;
 //   - the Exact link sampler draws from the literal model distribution
 //     P[v] ∝ measure(u,v)^-r through a Walker alias table over dyadic
 //     measure bands plus an exact rejection step, with the band

@@ -48,12 +48,12 @@ func TestNormalizationEquivalenceExact(t *testing.T) {
 		dist.NewTruncNormal(0.3, 0.15),
 	} {
 		g, gPrime := buildPair(t, d, 128, 41, Exact)
-		if g.Graph().M() != gPrime.Graph().M() {
-			t.Fatalf("%s: edge counts differ: %d vs %d", d.Name(), g.Graph().M(), gPrime.Graph().M())
+		if g.CSR().M() != gPrime.CSR().M() {
+			t.Fatalf("%s: edge counts differ: %d vs %d", d.Name(), g.CSR().M(), gPrime.CSR().M())
 		}
 		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Graph().Out(u) {
-				if !gPrime.Graph().HasEdge(u, int(v)) {
+			for _, v := range g.CSR().Out(u) {
+				if !gPrime.CSR().HasEdge(u, int(v)) {
 					t.Fatalf("%s: edge %d->%d in G but not in G'", d.Name(), u, v)
 				}
 			}
@@ -74,7 +74,7 @@ func TestNormalizationEquivalenceProtocol(t *testing.T) {
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.LongRange(u) {
 			total++
-			if gPrime.Graph().HasEdge(u, int(v)) {
+			if gPrime.CSR().HasEdge(u, int(v)) {
 				agree++
 			}
 		}

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	deg := nw.Graph().DegreeStats()
+	deg := nw.CSR().DegreeStats()
 	fmt.Printf("built %d-peer overlay on %s keys\n", nw.N(), f.Name())
 	fmt.Printf("routing state: mean %.1f links/peer (log2 N = %.0f)\n\n",
 		deg.Mean(), math.Log2(n))

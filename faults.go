@@ -7,58 +7,33 @@ import (
 
 // The paper closes by listing "models that can take into account an
 // unstable P2P environment (nodes are allowed to fail)" as open work.
-// This file provides that model: routing across a network in which a
-// subset of nodes is unreachable (crashed but not yet repaired, so other
-// peers still hold stale links to them), with two policies — plain
-// greedy that skips dead candidates, and greedy with backtracking that
-// explores alternatives when a live local minimum has no live
-// improvement to offer.
+// This file provides that model for the static overlay: a fixed mask of
+// unreachable nodes (crashed but not yet repaired, so other peers still
+// hold stale links to them) over the same flat CSR every router reads,
+// with two policies — plain greedy that skips dead candidates, and
+// greedy with backtracking that explores alternatives when a live local
+// minimum has no live improvement to offer.
 
-// FailSet marks a subset of nodes as crashed. The hot-path query is
-// slot-indexed (Dead(u) is one bool load), but every mark is *pinned to
-// the identifier* the slot held when it was marked: dynamic overlays
-// rename slots under churn (overlaynet.NewIncremental's leave path
-// moves the last slot into the hole a departure opens), and a mark
-// that lived only on the slot id would silently migrate to whichever
-// live node inherits the slot. After any membership change, Sync
-// remaps the marks onto the new slot layout by identifier.
+// FailSet marks a subset of nodes as crashed: one bool per node, drawn
+// once and never changed. Dead(u) is one load on the routing hot path.
+// Churning fault runs use netmodel's identifier-hashed classes instead.
 type FailSet struct {
 	dead []bool
 	n    int
-
-	keys     []keyspace.Key // identifier per slot at the last sync
-	deadKeys []keyspace.Key // identifiers of crashed nodes, ascending
 }
 
 // NewFailSet marks each node dead independently with probability frac,
-// using r. The source and destination of experiments can be re-rolled by
-// the caller via Alive.
+// using r: one Bool per node, in ascending node order, which is part of
+// the replay format. The source and destination of experiments can be
+// re-rolled by the caller via Alive.
 func NewFailSet(nw *Network, r *xrand.Stream, frac float64) *FailSet {
-	return NewFailSetKeys(nw.Keys(), r, frac)
-}
-
-// NewFailSetKeys is NewFailSet over an explicit identifier slice —
-// the constructor for dynamic overlays, whose population is not a
-// *Network. The draw order (one Bool per slot, ascending) is part of
-// the replay format shared with NewFailSet.
-func NewFailSetKeys(keys []keyspace.Key, r *xrand.Stream, frac float64) *FailSet {
-	fs := &FailSet{
-		dead: make([]bool, len(keys)),
-		keys: append([]keyspace.Key(nil), keys...),
-	}
+	fs := &FailSet{dead: make([]bool, nw.N())}
 	for i := range fs.dead {
 		if r.Bool(frac) {
 			fs.dead[i] = true
 			fs.n++
 		}
 	}
-	fs.deadKeys = fs.deadKeys[:0]
-	for i, d := range fs.dead {
-		if d {
-			fs.deadKeys = append(fs.deadKeys, fs.keys[i])
-		}
-	}
-	sortKeys(fs.deadKeys)
 	return fs
 }
 
@@ -70,111 +45,6 @@ func (fs *FailSet) Alive(u int) bool { return !fs.dead[u] }
 
 // CountDead returns the number of crashed nodes.
 func (fs *FailSet) CountDead() int { return fs.n }
-
-// Fail marks node u crashed (a no-op when it already is).
-func (fs *FailSet) Fail(u int) {
-	if fs.dead[u] {
-		return
-	}
-	fs.dead[u] = true
-	fs.n++
-	fs.insertDeadKey(fs.keys[u])
-}
-
-// Revive clears the failure of node u (used by tests).
-func (fs *FailSet) Revive(u int) {
-	if fs.dead[u] {
-		fs.dead[u] = false
-		fs.n--
-		fs.removeDeadKey(fs.keys[u])
-	}
-}
-
-// Sync remaps the fail marks onto a new slot layout: slot u is dead
-// iff keys[u] is a marked identifier. Call it after every membership
-// change of a dynamic overlay, passing the overlay's current Keys().
-// Marked identifiers no longer present (the crashed node finally left
-// the population) are forgotten.
-func (fs *FailSet) Sync(keys []keyspace.Key) {
-	if cap(fs.dead) >= len(keys) {
-		fs.dead = fs.dead[:len(keys)]
-		for i := range fs.dead {
-			fs.dead[i] = false
-		}
-	} else {
-		fs.dead = make([]bool, len(keys))
-	}
-	fs.keys = append(fs.keys[:0], keys...)
-	fs.n = 0
-	old := fs.deadKeys
-	for u, k := range fs.keys {
-		if searchKeys(old, k) >= 0 {
-			fs.dead[u] = true
-			fs.n++
-		}
-	}
-	fresh := make([]keyspace.Key, 0, fs.n)
-	for u, d := range fs.dead {
-		if d {
-			fresh = append(fresh, fs.keys[u])
-		}
-	}
-	sortKeys(fresh)
-	fs.deadKeys = fresh
-}
-
-// insertDeadKey adds k to the sorted marked-identifier set.
-func (fs *FailSet) insertDeadKey(k keyspace.Key) {
-	i := lowerBound(fs.deadKeys, k)
-	if i < len(fs.deadKeys) && fs.deadKeys[i] == k {
-		return
-	}
-	fs.deadKeys = append(fs.deadKeys, 0)
-	copy(fs.deadKeys[i+1:], fs.deadKeys[i:])
-	fs.deadKeys[i] = k
-}
-
-// removeDeadKey deletes k from the sorted marked-identifier set.
-func (fs *FailSet) removeDeadKey(k keyspace.Key) {
-	i := lowerBound(fs.deadKeys, k)
-	if i < len(fs.deadKeys) && fs.deadKeys[i] == k {
-		fs.deadKeys = append(fs.deadKeys[:i], fs.deadKeys[i+1:]...)
-	}
-}
-
-// lowerBound returns the first index in the ascending slice whose key
-// is >= k.
-func lowerBound(ks []keyspace.Key, k keyspace.Key) int {
-	lo, hi := 0, len(ks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ks[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// searchKeys returns k's index in the ascending slice, or -1.
-func searchKeys(ks []keyspace.Key, k keyspace.Key) int {
-	i := lowerBound(ks, k)
-	if i < len(ks) && ks[i] == k {
-		return i
-	}
-	return -1
-}
-
-// sortKeys sorts identifiers ascending (insertion sort: fail sets are
-// built once and the marked subset is small).
-func sortKeys(ks []keyspace.Key) {
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-}
 
 // ClosestLive returns the live node closest to target, or -1 when every
 // node is dead.

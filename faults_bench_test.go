@@ -16,13 +16,13 @@ import (
 
 // benchFailSetup builds a 4096-node ring overlay, a 20% FailSet, and a
 // deterministic batch of live sources with targets.
-func benchFailSetup(b *testing.B) (*Network, *FailSet, []int, []keyspace.Key) {
-	b.Helper()
+func benchFailSetup(tb testing.TB) (*Network, *FailSet, []int, []keyspace.Key) {
+	tb.Helper()
 	cfg := UniformConfig(4096, 96)
 	cfg.Topology = keyspace.Ring
 	nw, err := Build(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fs := NewFailSet(nw, xrand.New(97), 0.2)
 	r := xrand.New(98)
@@ -38,6 +38,30 @@ func benchFailSetup(b *testing.B) (*Network, *FailSet, []int, []keyspace.Key) {
 		targets = append(targets, keyspace.Key(r.Float64()))
 	}
 	return nw, fs, srcs, targets
+}
+
+// TestFaultRoutesZeroAlloc turns the benchmarks' 0 allocs/op into a
+// check: once a warm-up batch has grown the router's scratch, whole
+// batches of either fault walk allocate nothing.
+func TestFaultRoutesZeroAlloc(t *testing.T) {
+	nw, fs, srcs, targets := benchFailSetup(t)
+	router := nw.NewRouter()
+	for name, route := range map[string]func(int, keyspace.Key, *FailSet) Route{
+		"RouteGreedyAvoiding": router.RouteGreedyAvoiding,
+		"RouteBacktracking":   router.RouteBacktracking,
+	} {
+		batch := func() {
+			for i := range srcs {
+				route(srcs[i], targets[i], fs)
+			}
+		}
+		batch()
+		// AllocsPerRun truncates the per-run mean, so each run routes
+		// the whole batch: one allocation anywhere in it fails.
+		if allocs := testing.AllocsPerRun(4, batch); allocs != 0 {
+			t.Errorf("%s: %v allocations per %d routes, want 0", name, allocs, len(srcs))
+		}
+	}
 }
 
 func BenchmarkRouteGreedyAvoiding(b *testing.B) {

@@ -21,14 +21,6 @@ func TestFailSetBasics(t *testing.T) {
 			t.Fatal("Dead and Alive disagree")
 		}
 	}
-	// Revive works and is idempotent.
-	for u := 0; u < nw.N(); u++ {
-		fs.Revive(u)
-		fs.Revive(u)
-	}
-	if fs.CountDead() != 0 {
-		t.Errorf("after reviving everyone, %d still dead", fs.CountDead())
-	}
 }
 
 func TestClosestLive(t *testing.T) {
@@ -204,24 +196,6 @@ func TestClosestLiveAllDead(t *testing.T) {
 	fs.n = nw.N()
 	if got := nw.ClosestLive(0.5, fs); got != -1 {
 		t.Errorf("ClosestLive with everyone dead = %d, want -1", got)
-	}
-}
-
-func TestReviveIdempotent(t *testing.T) {
-	cfg := UniformConfig(32, 91)
-	nw := mustBuild(t, cfg)
-	fs := NewFailSet(nw, xrand.New(92), 0)
-	// Reviving a node that never died must not corrupt the dead count.
-	fs.Revive(3)
-	if fs.CountDead() != 0 {
-		t.Fatalf("revive of a live node changed CountDead to %d", fs.CountDead())
-	}
-	fs.dead[3] = true
-	fs.n++
-	fs.Revive(3)
-	fs.Revive(3) // double revive
-	if fs.CountDead() != 0 || fs.Dead(3) {
-		t.Errorf("double revive left CountDead=%d Dead(3)=%v", fs.CountDead(), fs.Dead(3))
 	}
 }
 

@@ -5,8 +5,7 @@ import (
 	"sync"
 )
 
-// AssembleCSR builds a CSR directly, without the mutable Graph
-// intermediate, in two parallel passes over the nodes:
+// AssembleCSR builds a CSR in two parallel passes over the nodes:
 //
 //  1. degree counting — rowLen(u) for every node, written into the
 //     offsets array and prefix-summed into row boundaries;
@@ -22,7 +21,9 @@ import (
 // and free of self-loops — the assembler sorts but does not deduplicate,
 // because dropping values would invalidate the already-committed
 // offsets. The small-world builder satisfies this by construction
-// (sampled links exclude self, neighbours and duplicates).
+// (sampled links exclude self, neighbours and duplicates), and the
+// Watts–Strogatz builder skips self-loops and duplicates as it builds
+// its rows.
 func AssembleCSR(n, workers int, rowLen func(u int) int, fillRow func(u int, row []int32)) *CSR {
 	if n < 0 {
 		panic("graph: negative node count")

@@ -1,3 +1,11 @@
+// Package graph holds the directed-graph substrate of the overlays:
+// the flat compressed-sparse-row adjacency (CSR) every router and
+// analysis reads, its direct two-pass assembly (AssembleCSR), and the
+// analyses the experiments run on it — BFS distances, strong
+// connectivity, clustering coefficients, and degree/path-length
+// summaries. Overlay networks in the paper are directed graphs
+// G = (P, E) whose edges are routing-table entries, so all analysis
+// here is directed.
 package graph
 
 import (
@@ -61,6 +69,20 @@ func (c *CSR) HasEdge(u, v int) bool {
 	row := c.Out(u)
 	i := searchInt32(row, int32(v))
 	return i < len(row) && row[i] == int32(v)
+}
+
+// searchInt32 returns the insertion index of v in the sorted row.
+func searchInt32(row []int32, v int32) int {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if row[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Scratch holds the reusable buffers of the BFS/Reverse analysis

@@ -1,22 +1,56 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"smallworld/xrand"
 )
 
-func ring(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+// fromEdges builds a CSR over n nodes from a directed edge list: each
+// edge is appended to its source's row, then every row is sorted and
+// deduplicated, and self-loops are dropped.
+func fromEdges(n int, edges [][2]int) *CSR {
+	rows := make([][]int32, n)
+	for _, e := range edges {
+		if e[0] != e[1] {
+			rows[e[0]] = append(rows[e[0]], int32(e[1]))
+		}
 	}
-	return g
+	offsets := make([]int32, n+1)
+	var targets []int32
+	for u, row := range rows {
+		slices.Sort(row)
+		targets = append(targets, slices.Compact(row)...)
+		offsets[u+1] = int32(len(targets))
+	}
+	return NewCSR(offsets, targets)
+}
+
+// ring builds the directed n-ring u -> u+1 (mod n).
+func ring(n int) *CSR {
+	edges := make([][2]int, n)
+	for i := range edges {
+		edges[i] = [2]int{i, (i + 1) % n}
+	}
+	return fromEdges(n, edges)
+}
+
+// randomGraph builds a random graph over 2..31 nodes from ~4n random
+// edges for property tests.
+func randomGraph(seed uint64) *CSR {
+	r := xrand.New(seed)
+	n := 2 + r.Intn(30)
+	edges := make([][2]int, 4*n)
+	for i := range edges {
+		edges[i] = [2]int{r.Intn(n), r.Intn(n)}
+	}
+	return fromEdges(n, edges)
 }
 
 func TestNewAndCounts(t *testing.T) {
-	g := New(5)
+	g := fromEdges(5, nil)
 	if g.N() != 5 || g.M() != 0 {
 		t.Errorf("N,M = %d,%d want 5,0", g.N(), g.M())
 	}
@@ -25,72 +59,65 @@ func TestNewAndCounts(t *testing.T) {
 func TestNewPanicsNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New(-1) did not panic")
+			t.Error("AssembleCSR(-1) did not panic")
 		}
 	}()
-	New(-1)
+	AssembleCSR(-1, 1, func(int) int { return 0 }, func(int, []int32) {})
 }
 
-func TestAddEdge(t *testing.T) {
-	g := New(3)
-	if !g.AddEdge(0, 1) {
-		t.Error("first AddEdge should succeed")
-	}
-	if g.AddEdge(0, 1) {
-		t.Error("duplicate AddEdge should be rejected")
-	}
-	if g.AddEdge(1, 1) {
-		t.Error("self-loop should be rejected")
-	}
-	if g.M() != 1 {
-		t.Errorf("M = %d, want 1", g.M())
-	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Error("edge direction wrong")
-	}
-}
-
-func TestRemoveEdge(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	if !g.RemoveEdge(0, 1) {
-		t.Error("RemoveEdge existing should return true")
-	}
-	if g.RemoveEdge(0, 1) {
-		t.Error("RemoveEdge absent should return false")
-	}
-	if g.M() != 1 || g.HasEdge(0, 1) || !g.HasEdge(0, 2) {
-		t.Error("graph state wrong after removal")
+// TestBoundsPanic pins NewCSR's shape check: offsets must start at zero
+// and end at len(targets).
+func TestBoundsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		offsets, targets []int32
+	}{
+		{nil, nil},
+		{[]int32{1, 1}, []int32{0}},
+		{[]int32{0, 1, 3}, []int32{1, 0}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCSR(%v, %v) did not panic", tc.offsets, tc.targets)
+				}
+			}()
+			NewCSR(tc.offsets, tc.targets)
+		}()
 	}
 }
 
 func TestOutAndDegree(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 3)
+	g := fromEdges(4, [][2]int{{0, 1}, {0, 3}})
 	if g.OutDegree(0) != 2 || g.OutDegree(1) != 0 {
 		t.Error("out degrees wrong")
 	}
-	out := g.Out(0)
-	if len(out) != 2 {
-		t.Errorf("Out(0) = %v", out)
+	if out := g.Out(0); len(out) != 2 || g.RowStart(1) != 2 {
+		t.Errorf("Out(0) = %v, RowStart(1) = %d", out, g.RowStart(1))
 	}
 }
 
-func TestBoundsPanic(t *testing.T) {
-	g := New(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range access did not panic")
+// TestOutRowsSorted pins AssembleCSR's in-place row sort, which the
+// Watts–Strogatz builder relies on: rows filled in any order come out
+// ascending, on the short insertion-sort path and the long one.
+func TestOutRowsSorted(t *testing.T) {
+	rows := [][]int32{{4, 1, 3}, nil, {0}, make([]int32, 40), {2, 1}}
+	for i := range rows[3] {
+		rows[3][i] = int32(40 - i)
+	}
+	c := AssembleCSR(len(rows), 2,
+		func(u int) int { return len(rows[u]) },
+		func(u int, row []int32) { copy(row, rows[u]) },
+	)
+	for u := range rows {
+		want := slices.Sorted(slices.Values(rows[u]))
+		if got := c.Out(u); !slices.Equal(got, want) {
+			t.Fatalf("row %d = %v, want %v", u, got, want)
 		}
-	}()
-	g.AddEdge(0, 5)
+	}
 }
 
 func TestBFSRing(t *testing.T) {
-	g := ring(6)
-	d := g.BFS(0)
+	d := ring(6).BFS(0)
 	want := []int{0, 1, 2, 3, 4, 5}
 	for i := range want {
 		if d[i] != want[i] {
@@ -100,18 +127,14 @@ func TestBFSRing(t *testing.T) {
 }
 
 func TestBFSUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	d := g.BFS(0)
+	d := fromEdges(3, [][2]int{{0, 1}}).BFS(0)
 	if d[2] != -1 {
 		t.Errorf("unreachable node distance = %d, want -1", d[2])
 	}
 }
 
 func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := fromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	r := g.Reverse()
 	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
 		t.Error("Reverse wrong")
@@ -121,110 +144,36 @@ func TestReverse(t *testing.T) {
 	}
 }
 
-func TestStronglyConnected(t *testing.T) {
-	if !ring(10).StronglyConnected() {
-		t.Error("directed ring must be strongly connected")
-	}
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	if g.StronglyConnected() {
-		t.Error("path graph is not strongly connected")
-	}
-	if !New(0).StronglyConnected() || !New(1).StronglyConnected() {
-		t.Error("trivial graphs are connected")
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := ring(5)
-	c := g.Clone()
-	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) {
-		t.Error("Clone shares storage with original")
-	}
-	if c.M() != g.M()-1 {
-		t.Error("clone edge count wrong")
-	}
-}
-
 func TestDegreeStats(t *testing.T) {
-	g := ring(8)
-	s := g.DegreeStats()
+	s := ring(8).DegreeStats()
 	if s.Mean() != 1 || s.Min() != 1 || s.Max() != 1 {
 		t.Errorf("ring degree stats = %v", s.String())
 	}
 }
 
-func TestClusteringCoefficient(t *testing.T) {
-	// Complete directed triangle: clustering = 1.
-	g := New(3)
-	for u := 0; u < 3; u++ {
-		for v := 0; v < 3; v++ {
-			g.AddEdge(u, v)
-		}
-	}
-	if c := g.ClusteringCoefficient(); c != 1 {
-		t.Errorf("triangle clustering = %v, want 1", c)
-	}
-	// Star: hub's neighbours unconnected -> clustering 0.
-	star := New(4)
-	star.AddEdge(0, 1)
-	star.AddEdge(0, 2)
-	star.AddEdge(0, 3)
-	if c := star.ClusteringCoefficient(); c != 0 {
-		t.Errorf("star clustering = %v, want 0", c)
-	}
-	if New(0).ClusteringCoefficient() != 0 {
-		t.Error("empty graph clustering should be 0")
-	}
-}
-
-func TestPathLengthStatsRing(t *testing.T) {
-	g := ring(16)
-	r := xrand.New(1)
-	s, maxD := g.PathLengthStats(r, 16)
-	// On a directed 16-ring, distances from any source are 1..15, mean 8.
-	if d := s.Mean() - 8; d > 1e-9 || d < -1e-9 {
-		t.Errorf("mean path length = %v, want 8", s.Mean())
-	}
-	if maxD != 15 {
-		t.Errorf("max distance = %d, want 15", maxD)
-	}
-}
-
 func TestPathLengthStatsEmpty(t *testing.T) {
-	g := New(0)
-	r := xrand.New(1)
-	s, maxD := g.PathLengthStats(r, 4)
+	s, maxD := fromEdges(0, nil).PathLengthStats(xrand.New(1), 4)
 	if s.N() != 0 || maxD != 0 {
 		t.Error("empty graph should yield empty stats")
 	}
 }
 
 func TestPathLengthSamplesClamped(t *testing.T) {
-	g := ring(4)
-	r := xrand.New(1)
-	s, _ := g.PathLengthStats(r, 100) // more samples than nodes
+	s, _ := ring(4).PathLengthStats(xrand.New(1), 100) // more samples than nodes
 	if s.N() != 4*3 {
 		t.Errorf("expected all-pairs coverage, got %d observations", s.N())
 	}
 }
 
-// Property: on random graphs, Reverse(Reverse(g)) preserves the edge set.
+// Property: Reverse(Reverse(g)) preserves the edge set.
 func TestReverseInvolution(t *testing.T) {
 	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 2 + r.Intn(20)
-		g := New(n)
-		for i := 0; i < 3*n; i++ {
-			g.AddEdge(r.Intn(n), r.Intn(n))
-		}
+		g := randomGraph(seed)
 		rr := g.Reverse().Reverse()
 		if rr.M() != g.M() {
 			return false
 		}
-		for u := 0; u < n; u++ {
+		for u := 0; u < g.N(); u++ {
 			for _, v := range g.Out(u) {
 				if !rr.HasEdge(u, int(v)) {
 					return false
@@ -242,14 +191,9 @@ func TestReverseInvolution(t *testing.T) {
 // dist[v] <= dist[u]+1 for every edge u->v with dist[u] >= 0.
 func TestBFSEdgeConsistency(t *testing.T) {
 	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 2 + r.Intn(30)
-		g := New(n)
-		for i := 0; i < 4*n; i++ {
-			g.AddEdge(r.Intn(n), r.Intn(n))
-		}
+		g := randomGraph(seed)
 		d := g.BFS(0)
-		for u := 0; u < n; u++ {
+		for u := 0; u < g.N(); u++ {
 			if d[u] < 0 {
 				continue
 			}

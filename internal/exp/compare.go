@@ -39,7 +39,7 @@ func E4DHTComparison(scale Scale, seed uint64) Table {
 		nw, err := smallworld.Build(cfg)
 		if err == nil {
 			hops := routeHops(nw, seed+1, q)
-			ts := nw.Graph().DegreeStats()
+			ts := nw.CSR().DegreeStats()
 			t.AddRow("model1 (this paper)", "uniform", metrics.Mean(hops),
 				metrics.Percentile(hops, 0.99), ts.Mean(), ts.Max())
 		}
@@ -52,7 +52,7 @@ func E4DHTComparison(scale Scale, seed uint64) Table {
 		nw, err := smallworld.Build(cfg)
 		if err == nil {
 			hops := routeHops(nw, seed+2, q)
-			ts := nw.Graph().DegreeStats()
+			ts := nw.CSR().DegreeStats()
 			t.AddRow("model2 (this paper)", skew.Name(), metrics.Mean(hops),
 				metrics.Percentile(hops, 0.99), ts.Mean(), ts.Max())
 		}

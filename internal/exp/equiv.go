@@ -38,7 +38,7 @@ func E9NormalizationEquivalence(scale Scale, seed uint64) Table {
 			for u := 0; u < g.N(); u++ {
 				for _, v := range g.LongRange(u) {
 					total++
-					if gPrime.Graph().HasEdge(u, int(v)) {
+					if gPrime.CSR().HasEdge(u, int(v)) {
 						agree++
 					}
 				}

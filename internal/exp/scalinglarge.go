@@ -17,14 +17,12 @@ import (
 // O(N log N), memory a flat few hundred bytes per node, and mean hops
 // still ≈ c·log2 N at millions of peers. Build times are wall-clock
 // and therefore machine-dependent; every other column is
-// bit-reproducible from the seed. The trailing cB/node column is the
-// delta-encoded compact adjacency (graph.Compact) in bytes per node: how
-// small the same rows can be stored; the routers read the flat CSR.
+// bit-reproducible from the seed.
 func E20LargeScale(scale Scale, seed uint64) Table {
 	t := Table{
 		ID:      "E20",
 		Title:   "Million-node scale — direct-to-CSR build time, memory, routing (uniform keys)",
-		Columns: []string{"N", "buildMs", "bytes/node", "links", "meanHops", "p99", "mean/log2N", "cB/node"},
+		Columns: []string{"N", "buildMs", "bytes/node", "links", "meanHops", "p99", "mean/log2N"},
 	}
 	sizes := []int{16384, 65536}
 	if scale == Full {
@@ -43,12 +41,10 @@ func E20LargeScale(scale Scale, seed uint64) Table {
 		buildMs := time.Since(start).Milliseconds()
 		hops := routeHops(nw, seed+700+uint64(i), queriesFor(scale))
 		mean := metrics.Mean(hops)
-		cBytes := nw.CompactCSR().Bytes() / int64(n)
 		t.AddRow(n, buildMs, nw.Footprint()/int64(n), nw.CSR().M(), mean,
-			metrics.Percentile(hops, 0.99), mean/log2(n), cBytes)
+			metrics.Percentile(hops, 0.99), mean/log2(n))
 	}
 	t.AddNote("buildMs is wall-clock (machine-dependent); links/hops columns are seed-reproducible")
 	t.AddNote("two-pass CSR assembly + cursor band scans; the mutable graph is never materialised")
-	t.AddNote("cB/node: compact delta-encoded adjacency (vs the 4(N+1)+4M-byte flat CSR inside bytes/node)")
 	return t
 }

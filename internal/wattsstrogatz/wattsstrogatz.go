@@ -10,6 +10,7 @@ package wattsstrogatz
 
 import (
 	"fmt"
+	"slices"
 
 	"smallworld/graph"
 	"smallworld/keyspace"
@@ -35,7 +36,7 @@ type Config struct {
 // comparable with the Kleinberg-style overlays.
 type Network struct {
 	cfg Config
-	g   *graph.Graph
+	csr *graph.CSR
 }
 
 // Build constructs the graph: a ring lattice where each node connects to
@@ -53,7 +54,13 @@ func Build(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("wattsstrogatz: P = %v outside [0,1]", cfg.P)
 	}
 	rng := xrand.New(cfg.Seed)
-	g := graph.New(cfg.N)
+	rows := make([][]int32, cfg.N)
+	// addEdge inserts u -> v unless it is a self-loop or already present.
+	addEdge := func(u, v int) {
+		if u != v && !slices.Contains(rows[u], int32(v)) {
+			rows[u] = append(rows[u], int32(v))
+		}
+	}
 	for u := 0; u < cfg.N; u++ {
 		for j := 1; j <= cfg.K/2; j++ {
 			v := (u + j) % cfg.N
@@ -62,24 +69,29 @@ func Build(cfg Config) (*Network, error) {
 				// duplicates (retry a few times like the original model).
 				for attempt := 0; attempt < 32; attempt++ {
 					w := rng.Intn(cfg.N)
-					if w != u && !g.HasEdge(u, w) {
+					if w != u && !slices.Contains(rows[u], int32(w)) {
 						v = w
 						break
 					}
 				}
 			}
-			g.AddEdge(u, v)
-			g.AddEdge(v, u)
+			addEdge(u, v)
+			addEdge(v, u)
 		}
 	}
-	return &Network{cfg: cfg, g: g}, nil
+	csr := graph.AssembleCSR(cfg.N, 1,
+		func(u int) int { return len(rows[u]) },
+		func(u int, row []int32) { copy(row, rows[u]) },
+	)
+	return &Network{cfg: cfg, csr: csr}, nil
 }
 
 // N returns the number of nodes.
 func (nw *Network) N() int { return nw.cfg.N }
 
-// Graph exposes the underlying graph for analysis.
-func (nw *Network) Graph() *graph.Graph { return nw.g }
+// CSR returns the graph's flat adjacency (rows sorted ascending). It
+// must not be modified.
+func (nw *Network) CSR() *graph.CSR { return nw.csr }
 
 // Key returns node u's ring position u/N.
 func (nw *Network) Key(u int) keyspace.Key {
@@ -107,7 +119,7 @@ func (nw *Network) Route(src, dst int) (hops, last int, arrived bool) {
 			return hops, cur, true
 		}
 		best, bestD := -1, dCur
-		for _, v := range nw.g.Out(cur) {
+		for _, v := range nw.csr.Out(cur) {
 			if d := keyspace.Ring.Distance(nw.Key(int(v)), target); d < bestD {
 				best, bestD = int(v), d
 			}
@@ -123,8 +135,7 @@ func (nw *Network) Route(src, dst int) (hops, last int, arrived bool) {
 
 // Stats reports the two structural small-world measures of the original
 // paper: mean clustering coefficient and mean shortest-path length
-// (sampled over `samples` BFS sources). The graph is frozen to its flat
-// CSR form once and both traversals iterate that.
+// (sampled over `samples` BFS sources), both computed on the CSR.
 func (nw *Network) Stats(r *xrand.Stream, samples int) (clustering, meanPath float64) {
 	return nw.StatsWith(r, samples, &graph.Scratch{})
 }
@@ -133,8 +144,7 @@ func (nw *Network) Stats(r *xrand.Stream, samples int) (clustering, meanPath flo
 // graphs of the same size (E16's rewiring-probability sweep) allocates
 // its dist/queue scratch once instead of per graph.
 func (nw *Network) StatsWith(r *xrand.Stream, samples int, sc *graph.Scratch) (clustering, meanPath float64) {
-	csr := nw.g.Freeze()
-	clustering = csr.ClusteringCoefficient()
-	s, _ := csr.PathLengthStatsWith(r, samples, sc)
+	clustering = nw.csr.ClusteringCoefficient()
+	s, _ := nw.csr.PathLengthStatsWith(r, samples, sc)
 	return clustering, s.Mean()
 }

@@ -36,10 +36,10 @@ func TestRegularLattice(t *testing.T) {
 	// Every node connects to its two successors (and receives the two
 	// reverse edges): total out-degree 4.
 	for u := 0; u < 16; u++ {
-		if d := nw.Graph().OutDegree(u); d != 4 {
+		if d := nw.CSR().OutDegree(u); d != 4 {
 			t.Fatalf("node %d degree %d, want 4", u, d)
 		}
-		if !nw.Graph().HasEdge(u, (u+1)%16) || !nw.Graph().HasEdge(u, (u+2)%16) {
+		if !nw.CSR().HasEdge(u, (u+1)%16) || !nw.CSR().HasEdge(u, (u+2)%16) {
 			t.Fatalf("node %d missing lattice edges", u)
 		}
 	}
@@ -118,12 +118,12 @@ func TestRouteGreedyToSelf(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	a := mustBuild(t, Config{N: 128, K: 4, P: 0.3, Seed: 10})
 	b := mustBuild(t, Config{N: 128, K: 4, P: 0.3, Seed: 10})
-	if a.Graph().M() != b.Graph().M() {
+	if a.CSR().M() != b.CSR().M() {
 		t.Fatal("edge counts differ for equal seeds")
 	}
 	for u := 0; u < a.N(); u++ {
-		for _, v := range a.Graph().Out(u) {
-			if !b.Graph().HasEdge(u, int(v)) {
+		for _, v := range a.CSR().Out(u) {
+			if !b.CSR().HasEdge(u, int(v)) {
 				t.Fatal("edges differ for equal seeds")
 			}
 		}

@@ -7,12 +7,17 @@ package keyspace
 // different layers.
 
 // MidpointRing returns the midpoint of the clockwise arc from a to b.
-// An arc of zero (duplicate identifiers) yields a itself — the
-// zero-width-cell convention Cell documents.
+// Duplicate identifiers yield a itself — the zero-width-cell convention
+// Cell documents. The arc is b−a, plus 1 when that is negative, and is
+// not wrapped: when b sits one ulp below a, the arc 1−(a−b) rounds to
+// 1, a full turn, and must not collapse to the zero arc of a duplicate.
 func MidpointRing(a, b Key) Key {
-	arc := float64(Wrap(float64(b) - float64(a)))
-	if arc == 0 {
+	if a == b {
 		return a
+	}
+	arc := float64(b) - float64(a)
+	if arc < 0 {
+		arc++
 	}
 	return Wrap(float64(a) + arc/2)
 }

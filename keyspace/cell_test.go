@@ -1,7 +1,9 @@
 package keyspace
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -23,6 +25,35 @@ func skewedPoints(n int, pow float64, salt uint64) Points {
 	return SortPoints(p)
 }
 
+// checkCells asserts that the cells of p tile the key space: their
+// lengths sum to 1 within 1e-9, and each probe lies in exactly one
+// cell, whose index Owner returns.
+func checkCells(t testing.TB, topo Topology, p Points, probes []Key) {
+	t.Helper()
+	sum := 0.0
+	for i := range p {
+		sum += Cell(topo, p, i).Length()
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("%v %v: cell lengths sum to %v, want 1", topo, p, sum)
+	}
+	for _, k := range probes {
+		owners, ownerIdx := 0, -1
+		for i := range p {
+			if Cell(topo, p, i).Contains(k) {
+				owners++
+				ownerIdx = i
+			}
+		}
+		if owners != 1 {
+			t.Fatalf("%v %v: key %v in %d cells, want exactly 1", topo, p, k, owners)
+		}
+		if got := Owner(topo, p, k); got != ownerIdx {
+			t.Fatalf("%v %v: Owner(%v) = %d, want %d", topo, p, k, got, ownerIdx)
+		}
+	}
+}
+
 // TestCellTiling pins the cell invariants under skewed keys and
 // non-power-of-two populations, on both topologies: cells are pairwise
 // disjoint, their lengths sum to the full key space, and every probe
@@ -32,13 +63,6 @@ func TestCellTiling(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 7, 37, 100, 257} {
 			for _, pow := range []float64{1, 3, 8} {
 				p := skewedPoints(n, pow, uint64(n)*1000+uint64(pow))
-				sum := 0.0
-				for i := range p {
-					sum += Cell(topo, p, i).Length()
-				}
-				if math.Abs(sum-1) > 1e-9 {
-					t.Fatalf("%v n=%d pow=%g: cell lengths sum to %v, want 1", topo, n, pow, sum)
-				}
 				// Probe keys: uniform grid plus the identifiers and cell
 				// boundaries themselves (the half-open edge cases).
 				probes := make([]Key, 0, 4*n+64)
@@ -52,25 +76,20 @@ func TestCellTiling(t *testing.T) {
 						probes = append(probes, c.Hi)
 					}
 				}
-				for _, k := range probes {
-					owners := 0
-					ownerIdx := -1
-					for i := range p {
-						if Cell(topo, p, i).Contains(k) {
-							owners++
-							ownerIdx = i
-						}
-					}
-					if owners != 1 {
-						t.Fatalf("%v n=%d pow=%g: key %v in %d cells, want exactly 1", topo, n, pow, k, owners)
-					}
-					if got := Owner(topo, p, k); got != ownerIdx {
-						t.Fatalf("%v n=%d pow=%g: Owner(%v) = %d, want %d", topo, n, pow, k, got, ownerIdx)
-					}
-				}
+				checkCells(t, topo, p, probes)
 			}
 		}
 	}
+}
+
+// TestRingCellsUlpAdjacentPair is the regression for two ring points one
+// ulp apart: the clockwise arc from the upper back to the lower rounded
+// to 1 and wrapped to 0, so both cells came out as [b, b) and no point
+// owned any key.
+func TestRingCellsUlpAdjacentPair(t *testing.T) {
+	a := Key(math.Nextafter(0.25, 1))
+	b := Key(math.Nextafter(float64(a), 1))
+	checkCells(t, Ring, Points{a, b}, []Key{0, 0.25, a, b, 0.5, 0.75})
 }
 
 // TestCellDisjointRanges verifies adjacent cells share only their
@@ -117,4 +136,57 @@ func TestOwnerDegenerate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzKey decodes a key from float64 bits with the sign cleared; the
+// result is valid for about half of all words.
+func fuzzKey(bits uint64) Key { return Key(math.Float64frombits(bits &^ (1 << 63))) }
+
+// ulpRun encodes n ulp-adjacent keys upward from x as FuzzCells input.
+func ulpRun(x float64, n int) []byte {
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		x = math.Nextafter(x, 1)
+	}
+	return b
+}
+
+// FuzzCells checks that cells tile [0,1) for any population of up to 16
+// valid keys, decoded from 8-byte words of the input and sorted and
+// deduplicated as every builder guarantees: the cell lengths sum to 1,
+// and the probe key and every point each lie in exactly one cell, the
+// one Owner returns. The seeds are ulp-adjacent runs (mid-range, at 0,
+// below 1, around 0.5) and the one-ulp ring pair that left both cells
+// empty.
+func FuzzCells(f *testing.F) {
+	f.Add(true, math.Float64bits(0.3), ulpRun(math.Nextafter(0.25, 1), 2))
+	f.Add(false, math.Float64bits(0.3), ulpRun(math.Nextafter(0.25, 1), 2))
+	f.Add(true, math.Float64bits(0.5), ulpRun(0.5, 16))
+	f.Add(true, uint64(3), ulpRun(0, 16))
+	f.Add(true, uint64(0), ulpRun(1-15*0x1p-53, 16))
+	f.Add(false, math.Float64bits(0.999), ulpRun(1-15*0x1p-53, 16))
+	f.Add(true, math.Float64bits(0.5), append(ulpRun(0, 1), ulpRun(1-0x1p-53, 1)...))
+	f.Add(true, math.Float64bits(0.49), append(ulpRun(0.1, 1), append(ulpRun(0.5, 2), ulpRun(0.9, 1)...)...))
+	f.Fuzz(func(t *testing.T, ring bool, key uint64, raw []byte) {
+		k := fuzzKey(key)
+		if !k.Valid() {
+			return
+		}
+		var p Points
+		for ; len(raw) >= 8 && len(p) < 16; raw = raw[8:] {
+			if x := fuzzKey(binary.LittleEndian.Uint64(raw)); x.Valid() {
+				p = append(p, x)
+			}
+		}
+		if len(p) == 0 {
+			return
+		}
+		p = slices.Compact(SortPoints(p))
+		topo := Line
+		if ring {
+			topo = Ring
+		}
+		checkCells(t, topo, p, append([]Key{k}, p...))
+	})
 }

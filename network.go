@@ -21,22 +21,10 @@ type Network struct {
 	keys keyspace.Points // sorted identifiers
 	norm []float64       // norm[i] = F(keys[i]), the image of node i in R'
 	mpos []float64       // measure-space positions: norm (Mass) or keys (Geometric)
-	csr  *graph.CSR      // flat adjacency, assembled directly — every hot path reads this
+	csr  *graph.CSR      // the overlay graph: every router and analysis reads this
 	long [][]int32       // long-range targets per node (subset of csr rows)
 
 	shortfall int // long-range links that could not be placed
-
-	// The mutable builder graph is only needed for fault injection and
-	// the mutation-heavy analysis helpers; it is thawed from the CSR
-	// lazily on first Graph() call instead of being built eagerly.
-	gMu sync.Mutex
-	g   *graph.Graph
-
-	// Compact adjacency (delta-encoded uint16 rows, see graph.Compact),
-	// built lazily by CompactCSR for footprint reporting; routing reads
-	// the flat CSR.
-	ccsrOnce sync.Once
-	ccsr     *graph.Compact
 
 	routers sync.Pool // *Router scratch for the allocating convenience API
 
@@ -159,16 +147,7 @@ func build(ctx context.Context, cfg Config, smp sampler) (*Network, error) {
 		return nil, err
 	}
 
-	// Direct-to-CSR assembly: two parallel passes build the flat
-	// adjacency the hot paths read, skipping the mutable sorted-row
-	// Graph (and its per-row inserts plus the extra Freeze copy)
-	// entirely. Rows are neighbouring edges plus the sampled long-range
-	// links; the sampler guarantees they are distinct, so the assembled
-	// CSR is bit-identical to the legacy Graph+Freeze path.
-	nw.csr = graph.AssembleCSR(cfg.N, cfg.Workers,
-		func(u int) int { return nw.neighborTargetCount(u) + len(nw.long[u]) },
-		nw.fillAdjacencyRow,
-	)
+	nw.csr = nw.assembleCSR()
 	for u := 0; u < cfg.N; u++ {
 		nw.shortfall += degree - len(nw.long[u])
 	}
@@ -203,6 +182,17 @@ func placeKeys(cfg Config, master *xrand.Stream) (keyspace.Points, error) {
 		}
 	}
 	return pts, nil
+}
+
+// assembleCSR builds the flat adjacency from the neighbour rule and
+// nw.long in two parallel passes (graph.AssembleCSR). Rows are
+// neighbouring edges plus the long-range links; the sampler guarantees
+// they are distinct, so every row is sorted and duplicate-free.
+func (nw *Network) assembleCSR() *graph.CSR {
+	return graph.AssembleCSR(nw.cfg.N, nw.cfg.Workers,
+		func(u int) int { return nw.neighborTargetCount(u) + len(nw.long[u]) },
+		nw.fillAdjacencyRow,
+	)
 }
 
 // neighborTargetCount returns how many neighbouring-edge targets node u
@@ -305,32 +295,10 @@ func (nw *Network) Key(u int) keyspace.Key { return nw.keys[u] }
 // Norm returns F(key(u)), node u's position in the normalised space R'.
 func (nw *Network) Norm(u int) float64 { return nw.norm[u] }
 
-// Graph returns the underlying directed graph (neighbour + long-range
-// edges). It must not be modified; use Clone for experiments that
-// mutate it. The mutable form is thawed from the CSR on first use —
-// construction itself assembles the CSR directly and never pays for it.
-func (nw *Network) Graph() *graph.Graph {
-	nw.gMu.Lock()
-	defer nw.gMu.Unlock()
-	if nw.g == nil {
-		nw.g = graph.FromCSR(nw.csr)
-	}
-	return nw.g
-}
-
-// CSR returns the frozen compressed-sparse-row snapshot of the overlay
-// graph — the flat adjacency every routing hot path iterates. It must
-// not be modified.
+// CSR returns the overlay graph (neighbour + long-range edges) as a
+// compressed-sparse-row snapshot — the flat adjacency every router and
+// analysis iterates. It must not be modified.
 func (nw *Network) CSR() *graph.CSR { return nw.csr }
-
-// CompactCSR returns the delta-encoded compact form of the adjacency
-// (built once, on first call). It decodes to exactly the same rows as
-// CSR() — same targets, same order, same edge numbering — at roughly
-// half the bytes; see graph.Compact for the encoding.
-func (nw *Network) CompactCSR() *graph.Compact {
-	nw.ccsrOnce.Do(func() { nw.ccsr = graph.Compress(nw.csr) })
-	return nw.ccsr
-}
 
 // LongRange returns node u's long-range targets. The slice must not be
 // modified.
@@ -342,8 +310,7 @@ func (nw *Network) Shortfall() int { return nw.shortfall }
 
 // Footprint returns the approximate resident bytes of the overlay's
 // routing state: identifiers, normalised positions, the CSR adjacency,
-// and the per-node long-range link sets. The lazily thawed analysis
-// graph is not counted (it does not exist unless Graph() was called).
+// and the per-node long-range link sets.
 func (nw *Network) Footprint() int64 {
 	b := int64(len(nw.keys)) * 8 // identifiers
 	b += int64(len(nw.norm)) * 8 // normalised positions
@@ -379,18 +346,16 @@ func (nw *Network) WithFailedLinks(r *xrand.Stream, frac float64) *Network {
 		keys: nw.keys,
 		norm: nw.norm,
 		mpos: nw.mpos,
-		g:    graph.FromCSR(nw.csr),
 		long: make([][]int32, nw.cfg.N),
 	}
+	// One draw per long link, in node order and then link order.
 	for u, links := range nw.long {
 		for _, v := range links {
-			if r.Bool(frac) {
-				derived.g.RemoveEdge(u, int(v))
-			} else {
+			if !r.Bool(frac) {
 				derived.long[u] = append(derived.long[u], v)
 			}
 		}
 	}
-	derived.csr = derived.g.Freeze()
+	derived.csr = derived.assembleCSR()
 	return derived
 }

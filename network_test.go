@@ -30,7 +30,7 @@ func TestBuildUniformBasics(t *testing.T) {
 	if !nw.Keys().IsSorted() {
 		t.Error("keys not sorted")
 	}
-	if !nw.Graph().StronglyConnected() {
+	if !nw.CSR().StronglyConnected() {
 		t.Error("overlay must be strongly connected")
 	}
 	deg := Log2Degree()(n) // 8
@@ -39,7 +39,7 @@ func TestBuildUniformBasics(t *testing.T) {
 	}
 	// Every node: 2 neighbour edges + up to deg long-range.
 	for u := 0; u < n; u++ {
-		out := nw.Graph().OutDegree(u)
+		out := nw.CSR().OutDegree(u)
 		if out < 2 || out > 2+deg {
 			t.Errorf("node %d outdegree %d outside [2,%d]", u, out, 2+deg)
 		}
@@ -53,7 +53,7 @@ func TestBuildLineTopologyNeighbors(t *testing.T) {
 	cfg := UniformConfig(64, 2)
 	cfg.Topology = keyspace.Line
 	nw := mustBuild(t, cfg)
-	g := nw.Graph()
+	g := nw.CSR()
 	// An edge between the endpoints may exist only as a sampled long-range
 	// link, never as a wrapping neighbour edge.
 	if g.HasEdge(0, 63) && !contains(nw.LongRange(0), 63) {
@@ -75,7 +75,7 @@ func TestBuildRingWrapEdges(t *testing.T) {
 	cfg := UniformConfig(64, 2)
 	cfg.Topology = keyspace.Ring
 	nw := mustBuild(t, cfg)
-	if !nw.Graph().HasEdge(0, 63) || !nw.Graph().HasEdge(63, 0) {
+	if !nw.CSR().HasEdge(0, 63) || !nw.CSR().HasEdge(63, 0) {
 		t.Error("ring topology must wrap neighbour edges")
 	}
 }
@@ -88,12 +88,12 @@ func TestBuildDeterministic(t *testing.T) {
 		a := mustBuild(t, cfg)
 		cfg.Workers = 4
 		b := mustBuild(t, cfg)
-		if a.Graph().M() != b.Graph().M() {
+		if a.CSR().M() != b.CSR().M() {
 			t.Fatalf("%v: edge counts differ across worker counts", sampler)
 		}
 		for u := 0; u < a.N(); u++ {
-			for _, v := range a.Graph().Out(u) {
-				if !b.Graph().HasEdge(u, int(v)) {
+			for _, v := range a.CSR().Out(u) {
+				if !b.CSR().HasEdge(u, int(v)) {
 					t.Fatalf("%v: edge %d->%d missing in second build", sampler, u, v)
 				}
 			}
@@ -281,7 +281,7 @@ func TestWithFailedLinks(t *testing.T) {
 			t.Fatal("frac=1 should remove every long-range link")
 		}
 	}
-	if !all.Graph().StronglyConnected() {
+	if !all.CSR().StronglyConnected() {
 		t.Error("ring edges must keep the overlay connected")
 	}
 	// Original untouched.
@@ -294,7 +294,7 @@ func TestWithFailedLinks(t *testing.T) {
 	}
 
 	none := nw.WithFailedLinks(r, 0)
-	if none.Graph().M() != nw.Graph().M() {
+	if none.CSR().M() != nw.CSR().M() {
 		t.Error("frac=0 should preserve all edges")
 	}
 
@@ -307,7 +307,7 @@ func TestWithFailedLinks(t *testing.T) {
 		t.Errorf("frac=0.5 kept %v of links", frac)
 	}
 	// Out-of-range fractions clamp.
-	if nw.WithFailedLinks(r, -3).Graph().M() != nw.Graph().M() {
+	if nw.WithFailedLinks(r, -3).CSR().M() != nw.CSR().M() {
 		t.Error("negative frac should clamp to 0")
 	}
 }

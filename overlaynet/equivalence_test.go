@@ -158,7 +158,7 @@ func TestGoldenWattsStrogatz(t *testing.T) {
 		if legacy.Key(u) != ov.Key(u) {
 			t.Fatalf("key of node %d differs", u)
 		}
-		w, g := legacy.Graph().Out(u), ov.Neighbors(u)
+		w, g := legacy.CSR().Out(u), ov.Neighbors(u)
 		if len(w) != len(g) {
 			t.Fatalf("node %d degree: legacy %d, registry %d", u, len(w), len(g))
 		}

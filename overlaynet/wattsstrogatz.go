@@ -48,7 +48,7 @@ func (o *wsOverlay) Kind() string            { return "wattsstrogatz" }
 func (o *wsOverlay) N() int                  { return o.nw.N() }
 func (o *wsOverlay) Key(u int) keyspace.Key  { return o.keys[u] }
 func (o *wsOverlay) Keys() []keyspace.Key    { return o.keys }
-func (o *wsOverlay) Neighbors(u int) []int32 { return o.nw.Graph().Out(u) }
+func (o *wsOverlay) Neighbors(u int) []int32 { return o.nw.CSR().Out(u) }
 func (o *wsOverlay) Stats() Stats            { return statsOf(o) }
 
 type wsRouter struct {

@@ -54,3 +54,29 @@ func BenchmarkWireEncode(b *testing.B) {
 		}
 	}
 }
+
+// TestFrameCodecZeroAlloc turns BenchmarkWireEncode's 0 allocs/op into
+// a check, for a query frame decoded to its fields: after a warm-up
+// batch, appending the payload and the frame into reused buffers,
+// ParseFrame and the payload Reader allocate nothing.
+func TestFrameCodecZeroAlloc(t *testing.T) {
+	payBuf := make([]byte, 0, 16)
+	frameBuf := make([]byte, 0, 64)
+	batch := func() {
+		for i := 0; i < 1024; i++ {
+			payload := AppendF64(AppendU32(payBuf[:0], uint32(i)), 0.5)
+			frameBuf = AppendFrame(frameBuf[:0], Frame{Type: 1, From: 2, To: 3, Corr: uint64(i), Payload: payload})
+			f, _, err := ParseFrame(frameBuf)
+			rd := NewReader(f.Payload)
+			if err != nil || rd.U32() != uint32(i) || rd.F64() != 0.5 || rd.Err() != nil {
+				t.Fatalf("frame %d did not round-trip: %v", i, err)
+			}
+		}
+	}
+	batch()
+	// AllocsPerRun truncates the per-run mean, so each run codes the
+	// whole batch: one allocation anywhere in it fails.
+	if allocs := testing.AllocsPerRun(4, batch); allocs != 0 {
+		t.Errorf("%v allocations per 1024 frames, want 0", allocs)
+	}
+}
