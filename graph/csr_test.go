@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -67,45 +68,145 @@ func TestCSRReverse(t *testing.T) {
 	}
 }
 
-func TestCSRStronglyConnected(t *testing.T) {
-	if !ring(10).StronglyConnected() {
-		t.Error("directed ring must be strongly connected")
+// varyingGraph builds a random graph over 2..31 nodes from 0..4n random
+// edges, so the set spans sparse, disconnected graphs as well as dense,
+// strongly connected ones.
+func varyingGraph(seed uint64) *CSR {
+	r := xrand.New(seed)
+	n := 2 + r.Intn(30)
+	edges := make([][2]int, r.Intn(4*n+1))
+	for i := range edges {
+		edges[i] = [2]int{r.Intn(n), r.Intn(n)}
 	}
-	if fromEdges(3, [][2]int{{0, 1}, {1, 2}}).StronglyConnected() {
-		t.Error("path graph is not strongly connected")
-	}
-	if !fromEdges(0, nil).StronglyConnected() || !fromEdges(1, nil).StronglyConnected() {
-		t.Error("trivial graphs are connected")
-	}
+	return fromEdges(n, edges)
 }
 
-func TestCSRClusteringMatchesDefinition(t *testing.T) {
-	// Complete directed triangle: clustering = 1.
-	var tri [][2]int
-	for u := 0; u < 3; u++ {
-		for v := 0; v < 3; v++ {
-			tri = append(tri, [2]int{u, v})
+// allPairsHops is the Floyd–Warshall reference for the BFS-based
+// analyses: hop distance from i to j, -1 when j is unreachable from i.
+func allPairsHops(c *CSR) [][]int {
+	n := c.N()
+	d := make([][]int, n)
+	for i := range d {
+		d[i] = make([]int, n)
+		for j := range d[i] {
+			if i != j {
+				d[i][j] = -1
+			}
+		}
+		for _, v := range c.Out(i) {
+			d[i][v] = 1
 		}
 	}
-	if cc := fromEdges(3, tri).ClusteringCoefficient(); cc != 1 {
-		t.Errorf("triangle clustering = %v, want 1", cc)
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			if d[i][k] < 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if d[k][j] < 0 {
+					continue
+				}
+				if h := d[i][k] + d[k][j]; d[i][j] < 0 || h < d[i][j] {
+					d[i][j] = h
+				}
+			}
+		}
 	}
-	star := fromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	if cc := star.ClusteringCoefficient(); cc != 0 {
-		t.Errorf("star clustering = %v, want 0", cc)
+	return d
+}
+
+// Property: StronglyConnectedWith, reusing one Scratch across graphs,
+// agrees with the all-pairs reachability closure.
+func TestCSRStronglyConnected(t *testing.T) {
+	var sc Scratch
+	seen := map[bool]int{}
+	for seed := uint64(0); seed < 200; seed++ {
+		c := varyingGraph(seed)
+		want := true
+		for _, row := range allPairsHops(c) {
+			if slices.Contains(row, -1) {
+				want = false
+			}
+		}
+		if got := c.StronglyConnectedWith(&sc); got != want {
+			t.Fatalf("seed %d: StronglyConnected = %v, want %v", seed, got, want)
+		}
+		seen[want]++
 	}
-	if fromEdges(0, nil).ClusteringCoefficient() != 0 {
-		t.Error("empty graph clustering should be 0")
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("graph set lacks one outcome: %v", seen)
 	}
 }
 
-func TestCSRPathLengthStats(t *testing.T) {
-	s, maxD := ring(16).PathLengthStats(xrand.New(1), 16)
-	// On a directed 16-ring, distances from any source are 1..15, mean 8.
-	if d := s.Mean() - 8; d > 1e-9 || d < -1e-9 {
-		t.Errorf("mean path length = %v, want 8", s.Mean())
+// Property: ClusteringCoefficient equals the directed local clustering
+// definition — per node with k >= 2 out-neighbours, the share of the
+// k(k-1) ordered neighbour pairs (v, w) with an edge v->w, averaged over
+// all n nodes — computed from an adjacency matrix.
+func TestCSRClusteringMatchesDefinition(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		c := varyingGraph(seed)
+		n := c.N()
+		adj := make([][]bool, n)
+		for u := range adj {
+			adj[u] = make([]bool, n)
+			for _, v := range c.Out(u) {
+				adj[u][v] = true
+			}
+		}
+		var total float64
+		for u := 0; u < n; u++ {
+			var nbrs []int
+			for v := 0; v < n; v++ {
+				if adj[u][v] {
+					nbrs = append(nbrs, v)
+				}
+			}
+			k := len(nbrs)
+			if k < 2 {
+				continue
+			}
+			links := 0
+			for _, v := range nbrs {
+				for _, w := range nbrs {
+					if v != w && adj[v][w] {
+						links++
+					}
+				}
+			}
+			total += float64(links) / float64(k*(k-1))
+		}
+		want := total / float64(n)
+		if got := c.ClusteringCoefficient(); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("seed %d: clustering = %v, want %v", seed, got, want)
+		}
 	}
-	if maxD != 15 {
-		t.Errorf("max distance = %d, want 15", maxD)
+}
+
+// Property: with one sample per node, PathLengthStatsWith, reusing one
+// Scratch across graphs, sees every reachable ordered pair once: its
+// count, mean and maximum match the all-pairs reference.
+func TestCSRPathLengthStats(t *testing.T) {
+	var sc Scratch
+	for seed := uint64(0); seed < 200; seed++ {
+		c := varyingGraph(seed)
+		var pairs, sum, farthest int
+		for _, row := range allPairsHops(c) {
+			for _, h := range row {
+				if h > 0 {
+					pairs++
+					sum += h
+					farthest = max(farthest, h)
+				}
+			}
+		}
+		s, maxD := c.PathLengthStatsWith(xrand.New(seed), c.N(), &sc)
+		if s.N() != pairs || maxD != farthest {
+			t.Fatalf("seed %d: %d pairs, max %d; want %d, %d", seed, s.N(), maxD, pairs, farthest)
+		}
+		if pairs > 0 {
+			if want := float64(sum) / float64(pairs); math.Abs(s.Mean()-want) > 1e-9*want {
+				t.Fatalf("seed %d: mean path length = %v, want %v", seed, s.Mean(), want)
+			}
+		}
 	}
 }

@@ -144,10 +144,54 @@ func TestReverse(t *testing.T) {
 	}
 }
 
+func TestStronglyConnected(t *testing.T) {
+	if !ring(10).StronglyConnected() {
+		t.Error("directed ring must be strongly connected")
+	}
+	if fromEdges(3, [][2]int{{0, 1}, {1, 2}}).StronglyConnected() {
+		t.Error("path graph is not strongly connected")
+	}
+	if !fromEdges(0, nil).StronglyConnected() || !fromEdges(1, nil).StronglyConnected() {
+		t.Error("trivial graphs are connected")
+	}
+}
+
 func TestDegreeStats(t *testing.T) {
 	s := ring(8).DegreeStats()
 	if s.Mean() != 1 || s.Min() != 1 || s.Max() != 1 {
 		t.Errorf("ring degree stats = %v", s.String())
+	}
+}
+
+func TestClusteringCoefficient(t *testing.T) {
+	// Complete directed triangle: clustering = 1.
+	var tri [][2]int
+	for u := 0; u < 3; u++ {
+		for v := 0; v < 3; v++ {
+			tri = append(tri, [2]int{u, v})
+		}
+	}
+	if c := fromEdges(3, tri).ClusteringCoefficient(); c != 1 {
+		t.Errorf("triangle clustering = %v, want 1", c)
+	}
+	// Star: hub's neighbours unconnected -> clustering 0.
+	star := fromEdges(4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
+	if c := star.ClusteringCoefficient(); c != 0 {
+		t.Errorf("star clustering = %v, want 0", c)
+	}
+	if fromEdges(0, nil).ClusteringCoefficient() != 0 {
+		t.Error("empty graph clustering should be 0")
+	}
+}
+
+func TestPathLengthStatsRing(t *testing.T) {
+	s, maxD := ring(16).PathLengthStats(xrand.New(1), 16)
+	// On a directed 16-ring, distances from any source are 1..15, mean 8.
+	if d := s.Mean() - 8; d > 1e-9 || d < -1e-9 {
+		t.Errorf("mean path length = %v, want 8", s.Mean())
+	}
+	if maxD != 15 {
+		t.Errorf("max distance = %d, want 15", maxD)
 	}
 }
 
