@@ -3,6 +3,8 @@ package store_test
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"smallworld/keyspace"
@@ -77,32 +79,71 @@ func BenchmarkStoreScanUnderChurn(b *testing.B) {
 // BenchmarkHandoverChurn isolates the handover cost itself: one
 // leave+join cycle per iteration with the ownership events driving
 // window repairs, no foreground queries. The population sweeps N at 8
-// keys per node, so the per-event cost's dependence on N shows.
+// keys per node, so the per-event cost's dependence on N shows. The
+// load/ arm runs the same cycles while one goroutine issues Gets back
+// to back, so each event also waits for the store mutex behind a
+// closed-loop client; gets/op is how many Gets that client completed
+// per cycle.
 func BenchmarkHandoverChurn(b *testing.B) {
 	for _, n := range []int{512, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ctx := context.Background()
-			pub, _ := newServed(b, n, 3)
-			st, err := store.New(pub, store.Config{Replicas: 3, EventDriven: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pub.SetOwnershipWatcher(st.ApplyChange)
-			r := xrand.New(19)
-			val := make([]byte, 64)
-			for i := 0; i < 8*n; i++ {
-				st.Put(0, keyspace.Key(r.Float64()), val)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pub.Leave(ctx, r.Intn(pub.LiveN())); err != nil {
-					b.Fatal(err)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { handoverChurn(b, n, false) })
+	}
+	b.Run("load/n=4096", func(b *testing.B) { handoverChurn(b, 4096, true) })
+}
+
+func handoverChurn(b *testing.B, n int, load bool) {
+	ctx := context.Background()
+	pub, _ := newServed(b, n, 3)
+	st, err := store.New(pub, store.Config{Replicas: 3, EventDriven: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pub.SetOwnershipWatcher(st.ApplyChange)
+	r := xrand.New(19)
+	val := make([]byte, 64)
+	keys := make([]keyspace.Key, 8*n)
+	for i := range keys {
+		keys[i] = keyspace.Key(r.Float64())
+		st.Put(0, keys[i], val)
+	}
+	var gets atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	if load {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				if err := pub.Join(ctx); err != nil {
-					b.Fatal(err)
-				}
+				// Sources below n/2 stay inside the population.
+				st.Get(i%(n/2), keys[i%len(keys)])
+				gets.Add(1)
 			}
-		})
+		}()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	g0 := gets.Load()
+	for i := 0; i < b.N; i++ {
+		if err = pub.Leave(ctx, r.Intn(pub.LiveN())); err == nil {
+			err = pub.Join(ctx)
+		}
+		if err != nil {
+			break
+		}
+	}
+	g1 := gets.Load()
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if load {
+		b.ReportMetric(float64(g1-g0)/float64(b.N), "gets/op")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // moved) and the per-op hop histogram, and sample 1-in-N operation
 // traces. Pass (nil, nil) to switch instrumentation off again.
 func (s *Store) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	s.obsReg = reg
 	s.obsTracer = tracer

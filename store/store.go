@@ -46,10 +46,26 @@
 // key list and touches only their records, so handover costs
 // O(log K + window keys × copies) for K stored keys, independent of N;
 // a departure drops the node's copies through its held-key list.
+//
+// # Locking
+//
+// One mutex guards the data and the member list. A membership event
+// cannot return until ApplyChange has handed the changed range over, and
+// until then the store's member list lags the overlay's, so events get
+// priority on that mutex through a second one, the gate. ApplyChange
+// holds the gate while it waits for the mutex; every other entry point
+// locks and releases the gate before it takes the mutex. A handover then
+// waits only for the operation in progress and, per client, at most one
+// that had already passed the gate. Without the gate, a closed-loop
+// client re-takes the freed mutex ahead of the woken event until Go's
+// mutex enters starvation mode after 1 ms. Operations still meet on the
+// mutex alone, in its normal mode.
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -253,12 +269,16 @@ func removeKey(p keyspace.Points, k keyspace.Key) keyspace.Points {
 
 // Store is the replicated range store. All methods are safe for
 // concurrent use: one mutex guards the data and membership state, while
-// Source.Snapshot loads stay lock-free on the overlay side.
+// Source.Snapshot loads stay lock-free on the overlay side. A second
+// mutex, the gate, lets a membership event take the first ahead of
+// operations that arrive while it waits, so a handover is not held off
+// by a closed-loop client (see Locking in the package doc).
 type Store struct {
-	mu  sync.Mutex
-	src Source
-	r   int
-	evs bool // event-driven membership tracking
+	gate sync.Mutex // held by ApplyChange while it waits for mu
+	mu   sync.Mutex
+	src  Source
+	r    int
+	evs  bool // event-driven membership tracking
 
 	members keyspace.Points
 	// recs maps each stored key to its copies, ascending by holder.
@@ -393,10 +413,19 @@ func (s *Store) syncLocked() {
 	s.flushTransfersLocked()
 }
 
+// lock takes s.mu for every entry point but ApplyChange, after passing
+// through the gate: an empty critical section that queues the caller
+// behind a membership event waiting for s.mu.
+func (s *Store) lock() {
+	s.gate.Lock()
+	s.gate.Unlock()
+	s.mu.Lock()
+}
+
 // Sync forces a membership reconciliation against the source's current
 // snapshot (diff mode; in event mode it only rebinds the router).
 func (s *Store) Sync() {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	s.syncLocked()
 }
@@ -404,9 +433,12 @@ func (s *Store) Sync() {
 // ApplyChange consumes one typed ownership event (event-driven mode):
 // a join hands the stolen range to the newcomer, a leave crashes the
 // node and re-replicates its window from the survivors. Idempotent per
-// event — the two changes a leave emits crash the node once.
+// event — the two changes a leave emits crash the node once. It holds
+// the gate while it waits for the store mutex.
 func (s *Store) ApplyChange(ch overlaynet.OwnershipChange) {
+	s.gate.Lock()
 	s.mu.Lock()
+	s.gate.Unlock()
 	defer s.mu.Unlock()
 	if ch.Joined {
 		if s.rankOfMemberLocked(ch.Node) >= 0 {
@@ -720,7 +752,7 @@ func (s *Store) locateLocked(src int, k keyspace.Key) int {
 // locate route). The write is acknowledged only when every replica in
 // the current population took it.
 func (s *Store) Put(src int, key keyspace.Key, val []byte) PutResult {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	pre := s.stats
 	res := s.putLocked(src, key, val)
@@ -763,7 +795,7 @@ func (s *Store) putLocked(src int, key keyspace.Key, val []byte) PutResult {
 // Get reads key's newest replica from overlay slot src, repairing any
 // stale or missing copies it finds along the way.
 func (s *Store) Get(src int, key keyspace.Key) GetResult {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	pre := s.stats
 	res := s.getLocked(src, key)
@@ -797,7 +829,7 @@ func (s *Store) getLocked(src int, key keyspace.Key) GetResult {
 // newest-wins (with read-repair) per cell. KVs come back in ascending
 // key order along the arc from iv.Lo, across the ring wrap.
 func (s *Store) Scan(src int, iv keyspace.Interval) ScanResult {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	pre := s.stats
 	res := s.scanLocked(src, iv)
@@ -814,6 +846,11 @@ func (s *Store) scanLocked(src int, iv keyspace.Interval) ScanResult {
 		return res
 	}
 	res.Hops = s.locateLocked(src, iv.Lo)
+	// The walk returns at most the stored keys inside iv.
+	runs := s.keyRunsLocked(iv)
+	if k := len(runs[0]) + len(runs[1]); k > 0 {
+		res.KVs = make([]KV, 0, k)
+	}
 	length := iv.Length()
 	start := keyspace.Owner(s.topology, s.members, iv.Lo)
 	rank := start
@@ -865,10 +902,10 @@ func (s *Store) scanLocked(src int, iv keyspace.Interval) ScanResult {
 	// below iv.Lo that belong to the interval's far (wrapped) end; a
 	// final sort by arc displacement makes the ordering guarantee
 	// unconditional.
-	sort.SliceStable(res.KVs, func(i, j int) bool {
-		di := float64(keyspace.Wrap(float64(res.KVs[i].Key) - float64(iv.Lo)))
-		dj := float64(keyspace.Wrap(float64(res.KVs[j].Key) - float64(iv.Lo)))
-		return di < dj
+	slices.SortStableFunc(res.KVs, func(a, b KV) int {
+		da := float64(keyspace.Wrap(float64(a.Key) - float64(iv.Lo)))
+		db := float64(keyspace.Wrap(float64(b.Key) - float64(iv.Lo)))
+		return cmp.Compare(da, db)
 	})
 	return res
 }
@@ -878,7 +915,7 @@ func (s *Store) scanLocked(src int, iv keyspace.Interval) ScanResult {
 // parked on nodes outside it. Deterministic — keys are visited in
 // ascending order.
 func (s *Store) Sweep() {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	pre := s.stats
 	s.sweepLocked()
@@ -927,7 +964,7 @@ func (s *Store) inRanksLocked(m keyspace.Key, ranks []int) bool {
 // currently missing or stale. Zero means every key is fully replicated
 // at its newest version. Non-mutating.
 func (s *Store) Backlog() int {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	backlog := 0
 	var scratch [8]int
@@ -947,7 +984,7 @@ func (s *Store) Backlog() int {
 // set — the durability audit primitive: an acknowledged write is lost
 // iff Newest reports an older stamp (or nothing). Non-mutating.
 func (s *Store) Newest(k keyspace.Key) (Stamp, bool) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	var scratch [8]int
 	best, found := s.newestOnLocked(s.recs[k], s.replicaRanksLocked(k, scratch[:0]))
@@ -960,14 +997,14 @@ func (s *Store) Replicas() int { return s.r }
 // Members returns the store's current member identifiers, ascending.
 // The slice is a copy.
 func (s *Store) Members() keyspace.Points {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	return append(keyspace.Points(nil), s.members...)
 }
 
 // Stats returns a copy of the work counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	return s.stats
 }
