@@ -226,14 +226,16 @@ func (sv *server) walk(snap *overlaynet.Snapshot, origin wire.Addr, corr uint64,
 		local++
 		cur, dCur = next, dNext
 		if owner := sv.c.m.Of(snap.Key(cur)); owner != sv.i {
-			sv.forward(owner, origin, corr, cur, dCur, target, hops, crossings+1)
 			sv.account(local, 0, false)
+			sv.forward(owner, origin, corr, cur, dCur, target, hops, crossings+1)
 			return
 		}
 	}
 	arrived := snap.GreedyArrived(dCur, target)
-	sv.sendResult(origin, corr, cur, hops, crossings, arrived)
+	// Counters are flushed before the message leaves, so a client holding
+	// its result sees every counter the query moved.
 	sv.account(local, crossings, true)
+	sv.sendResult(origin, corr, cur, hops, crossings, arrived)
 }
 
 // forward hands the query to the shard owning the current node's key.

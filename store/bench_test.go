@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"smallworld/dist"
 	"smallworld/keyspace"
 	"smallworld/store"
 	"smallworld/xrand"
@@ -40,6 +41,71 @@ func BenchmarkStorePutGet(b *testing.B) {
 		if res := st.Get(src, k); !res.Found {
 			b.Fatal("lost key")
 		}
+	}
+}
+
+// BenchmarkStoreScan measures store-churn's scan alone: N=4096, R=3,
+// 32,768 power:0.7 keys, scans of width 5e-4 from random sources and
+// starts drawn from the key density, static membership.
+func BenchmarkStoreScan(b *testing.B) {
+	pub, _ := newServed(b, 4096, 1)
+	st, err := store.New(pub, store.Config{Replicas: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := xrand.New(5)
+	val := make([]byte, 128)
+	for i := 0; i < 32768; i++ {
+		st.Put(-1, dist.Sample(dist.NewPower(0.7), r), val)
+	}
+	ivs := make([]keyspace.Interval, 1024)
+	srcs := make([]int, len(ivs))
+	for i := range ivs {
+		lo := dist.Sample(dist.NewPower(0.7), r)
+		ivs[i] = keyspace.Interval{Lo: lo, Hi: keyspace.Wrap(float64(lo) + 5e-4)}
+		srcs[i] = r.Intn(pub.LiveN())
+	}
+	kvs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kvs += len(st.Scan(srcs[i%len(srcs)], ivs[i%len(ivs)]).KVs)
+	}
+	b.ReportMetric(float64(kvs)/float64(b.N), "kvs/op")
+}
+
+// BenchmarkStorePutFresh measures a key's first Put: random-order new
+// keys into a store that already holds 32,768 or 131,072 (N=1024, R=3,
+// no locate route). Every 1/8 of the base count the store is rebuilt
+// off the clock, so it holds between 1 and 1.125 times the base count.
+func BenchmarkStorePutFresh(b *testing.B) {
+	for _, base := range []int{32768, 131072} {
+		b.Run(fmt.Sprintf("keys=%d", base), func(b *testing.B) {
+			pub, _ := newServed(b, 1024, 1)
+			r := xrand.New(21)
+			val := make([]byte, 128)
+			var st *store.Store
+			fill := func() {
+				var err error
+				if st, err = store.New(pub, store.Config{Replicas: 3}); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < base; i++ {
+					st.Put(-1, keyspace.Key(r.Float64()), val)
+				}
+			}
+			fill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%(base/8) == 0 {
+					b.StopTimer()
+					fill()
+					b.StartTimer()
+				}
+				st.Put(-1, keyspace.Key(r.Float64()), val)
+			}
+		})
 	}
 }
 

@@ -157,3 +157,115 @@ func TestStoreGoldenTrace(t *testing.T) {
 		})
 	}
 }
+
+// storeTraceBlocks drives a larger seeded workload through a diff-mode
+// store: N=512 members and an 8,192-key universe, so the stored keys
+// span many record blocks. Keys arrive as fresh puts in random order
+// between overwrites, gets and scans (random, wrapping and near-full
+// intervals). Bursts of leaves take out runs of 48 consecutive members
+// at once, so every key owned inside the run loses all of its replicas
+// and whole blocks of records empty; later puts refill the gaps. Sweeps
+// run periodically.
+func storeTraceBlocks(t *testing.T) goldenTrace {
+	t.Helper()
+	ctx := context.Background()
+	pub, _ := newServed(t, 512, 211)
+	st, err := store.New(pub, store.Config{
+		Replicas:              3,
+		TransferOverheadBytes: 16,
+		ShardOf:               func(k keyspace.Key) int { return int(float64(k) * 64) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(4099)
+	universe := dist.SampleN(dist.NewPower(0.7), rng, 8192)
+	res := fnv.New64a()
+	fresh := 0 // universe[:fresh] have been put at least once
+	put := func(src int, k keyspace.Key, tag string) {
+		digestPut(res, st.Put(src, k, []byte(tag)))
+	}
+	for ; fresh < 3072; fresh++ {
+		put(rng.Intn(pub.LiveN()), universe[fresh], fmt.Sprintf("p%d", fresh))
+	}
+	for round := 0; round < 20; round++ {
+		for op := 0; op < 160; op++ {
+			src := rng.Intn(pub.LiveN())
+			switch u := rng.Float64(); {
+			case u < 0.25 && fresh < len(universe):
+				put(src, universe[fresh], fmt.Sprintf("f%d", fresh))
+				fresh++
+			case u < 0.4:
+				put(src, universe[rng.Intn(fresh)], fmt.Sprintf("r%d.%d", round, op))
+			case u < 0.8:
+				digestGet(res, st.Get(src, universe[rng.Intn(len(universe))]))
+			default:
+				lo := keyspace.Key(rng.Float64())
+				var width float64
+				switch rng.Intn(4) {
+				case 0:
+					width = 1e-3 * rng.Float64()
+				case 1:
+					width = 0.2 * rng.Float64()
+				case 2:
+					lo = keyspace.Wrap(0.98 + 0.04*rng.Float64()) // straddles the wrap
+					width = 0.05 * rng.Float64()
+				default:
+					width = 1 - 1e-3*rng.Float64() // near-full
+				}
+				digestScan(res, st.Scan(src, keyspace.Interval{Lo: lo, Hi: keyspace.Wrap(float64(lo) + width)}))
+			}
+		}
+		switch {
+		case round%4 == 1:
+			// A burst of 48 consecutive members with no store operation
+			// in between.
+			ids := append(keyspace.Points(nil), pub.Snapshot().SortedKeys()...)
+			first := rng.Intn(len(ids))
+			for j := 0; j < 48; j++ {
+				victim := ids[(first+j)%len(ids)]
+				slot := -1
+				for u := 0; u < pub.LiveN(); u++ {
+					if pub.Key(u) == victim {
+						slot = u
+					}
+				}
+				if err := pub.Leave(ctx, slot); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case round%2 == 0:
+			for i := 0; i < 16; i++ {
+				if err := pub.Join(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		default:
+			if err := pub.Leave(ctx, rng.Intn(pub.LiveN())); err != nil {
+				t.Fatal(err)
+			}
+			if err := pub.Join(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round%3 == 2 {
+			st.Sweep()
+		}
+	}
+	nw := fnv.New64a()
+	for _, k := range universe {
+		s, ok := st.Newest(k)
+		fmt.Fprintf(nw, "%x %v %d %d;", math.Float64bits(float64(k)), ok, s.Epoch, s.Seq)
+	}
+	return goldenTrace{stats: st.Stats(), backlog: st.Backlog(), newest: nw.Sum64(), results: res.Sum64()}
+}
+
+// TestStoreGoldenTraceBlocks pins storeTraceBlocks to values recorded
+// from the store that kept its records in a hash map beside a flat
+// sorted key list, before the key-ordered record blocks replaced both.
+func TestStoreGoldenTraceBlocks(t *testing.T) {
+	want := goldenTrace{store.Stats{Puts: 4405, AckedWrites: 4405, Gets: 1234, Scans: 633, Rereplicated: 3102, Trimmed: 2482, BytesMoved: 64554, Sweeps: 6, Transfers: 3102, CrossShardMoves: 823}, 0, 0xd909e2c6e5e3527c, 0x812d106a75f8aa3b}
+	if got := storeTraceBlocks(t); got != want {
+		t.Errorf("trace diverged:\n got %#v\nwant %#v", got, want)
+	}
+}

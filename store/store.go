@@ -39,13 +39,20 @@
 // # Storage layout
 //
 // Copies are stored per key, not per node. Each key has a record: its
-// copies as (holder, version) pairs sorted by holder identifier. Beside
-// the records sit a sorted list of the distinct stored keys and, per
-// member, the sorted list of keys it holds. A Get or Put is one record
-// lookup. A membership event reads its repair window's keys from the
-// key list and touches only their records, so handover costs
-// O(log K + window keys × copies) for K stored keys, independent of N;
-// a departure drops the node's copies through its held-key list.
+// copies as (holder, version) pairs sorted by holder identifier. The
+// records sit in one key-ordered table of blocks, each holding up to 128
+// consecutive stored keys and their records side by side, and a list of
+// the blocks' first keys finds the block; beside the table, each member
+// has the sorted list of keys it holds. A Get or Put finds its record
+// with two binary searches, one over the blocks and one inside a block,
+// and a key's first Put shifts at most one block. A range read — a
+// Scan, a handover's repair window, a Sweep — walks the records in
+// place in key order. A Scan keeps one cursor across the cells it
+// visits and takes each cell's replica set from the cell's rank:
+// O(log K + cells + keys read × copies) for K stored keys. A membership
+// event's handover walks its repair window the same way, in
+// O(log K + window keys × (log N + copies)); a departure drops the
+// node's copies through its held-key list.
 //
 // # Locking
 //
@@ -65,6 +72,7 @@ package store
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -203,6 +211,9 @@ type ScanResult struct {
 	// ring.
 	KVs []KV
 	// Hops is locate plus one successor hop per additional cell walked.
+	// On the line a wrapping interval is read as two walks, [Lo, 1) and
+	// then [0, Hi), and the second adds its own locate from src toward
+	// key 0.
 	Hops int
 	// Cells is how many responsibility cells the walk visited.
 	Cells int
@@ -248,23 +259,38 @@ func newest(rec []replica) (entry, keyspace.Key) {
 	return best, from
 }
 
+// newestOn returns the newest copy of rec held by holders — the first
+// such holder's on equal stamps — whether any holds one, and whether a
+// read repair has anything to fix: a holder without a copy, or with an
+// older one.
+func newestOn(rec []replica, holders []keyspace.Key) (best entry, found, stale bool) {
+	for _, h := range holders {
+		i := holding(rec, h)
+		switch {
+		case i < 0:
+			stale = true
+		case !found:
+			best, found = rec[i].entry, true
+		case best.stamp.Less(rec[i].stamp):
+			best, stale = rec[i].entry, true
+		case rec[i].stamp.Less(best.stamp):
+			stale = true
+		}
+	}
+	return best, found, stale
+}
+
 // insertKey inserts k into the ascending list p, which must not hold it.
 func insertKey(p keyspace.Points, k keyspace.Key) keyspace.Points {
-	i := sort.Search(len(p), func(i int) bool { return p[i] >= k })
-	p = append(p, 0)
-	copy(p[i+1:], p[i:])
-	p[i] = k
-	return p
+	return slices.Insert(p, lowerBound(p, k), k)
 }
 
 // removeKey removes k from the ascending list p when present.
 func removeKey(p keyspace.Points, k keyspace.Key) keyspace.Points {
-	i := sort.Search(len(p), func(i int) bool { return p[i] >= k })
-	if i == len(p) || p[i] != k {
-		return p
+	if i := lowerBound(p, k); i < len(p) && p[i] == k {
+		return slices.Delete(p, i, i+1)
 	}
-	copy(p[i:], p[i+1:])
-	return p[:len(p)-1]
+	return p
 }
 
 // Store is the replicated range store. All methods are safe for
@@ -281,15 +307,15 @@ type Store struct {
 	evs  bool // event-driven membership tracking
 
 	members keyspace.Points
-	// recs maps each stored key to its copies, ascending by holder.
-	recs map[keyspace.Key][]replica
-	// keys lists the distinct stored keys, ascending: the range reads of
-	// handover, Scan and Sweep walk it.
-	keys keyspace.Points
+	// recs holds every stored key's copies, ascending by holder, in key
+	// order: the range reads of handover, Scan and Sweep walk it.
+	recs recTable
 	// held maps each member to the ascending list of keys it holds a copy
 	// of, so a departure drops its copies without scanning the store.
 	// Pointer values let an added copy cost one map lookup, not two.
 	held map[keyspace.Key]*keyspace.Points
+	// holders is scratch for the replica set being read or written.
+	holders []keyspace.Key
 
 	synced   *overlaynet.Snapshot
 	router   *overlaynet.SnapshotRouter
@@ -337,7 +363,6 @@ func New(src Source, cfg Config) (*Store, error) {
 		shardOf:   cfg.ShardOf,
 		batch:     cfg.BatchHandover,
 		overheadB: cfg.TransferOverheadBytes,
-		recs:      make(map[keyspace.Key][]replica),
 		held:      make(map[keyspace.Key]*keyspace.Points),
 	}
 	snap := src.Snapshot()
@@ -488,106 +513,55 @@ func (s *Store) removeMemberLocked(k keyspace.Key) {
 		keys = *p
 	}
 	for _, key := range keys {
-		rec := s.recs[key]
-		j := holding(rec, k)
-		copy(rec[j:], rec[j+1:])
-		rec[len(rec)-1] = replica{}
-		rec = rec[:len(rec)-1]
-		if len(rec) == 0 {
-			delete(s.recs, key)
-			s.keys = removeKey(s.keys, key)
-			continue
+		p, _ := s.recs.search(key)
+		_, rec := s.recs.at(p)
+		j := holding(*rec, k)
+		if *rec = slices.Delete(*rec, j, j+1); len(*rec) == 0 {
+			s.recs.remove(p)
 		}
-		s.recs[key] = rec
 	}
 	delete(s.held, k)
 	copy(s.members[i:], s.members[i+1:])
 	s.members = s.members[:len(s.members)-1]
 }
 
-// writeCopyLocked stores e as the copy of key k held by the member at
-// rank, unless that member's copy is already equal or newer, and
-// reports whether the copy changed. rec is k's record; the returned
-// record may have grown, and the caller hands it to saveRecordLocked.
-func (s *Store) writeCopyLocked(k keyspace.Key, rec []replica, rank int, e entry) ([]replica, bool) {
-	holder := s.members[rank]
+// writeCopyLocked stores e in rec, key k's record, as holder's copy,
+// unless holder's copy is already equal or newer, and reports whether
+// the copy changed.
+func (s *Store) writeCopyLocked(k keyspace.Key, rec *[]replica, holder keyspace.Key, e entry) bool {
+	r := *rec
 	i := 0
-	for i < len(rec) && rec[i].holder < holder {
+	for i < len(r) && r[i].holder < holder {
 		i++
 	}
-	if i < len(rec) && rec[i].holder == holder {
-		if !rec[i].stamp.Less(e.stamp) {
-			return rec, false
+	if i < len(r) && r[i].holder == holder {
+		if !r[i].stamp.Less(e.stamp) {
+			return false
 		}
-		rec[i].entry = e
-		return rec, true
+		r[i].entry = e
+		return true
 	}
-	rec = append(rec, replica{})
-	copy(rec[i+1:], rec[i:])
-	rec[i] = replica{holder: holder, entry: e}
+	*rec = slices.Insert(r, i, replica{holder: holder, entry: e})
 	p := s.held[holder]
 	if p == nil {
 		p = new(keyspace.Points)
 		s.held[holder] = p
 	}
 	*p = insertKey(*p, k)
-	return rec, true
+	return true
 }
 
-// saveRecordLocked stores k's record back after writeCopyLocked calls
-// that started from n copies; a record that did not grow is already in
-// place, and a key's first copies enter it into the key list.
-func (s *Store) saveRecordLocked(k keyspace.Key, rec []replica, n int) {
-	if len(rec) == n {
-		return
-	}
-	if n == 0 {
-		s.keys = insertKey(s.keys, k)
-	}
-	s.recs[k] = rec
-}
-
-// keyRunsLocked returns the stored keys inside iv as two ascending runs
-// of s.keys, to be walked in order: for a wrapping interval the keys
-// below iv.Hi come before those from iv.Lo. The runs alias s.keys, so
-// no key may enter or leave the store while they are walked.
-func (s *Store) keyRunsLocked(iv keyspace.Interval) [2]keyspace.Points {
-	from := func(k keyspace.Key) int {
-		return sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= k })
-	}
-	if iv.Lo <= iv.Hi {
-		return [2]keyspace.Points{s.keys[from(iv.Lo):from(iv.Hi)]}
-	}
-	return [2]keyspace.Points{s.keys[:from(iv.Hi)], s.keys[from(iv.Lo):]}
-}
-
-// newestOnLocked returns the newest copy of rec held by the members at
-// ranks — the first such rank on equal stamps — and whether any holds
-// one.
-func (s *Store) newestOnLocked(rec []replica, ranks []int) (entry, bool) {
-	var best entry
-	found := false
-	for _, rk := range ranks {
-		if i := holding(rec, s.members[rk]); i >= 0 && (!found || best.stamp.Less(rec[i].stamp)) {
-			best, found = rec[i].entry, true
-		}
-	}
-	return best, found
-}
-
-// readRepairLocked writes best to every member at ranks that is missing
-// k or holds an older version, and returns how many copies it fixed.
-func (s *Store) readRepairLocked(k keyspace.Key, rec []replica, ranks []int, best entry) int {
-	n, fixed := len(rec), 0
-	for _, rk := range ranks {
-		var changed bool
-		if rec, changed = s.writeCopyLocked(k, rec, rk, best); changed {
+// readRepairLocked writes best to every holder that is missing k or
+// holds an older version, and returns how many copies it fixed.
+func (s *Store) readRepairLocked(k keyspace.Key, rec *[]replica, holders []keyspace.Key, best entry) int {
+	fixed := 0
+	for _, h := range holders {
+		if s.writeCopyLocked(k, rec, h, best) {
 			fixed++
 			s.stats.ReadRepairs++
 			s.stats.BytesMoved += int64(len(best.val))
 		}
 	}
-	s.saveRecordLocked(k, rec, n)
 	return fixed
 }
 
@@ -638,25 +612,31 @@ func (s *Store) repairArrivalLocked(added keyspace.Key) {
 	s.repairWindowLocked(i)
 }
 
-// replicaRanks returns the ranks holding key k: its owner and the
-// owner's rank successors, min(R, N) of them. On the line the rank
-// order simply wraps like the ring's — replica placement is an index
-// structure, not a routing geometry.
-func (s *Store) replicaRanksLocked(k keyspace.Key, ranks []int) []int {
+// holdersLocked returns the replica set of the cell of the member at
+// rank own: that member and its rank successors, min(R, N) of them. On
+// the line the rank order simply wraps like the ring's — replica
+// placement is an index structure, not a routing geometry. The slice is
+// s.holders, valid until the next call.
+func (s *Store) holdersLocked(own int) []keyspace.Key {
 	n := len(s.members)
-	if n == 0 {
-		return ranks[:0]
+	h := s.holders[:0]
+	for range min(s.r, n) {
+		h = append(h, s.members[own])
+		if own++; own == n {
+			own = 0
+		}
 	}
-	m := s.r
-	if m > n {
-		m = n
+	s.holders = h
+	return h
+}
+
+// keyHoldersLocked returns the replica set of key k, through
+// holdersLocked.
+func (s *Store) keyHoldersLocked(k keyspace.Key) []keyspace.Key {
+	if len(s.members) == 0 {
+		return s.holders[:0]
 	}
-	own := keyspace.Owner(s.topology, s.members, k)
-	ranks = ranks[:0]
-	for j := 0; j < m; j++ {
-		ranks = append(ranks, (own+j)%n)
-	}
-	return ranks
+	return s.holdersLocked(keyspace.Owner(s.topology, s.members, k))
 }
 
 // repairRangeLocked restores full replication for every key currently
@@ -666,36 +646,31 @@ func (s *Store) repairRangeLocked(iv keyspace.Interval) {
 	if iv.Empty() || len(s.members) == 0 {
 		return
 	}
-	for _, run := range s.keyRunsLocked(iv) {
-		for _, k := range run {
-			s.rereplicateKeyLocked(k)
+	for _, run := range s.recs.runs(iv) {
+		for p := run[0]; p != run[1]; p = s.recs.next(p) {
+			k, rec := s.recs.at(p)
+			s.rereplicateKeyLocked(k, rec, s.keyHoldersLocked(k))
 		}
 	}
 }
 
-// rereplicateKeyLocked writes k's newest stored version to every
-// desired replica that is missing it or stale, and returns k's record.
-// The newest version is taken from any member, replica or not: a copy
-// parked outside the replica set can still save the key.
-func (s *Store) rereplicateKeyLocked(k keyspace.Key) []replica {
-	rec := s.recs[k]
-	if len(rec) == 0 {
-		return rec
+// rereplicateKeyLocked writes the newest version in rec, key k's
+// record, to every holder that is missing it or stale. The newest
+// version is taken from any member, replica or not: a copy parked
+// outside the replica set can still save the key.
+func (s *Store) rereplicateKeyLocked(k keyspace.Key, rec *[]replica, holders []keyspace.Key) {
+	if len(*rec) == 0 {
+		return
 	}
-	best, from := newest(rec)
-	n := len(rec)
-	var scratch [8]int
-	for _, rk := range s.replicaRanksLocked(k, scratch[:0]) {
-		var changed bool
-		if rec, changed = s.writeCopyLocked(k, rec, rk, best); !changed {
+	best, from := newest(*rec)
+	for _, h := range holders {
+		if !s.writeCopyLocked(k, rec, h, best) {
 			continue
 		}
 		s.stats.Rereplicated++
 		s.stats.BytesMoved += int64(len(best.val))
-		s.recordHandoverLocked(from, s.members[rk])
+		s.recordHandoverLocked(from, h)
 	}
-	s.saveRecordLocked(k, rec, n)
-	return rec
 }
 
 // recordHandoverLocked accounts one handover/sweep repair copy from
@@ -770,22 +745,20 @@ func (s *Store) putLocked(src int, key keyspace.Key, val []byte) PutResult {
 	s.seq++
 	st := Stamp{Epoch: s.epoch, Seq: s.seq}
 	res := PutResult{Stamp: st, Hops: s.locateLocked(src, key)}
-	var scratch [8]int
-	ranks := s.replicaRanksLocked(key, scratch[:0])
-	rec := s.recs[key]
-	n0 := len(rec)
-	if rec == nil {
-		rec = make([]replica, 0, len(ranks))
+	holders := s.keyHoldersLocked(key)
+	p, ok := s.recs.search(key)
+	if !ok {
+		p = s.recs.insert(p, key, make([]replica, 0, len(holders)))
 	}
-	for j, rk := range ranks {
-		rec, _ = s.writeCopyLocked(key, rec, rk, entry{val: val, stamp: st})
+	_, rec := s.recs.at(p)
+	for j, h := range holders {
+		s.writeCopyLocked(key, rec, h, entry{val: val, stamp: st})
 		if j > 0 {
 			res.Hops++ // one replication hop per extra copy
 		}
 	}
-	s.saveRecordLocked(key, rec, n0)
-	res.Replicas = len(ranks)
-	res.Acked = len(ranks) > 0
+	res.Replicas = len(holders)
+	res.Acked = len(holders) > 0
 	if res.Acked {
 		s.stats.AckedWrites++
 	}
@@ -807,18 +780,23 @@ func (s *Store) getLocked(src int, key keyspace.Key) GetResult {
 	s.syncLocked()
 	s.stats.Gets++
 	res := GetResult{Hops: s.locateLocked(src, key)}
-	var scratch [8]int
-	ranks := s.replicaRanksLocked(key, scratch[:0])
-	if len(ranks) > 1 {
-		res.Hops += len(ranks) - 1 // one hop per extra replica consulted
+	holders := s.keyHoldersLocked(key)
+	if len(holders) > 1 {
+		res.Hops += len(holders) - 1 // one hop per extra replica consulted
 	}
-	rec := s.recs[key]
-	best, found := s.newestOnLocked(rec, ranks)
+	p, ok := s.recs.search(key)
+	if !ok {
+		return res
+	}
+	_, rec := s.recs.at(p)
+	best, found, stale := newestOn(*rec, holders)
 	if !found {
 		return res
 	}
 	res.Found = true
-	res.Repaired = s.readRepairLocked(key, rec, ranks, best)
+	if stale {
+		res.Repaired = s.readRepairLocked(key, rec, holders, best)
+	}
 	res.Val, res.Stamp = best.val, best.stamp
 	return res
 }
@@ -841,42 +819,85 @@ func (s *Store) scanLocked(src int, iv keyspace.Interval) ScanResult {
 	s.syncLocked()
 	s.stats.Scans++
 	var res ScanResult
-	n := len(s.members)
-	if n == 0 || iv.Empty() {
+	if len(s.members) == 0 || iv.Empty() {
 		return res
 	}
-	res.Hops = s.locateLocked(src, iv.Lo)
 	// The walk returns at most the stored keys inside iv.
-	runs := s.keyRunsLocked(iv)
-	if k := len(runs[0]) + len(runs[1]); k > 0 {
+	k := 0
+	for _, run := range s.recs.runs(iv) {
+		k += s.recs.count(run[0], run[1])
+	}
+	if k > 0 {
 		res.KVs = make([]KV, 0, k)
 	}
+	w := scanWalk{res: &res, lo: iv.Lo, last: math.Inf(-1)}
+	res.Hops = s.locateLocked(src, iv.Lo)
+	if s.topology == keyspace.Line && iv.Lo > iv.Hi {
+		// The line has no wrap for the cell walk to follow: read [Lo, 1),
+		// then locate key 0 and read [0, Hi).
+		s.walkCellsLocked(&w, keyspace.Interval{Lo: iv.Lo, Hi: 1})
+		if iv.Hi > 0 {
+			res.Hops += s.locateLocked(src, 0)
+			s.walkCellsLocked(&w, keyspace.Interval{Lo: 0, Hi: iv.Hi})
+		}
+	} else {
+		s.walkCellsLocked(&w, iv)
+	}
+	// Cells are walked in arc order but the first cell may contain keys
+	// below iv.Lo that belong to the interval's far (wrapped) end, and a
+	// cell that wraps through 0 yields its keys below its Hi before those
+	// from its Lo; a stable sort by arc displacement makes the ordering
+	// guarantee unconditional. It runs only when the walk saw a
+	// displacement go backwards.
+	if w.unsorted {
+		slices.SortStableFunc(res.KVs, func(a, b KV) int {
+			da := float64(keyspace.Wrap(float64(a.Key) - float64(iv.Lo)))
+			db := float64(keyspace.Wrap(float64(b.Key) - float64(iv.Lo)))
+			return cmp.Compare(da, db)
+		})
+	}
+	return res
+}
+
+// scanWalk is one Scan's progress through the record table.
+type scanWalk struct {
+	res      *ScanResult
+	lo       keyspace.Key // the scanned interval's Lo: arc order runs from it
+	last     float64      // arc displacement of the last key read
+	unsorted bool         // a key came back below its predecessor's displacement
+}
+
+// walkCellsLocked reads every stored key in iv as an ordered walk across
+// responsibility cells: from the owner of iv.Lo along rank successors
+// until the interval is covered. One cursor into the record table
+// follows the walk, since each cell starts where the one before it
+// ended.
+func (s *Store) walkCellsLocked(w *scanWalk, iv keyspace.Interval) {
+	n := len(s.members)
 	length := iv.Length()
 	start := keyspace.Owner(s.topology, s.members, iv.Lo)
 	rank := start
-	var scratch [8]int
+	var p pos // the first stored key at or above the cell's Lo
 	for steps := 0; steps < n; steps++ {
-		res.Cells++
+		w.res.Cells++
 		cell := keyspace.Cell(s.topology, s.members, rank)
+		if steps == 0 {
+			p = s.recs.seek(cell.Lo)
+		}
 		// Keys this cell's owner is responsible for, restricted to iv, in
 		// ascending key order. Cells tile the key space, so every key in
 		// the cell shares the cell's replica set; every replica is
 		// consulted so a freshly-crashed owner does not hide its keys.
 		if !cell.Empty() {
-			ranks := s.replicaRanksLocked(cell.Lo, scratch[:0])
-			for _, run := range s.keyRunsLocked(cell) {
-				for _, k := range run {
-					if !iv.Contains(k) {
-						continue
-					}
-					rec := s.recs[k]
-					best, found := s.newestOnLocked(rec, ranks)
-					if !found {
-						continue
-					}
-					res.Repaired += s.readRepairLocked(k, rec, ranks, best)
-					res.KVs = append(res.KVs, KV{Key: k, Val: best.val, Stamp: best.stamp})
-				}
+			holders := s.holdersLocked(rank)
+			if cell.Lo < cell.Hi {
+				p = s.readKeysLocked(w, iv, holders, p, cell.Hi)
+			} else {
+				// The cell wraps through 0: the keys below its Hi come
+				// first, then those from its Lo to the table's end.
+				q := s.readKeysLocked(w, iv, holders, pos{}, cell.Hi)
+				s.readKeysLocked(w, iv, holders, p, keyspace.Key(math.Inf(1)))
+				p = q
 			}
 		}
 		var covered float64
@@ -896,18 +917,38 @@ func (s *Store) scanLocked(src int, iv keyspace.Interval) ScanResult {
 			break // wrapped the whole ring, or hit the line's top end
 		}
 		rank = next
-		res.Hops++
+		w.res.Hops++
 	}
-	// Cells are walked in arc order but the first cell may contain keys
-	// below iv.Lo that belong to the interval's far (wrapped) end; a
-	// final sort by arc displacement makes the ordering guarantee
-	// unconditional.
-	slices.SortStableFunc(res.KVs, func(a, b KV) int {
-		da := float64(keyspace.Wrap(float64(a.Key) - float64(iv.Lo)))
-		db := float64(keyspace.Wrap(float64(b.Key) - float64(iv.Lo)))
-		return cmp.Compare(da, db)
-	})
-	return res
+}
+
+// readKeysLocked reads the stored keys from p up to the first at or
+// above hi, keeping those inside iv: each one's newest copy on holders
+// joins the result, and stale or missing copies there are repaired. It
+// returns the position after the run.
+func (s *Store) readKeysLocked(w *scanWalk, iv keyspace.Interval, holders []keyspace.Key, p pos, hi keyspace.Key) pos {
+	for ; s.recs.valid(p); p = s.recs.next(p) {
+		k, rec := s.recs.at(p)
+		if k >= hi {
+			break
+		}
+		if !iv.Contains(k) {
+			continue
+		}
+		best, found, stale := newestOn(*rec, holders)
+		if !found {
+			continue
+		}
+		if stale {
+			w.res.Repaired += s.readRepairLocked(k, rec, holders, best)
+		}
+		if d := float64(keyspace.Wrap(float64(k) - float64(w.lo))); d < w.last {
+			w.unsorted = true
+		} else {
+			w.last = d
+		}
+		w.res.KVs = append(w.res.KVs, KV{Key: k, Val: best.val, Stamp: best.stamp})
+	}
+	return p
 }
 
 // Sweep is the anti-entropy backstop: one full pass that restores every
@@ -925,39 +966,29 @@ func (s *Store) Sweep() {
 func (s *Store) sweepLocked() {
 	s.syncLocked()
 	s.stats.Sweeps++
-	var scratch [8]int
 	// Re-replication only adds copies of stored keys and the trim keeps
-	// each key's replica set, so the key list is stable under the walk.
-	for _, k := range s.keys {
-		rec := s.rereplicateKeyLocked(k)
-		ranks := s.replicaRanksLocked(k, scratch[:0])
-		w := 0
-		for _, c := range rec {
-			if s.inRanksLocked(c.holder, ranks) {
-				rec[w] = c
+	// each key's replica set, so no key leaves the table under the walk.
+	for p := (pos{}); s.recs.valid(p); p = s.recs.next(p) {
+		k, rec := s.recs.at(p)
+		holders := s.keyHoldersLocked(k)
+		s.rereplicateKeyLocked(k, rec, holders)
+		r, w := *rec, 0
+		for _, c := range r {
+			if slices.Contains(holders, c.holder) {
+				r[w] = c
 				w++
 				continue
 			}
-			p := s.held[c.holder]
-			*p = removeKey(*p, k)
+			h := s.held[c.holder]
+			*h = removeKey(*h, k)
 			s.stats.Trimmed++
 		}
-		if w < len(rec) {
-			clear(rec[w:])
-			s.recs[k] = rec[:w]
+		if w < len(r) {
+			clear(r[w:])
+			*rec = r[:w]
 		}
 	}
 	s.flushTransfersLocked()
-}
-
-// inRanksLocked reports whether member m sits at one of ranks.
-func (s *Store) inRanksLocked(m keyspace.Key, ranks []int) bool {
-	for _, rk := range ranks {
-		if s.members[rk] == m {
-			return true
-		}
-	}
-	return false
 }
 
 // Backlog counts the re-replication debt: (key, replica) placements
@@ -967,12 +998,11 @@ func (s *Store) Backlog() int {
 	s.lock()
 	defer s.mu.Unlock()
 	backlog := 0
-	var scratch [8]int
-	for _, k := range s.keys {
-		rec := s.recs[k]
-		best, _ := newest(rec)
-		for _, rk := range s.replicaRanksLocked(k, scratch[:0]) {
-			if i := holding(rec, s.members[rk]); i < 0 || rec[i].stamp.Less(best.stamp) {
+	for p := (pos{}); s.recs.valid(p); p = s.recs.next(p) {
+		k, rec := s.recs.at(p)
+		best, _ := newest(*rec)
+		for _, h := range s.keyHoldersLocked(k) {
+			if i := holding(*rec, h); i < 0 || (*rec)[i].stamp.Less(best.stamp) {
 				backlog++
 			}
 		}
@@ -986,8 +1016,12 @@ func (s *Store) Backlog() int {
 func (s *Store) Newest(k keyspace.Key) (Stamp, bool) {
 	s.lock()
 	defer s.mu.Unlock()
-	var scratch [8]int
-	best, found := s.newestOnLocked(s.recs[k], s.replicaRanksLocked(k, scratch[:0]))
+	p, ok := s.recs.search(k)
+	if !ok {
+		return Stamp{}, false
+	}
+	_, rec := s.recs.at(p)
+	best, found, _ := newestOn(*rec, s.keyHoldersLocked(k))
 	return best.stamp, found
 }
 

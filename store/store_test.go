@@ -12,12 +12,18 @@ import (
 	"smallworld/xrand"
 )
 
-// newServed builds an incremental overlay behind a per-event Publisher —
-// the store's natural habitat.
+// newServed builds an incremental ring overlay behind a per-event
+// Publisher — the store's natural habitat.
 func newServed(t testing.TB, n int, seed uint64) (*overlaynet.Publisher, overlaynet.Dynamic) {
 	t.Helper()
+	return servedOn(t, keyspace.Ring, n, seed)
+}
+
+// servedOn is newServed on a chosen topology.
+func servedOn(t testing.TB, topo keyspace.Topology, n int, seed uint64) (*overlaynet.Publisher, overlaynet.Dynamic) {
+	t.Helper()
 	dyn, err := overlaynet.NewIncremental(context.Background(), "smallworld-skewed",
-		overlaynet.Options{N: n, Seed: seed, Dist: dist.NewPower(0.7), Topology: keyspace.Ring})
+		overlaynet.Options{N: n, Seed: seed, Dist: dist.NewPower(0.7), Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,15 +121,17 @@ func (t *ChanTransport) Send(to Addr, frame []byte) error {
 		t.bufs.Put(bp)
 		return ErrClosed
 	}
-	ep.queue = append(ep.queue, buf)
-	ep.mu.Unlock()
-	ep.cond.Signal()
+	// Count before the frame is visible to the drain loop, so whoever
+	// handles it, and whatever it causes, sees the send counted.
 	t.sends.Add(1)
 	t.bytes.Add(uint64(len(frame)))
 	if reg := t.obsReg; reg != nil {
 		reg.WireSends.Inc(t.obsHint)
 		reg.WireBytes.Add(t.obsHint, uint64(len(frame)))
 	}
+	ep.queue = append(ep.queue, buf)
+	ep.mu.Unlock()
+	ep.cond.Signal()
 	return nil
 }
 
