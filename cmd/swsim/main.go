@@ -144,6 +144,9 @@ func main() {
 		os.Exit(1)
 	}
 
+	if err := checkCounts(*queries, *replicas); err != nil {
+		die(err)
+	}
 	d, err := dist.Parse(*distFlag)
 	if err != nil {
 		die(err)
@@ -364,7 +367,8 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	if *fail > 0 {
+	if *fail != 0 {
+		// FailLinks rejects a fraction outside [0, 1], NaN included.
 		fi, ok := ov.(overlaynet.FaultInjector)
 		if !ok {
 			die(fmt.Errorf("topology %q does not support link failure injection", *topology))
@@ -412,4 +416,17 @@ func main() {
 				strings.Repeat("#", int(share)))
 		}
 	}
+}
+
+// checkCounts rejects the count flags no run can use: fewer than one
+// lookup, whose hop statistics would be NaN, and a negative replica
+// count, which would otherwise run the scenario without the store.
+func checkCounts(queries, replicas int) error {
+	if queries < 1 {
+		return fmt.Errorf("-queries %d: need at least 1 lookup", queries)
+	}
+	if replicas < 0 {
+		return fmt.Errorf("-replicas %d: need 0 (the default R) or more", replicas)
+	}
+	return nil
 }

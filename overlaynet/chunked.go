@@ -3,7 +3,6 @@ package overlaynet
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"smallworld/graph"
 	"smallworld/keyspace"
@@ -33,8 +32,9 @@ import (
 //     as parallel arrays). Rank positions shift on every insert/remove,
 //     which would touch O(N/chunk) chunks if chunks were fixed-size —
 //     so rank chunks are variable-length (split at 512, built at 256)
-//     and a small cumulative-count spine locates a rank in
-//     O(log #chunks). An insert shifts entries within ONE chunk. The
+//     and a small cumulative-count spine locates a rank, and a fence of
+//     chunk maxima a key, in O(log #chunks). An insert shifts entries
+//     within ONE chunk. The
 //     store embeds the rankView it would hand out, so the writer's
 //     searches and the snapshots' searches are the same code.
 //   - adjStore:  slot-indexed out-rows (Snapshot.adj), in blocks of a
@@ -188,53 +188,118 @@ func (c *rankChunk) clone() *rankChunk {
 
 // rankView is a rank index: a frozen one shared into a Snapshot, or the
 // live one a rankStore embeds. cum[j] is the number of rank entries
-// before chunk j (len(chunks)+1 entries), so rank→chunk location is a
-// binary search over a few dozen int32s. Invariant: every chunk is
-// non-empty (an empty index has no chunks).
+// before chunk j (len(chunks)+1 entries), and fence[j] is chunk j's
+// largest identifier, its last key. A rank lookup searches cum and a key
+// lookup searches the fence, both flat arrays of a few hundred entries,
+// and then one chunk; the search returns a rankPos, and every read of
+// that rank's key or slot, or of its neighbours', goes through the
+// position instead of searching again. Invariants: every chunk is
+// non-empty (an empty index has no chunks), and fence[j] equals
+// chunks[j].keys[len(chunks[j].keys)-1] for every j.
 type rankView struct {
 	chunks []*rankChunk
 	cum    []int32
+	fence  []keyspace.Key
 	n      int
 }
+
+// rankPos is a position in a rankView: entry off of chunk c. The
+// position one past the last rank is (len(chunks), 0).
+type rankPos struct{ c, off int }
 
 // Len returns the number of rank entries.
 func (v rankView) Len() int { return v.n }
 
-// chunkOf locates global rank i: the chunk index and in-chunk offset.
-// Rank n locates to (len(chunks), 0), one past the last chunk.
-func (v rankView) chunkOf(i int) (int, int) {
-	c := sort.Search(len(v.chunks), func(j int) bool { return int(v.cum[j+1]) > i })
-	return c, i - int(v.cum[c])
+// at locates global rank i. Rank n locates to (len(chunks), 0), one
+// past the last chunk.
+func (v rankView) at(i int) rankPos {
+	lo, hi := 0, len(v.chunks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(v.cum[m+1]) > i {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return rankPos{lo, i - int(v.cum[lo])}
+}
+
+// seek locates the first rank whose key is >= x: a lower bound over the
+// fence, then within one chunk. It returns (len(chunks), 0) when no key
+// is >= x, NaN x included, as sort.Search with the same predicate does.
+// This is the primitive the keyspace.Points search family is rebuilt
+// from, bit-identical because both reduce to the same total order on
+// keys.
+func (v rankView) seek(x keyspace.Key) rankPos {
+	lo, hi := 0, len(v.fence)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.fence[m] >= x {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(v.fence) {
+		return rankPos{lo, 0}
+	}
+	keys := v.chunks[lo].keys
+	a, b := 0, len(keys)
+	for a < b {
+		m := int(uint(a+b) >> 1)
+		if keys[m] >= x {
+			b = m
+		} else {
+			a = m + 1
+		}
+	}
+	return rankPos{lo, a}
+}
+
+// rank returns the global rank at p.
+func (v rankView) rank(p rankPos) int { return int(v.cum[p.c]) + p.off }
+
+// key returns the identifier at p.
+func (v rankView) key(p rankPos) keyspace.Key { return v.chunks[p.c].keys[p.off] }
+
+// slot returns the slot holding the identifier at p.
+func (v rankView) slot(p rankPos) int32 { return v.chunks[p.c].slots[p.off] }
+
+// next returns the position after p, wrapping from the last rank to
+// rank 0.
+func (v rankView) next(p rankPos) rankPos {
+	if p.off++; p.off == len(v.chunks[p.c].keys) {
+		p.off = 0
+		if p.c++; p.c == len(v.chunks) {
+			p.c = 0
+		}
+	}
+	return p
+}
+
+// prev returns the position before p, wrapping from rank 0 to the last
+// rank; the position one past the last rank steps back to the last.
+func (v rankView) prev(p rankPos) rankPos {
+	if p.off == 0 {
+		if p.c == 0 {
+			p.c = len(v.chunks)
+		}
+		p.c--
+		p.off = len(v.chunks[p.c].keys)
+	}
+	p.off--
+	return p
 }
 
 // KeyAt returns the identifier at rank i.
-func (v rankView) KeyAt(i int) keyspace.Key {
-	c, off := v.chunkOf(i)
-	return v.chunks[c].keys[off]
-}
+func (v rankView) KeyAt(i int) keyspace.Key { return v.key(v.at(i)) }
 
 // SlotAt returns the slot holding rank i.
-func (v rankView) SlotAt(i int) int32 {
-	c, off := v.chunkOf(i)
-	return v.chunks[c].slots[off]
-}
+func (v rankView) SlotAt(i int) int32 { return v.slot(v.at(i)) }
 
-// succIdx returns the first rank whose key is >= x (n when none) —
-// sort.Search over the chunk maxima, then within one chunk. This is
-// the primitive the keyspace.Points search family is rebuilt from,
-// bit-identical because both reduce to the same total order on keys.
-func (v rankView) succIdx(x keyspace.Key) int {
-	c := sort.Search(len(v.chunks), func(j int) bool {
-		ch := v.chunks[j]
-		return ch.keys[len(ch.keys)-1] >= x
-	})
-	if c == len(v.chunks) {
-		return v.n
-	}
-	ch := v.chunks[c]
-	off := sort.Search(len(ch.keys), func(i int) bool { return ch.keys[i] >= x })
-	return int(v.cum[c]) + off
-}
+// succIdx returns the first rank whose key is >= x (n when none).
+func (v rankView) succIdx(x keyspace.Key) int { return v.rank(v.seek(x)) }
 
 // Successor mirrors keyspace.Points.Successor: first rank with key
 // >= x, wrapping to 0 past the top.
@@ -260,58 +325,78 @@ func (v rankView) Predecessor(x keyspace.Key) int {
 // lower-index tie-break, so routing termination decisions are
 // bit-identical to the flat path.
 func (v rankView) Nearest(t keyspace.Topology, x keyspace.Key) int {
+	i, _, _ := v.nearest(t, x)
+	return i
+}
+
+// nearest is Nearest that also returns the winner's slot and its
+// distance to x, read at the position the one search found: -1 when
+// the index is empty.
+func (v rankView) nearest(t keyspace.Topology, x keyspace.Key) (i int, slot int32, d float64) {
 	if v.n == 0 {
-		return -1
+		return -1, -1, 0
 	}
-	i := v.succIdx(x)
-	succ := i
-	if succ == v.n {
-		succ = 0
+	s := v.seek(x)
+	p := v.prev(s) // the predecessor, wrapping to the last rank
+	if s.c == len(v.chunks) {
+		s = rankPos{} // the successor wraps to rank 0
 	}
-	pred := i - 1
-	if i == 0 {
-		pred = v.n - 1
+	ds := t.Distance(v.key(s), x)
+	dp := t.Distance(v.key(p), x)
+	si, pi := v.rank(s), v.rank(p)
+	if dp < ds || (dp == ds && pi < si) {
+		return pi, v.slot(p), dp
 	}
-	ds := t.Distance(v.KeyAt(succ), x)
-	dp := t.Distance(v.KeyAt(pred), x)
-	if dp < ds || (dp == ds && pred < succ) {
-		return pred
-	}
-	return succ
+	return si, v.slot(s), ds
 }
 
 // NearestExcluding mirrors keyspace.Points.NearestExcluding exactly:
-// the rank closest to x other than self, lower rank on a tie, probing
-// outward from x's successor the same ranks in the same order; -1 with
+// the rank closest to x other than self, lower rank on a tie; -1 with
 // fewer than two entries. The incremental overlay's link draws resolve
 // through it.
 func (v rankView) NearestExcluding(t keyspace.Topology, x keyspace.Key, self int) int {
-	n := v.n
-	if n < 2 {
-		return -1
+	i, _ := v.nearestExcluding(t, x, self)
+	return i
+}
+
+// nearestExcluding is NearestExcluding that also returns the winner's
+// position. Points probes the three ranks from x's successor upward and
+// the three below it and keeps the least (distance, rank) pair, which
+// does not depend on the probe order; here one cursor walks each way
+// from the position of x's successor. (Points probes on past those six
+// only while it has kept nothing, which with two or more entries means
+// every distance to x is NaN or +Inf; no probe is kept here either.)
+func (v rankView) nearestExcluding(t keyspace.Topology, x keyspace.Key, self int) (int, rankPos) {
+	if v.n < 2 {
+		return -1, rankPos{}
 	}
-	best, bestD := -1, math.Inf(1)
-	start := v.Successor(x)
-	for off := 0; off < n; off++ {
-		for _, i := range [2]int{(start + off) % n, ((start-off-1)%n + n) % n} {
-			if i == self {
-				continue
-			}
-			if d := t.Distance(v.KeyAt(i), x); d < bestD || (d == bestD && i < best) {
-				best, bestD = i, d
+	best, bestP, bestD := -1, rankPos{}, math.Inf(1)
+	up := v.seek(x)
+	if up.c == len(v.chunks) {
+		up = rankPos{} // Successor wraps to rank 0
+	}
+	down := up
+	for step := 0; step < 3; step++ {
+		if i := v.rank(up); i != self {
+			if d := t.Distance(v.key(up), x); d < bestD || (d == bestD && i < best) {
+				best, bestP, bestD = i, up, d
 			}
 		}
-		if best >= 0 && off >= 2 {
-			break
+		down = v.prev(down)
+		if i := v.rank(down); i != self {
+			if d := t.Distance(v.key(down), x); d < bestD || (d == bestD && i < best) {
+				best, bestP, bestD = i, down, d
+			}
 		}
+		up = v.next(up)
 	}
-	return best
+	return best, bestP
 }
 
 // Has reports whether x is one of the indexed identifiers.
 func (v rankView) Has(x keyspace.Key) bool {
-	i := v.succIdx(x)
-	return i < v.n && v.KeyAt(i) == x
+	p := v.seek(x)
+	return p.c < len(v.chunks) && v.key(p) == x
 }
 
 // Cell mirrors keyspace.Cell over the sorted identifiers: it hands
@@ -322,32 +407,49 @@ func (v rankView) Cell(t keyspace.Topology, i int) keyspace.Interval {
 	if i < 0 || i >= n {
 		return keyspace.Interval{}
 	}
-	if t == keyspace.Ring && n > 1 {
-		w := keyspace.Points{v.KeyAt((i + n - 1) % n), v.KeyAt(i), v.KeyAt((i + 1) % n)}
-		return keyspace.Cell(t, w, 1)
-	}
-	lo, hi := max(i-1, 0), min(i+2, n)
+	p := v.at(i)
 	var w [3]keyspace.Key
-	for j := lo; j < hi; j++ {
-		w[j-lo] = v.KeyAt(j)
+	m, self := 0, 0
+	if i > 0 || t == keyspace.Ring && n > 1 {
+		w[0], m, self = v.key(v.prev(p)), 1, 1
 	}
-	return keyspace.Cell(t, w[:hi-lo], i-lo)
+	w[m] = v.key(p)
+	m++
+	if i+1 < n || t == keyspace.Ring && n > 1 {
+		w[m] = v.key(v.next(p))
+		m++
+	}
+	return keyspace.Cell(t, w[:m], self)
 }
 
 // rankOf returns the rank of slot u, whose identifier is k, or -1 when
-// u is not indexed. Binary search lands on the first rank holding k;
-// duplicate identifiers (which only the generic NewSnapshot path can
-// index) are resolved by scanning the equal run for the slot itself.
+// u is not indexed.
 func (v rankView) rankOf(k keyspace.Key, u int32) int {
-	for i := v.succIdx(k); i < v.n; i++ {
-		if v.SlotAt(i) == u {
-			return i
+	p, ok := v.posOf(k, u)
+	if !ok {
+		return -1
+	}
+	return v.rank(p)
+}
+
+// posOf returns the position of slot u, whose identifier is k. The
+// search lands on the first rank holding k; duplicate identifiers
+// (which only the generic NewSnapshot path can index) are resolved by
+// walking the equal run for the slot itself.
+func (v rankView) posOf(k keyspace.Key, u int32) (rankPos, bool) {
+	for p := v.seek(k); p.c < len(v.chunks); {
+		ch := v.chunks[p.c]
+		if ch.slots[p.off] == u {
+			return p, true
 		}
-		if v.KeyAt(i) != k {
+		if ch.keys[p.off] != k {
 			break
 		}
+		if p.off++; p.off == len(ch.keys) {
+			p = rankPos{p.c + 1, 0}
+		}
 	}
-	return -1
+	return rankPos{}, false
 }
 
 // materializeKeys copies the sorted identifiers into a flat Points —
@@ -375,7 +477,7 @@ func (v rankView) materializeSlots() []int32 {
 // the writer searches it in place, and capture() freezes a copy of its
 // spine. Inserts and removes shift entries within a single chunk; the
 // cum spine is rebuilt from the touched chunk onward (O(#chunks) int32
-// writes per event).
+// writes per event), and the fence moves with the chunks.
 type rankStore struct {
 	rankView
 	owned []bool // owned[j]: chunk j not shared with any snapshot
@@ -393,7 +495,10 @@ func newRankStore(byKey keyspace.Points, order []int32) *rankStore {
 	return rs
 }
 
-// rebuildCum recomputes the cumulative counts from chunk c onward.
+// rebuildCum recomputes the cumulative counts from chunk c onward and
+// the fence entries of chunks c and c+1, the only chunks whose contents
+// an insert or remove at chunk c changes; the callers shift the fence
+// entries of later chunks along with the chunks themselves.
 func (rs *rankStore) rebuildCum(c int) {
 	if cap(rs.cum) < len(rs.chunks)+1 {
 		cum := make([]int32, len(rs.chunks)+1, 2*(len(rs.chunks)+1))
@@ -403,6 +508,10 @@ func (rs *rankStore) rebuildCum(c int) {
 	rs.cum = rs.cum[:len(rs.chunks)+1]
 	for j := c; j < len(rs.chunks); j++ {
 		rs.cum[j+1] = rs.cum[j] + int32(len(rs.chunks[j].keys))
+	}
+	for j := c; j < min(c+2, len(rs.chunks)); j++ {
+		keys := rs.chunks[j].keys
+		rs.fence[j] = keys[len(keys)-1]
 	}
 }
 
@@ -414,9 +523,10 @@ func (rs *rankStore) ensureOwned(c int) *rankChunk {
 	return rs.chunks[c]
 }
 
-// insert places identifier k, held by slot, at rank i, shifting ranks
-// i.. up by one.
-func (rs *rankStore) insert(i int, k keyspace.Key, slot int32) {
+// insert places identifier k, held by slot, at position p (as seek or
+// at returned it), shifting the ranks from p on up by one, and returns
+// the position k now holds.
+func (rs *rankStore) insert(p rankPos, k keyspace.Key, slot int32) rankPos {
 	if len(rs.chunks) == 0 {
 		c := &rankChunk{
 			keys:  make([]keyspace.Key, 0, rankChunkCap),
@@ -424,18 +534,18 @@ func (rs *rankStore) insert(i int, k keyspace.Key, slot int32) {
 		}
 		rs.chunks = append(rs.chunks, c)
 		rs.owned = append(rs.owned, true)
-		rs.rebuildCum(0)
-	}
-	c, off := rs.chunkOf(i)
-	if c == len(rs.chunks) {
+		rs.fence = append(rs.fence, k)
+		p = rankPos{}
+	} else if p.c == len(rs.chunks) {
 		// Append past the end: goes into the last chunk.
-		c = len(rs.chunks) - 1
-		off = len(rs.chunks[c].keys)
+		p.c = len(rs.chunks) - 1
+		p.off = len(rs.chunks[p.c].keys)
 	}
-	lo := c // leftmost chunk whose cumulative count changes
-	ch := rs.ensureOwned(c)
+	lo := p.c // leftmost chunk whose cumulative count changes
+	ch := rs.ensureOwned(p.c)
 	if len(ch.keys) >= rankChunkCap {
 		// Split the full chunk into two owned halves, then re-locate.
+		c := p.c
 		mid := len(ch.keys) / 2
 		right := &rankChunk{
 			keys:  make([]keyspace.Key, len(ch.keys)-mid, rankChunkCap),
@@ -445,17 +555,14 @@ func (rs *rankStore) insert(i int, k keyspace.Key, slot int32) {
 		copy(right.slots, ch.slots[mid:])
 		ch.keys = ch.keys[:mid]
 		ch.slots = ch.slots[:mid]
-		rs.chunks = append(rs.chunks, nil)
-		copy(rs.chunks[c+2:], rs.chunks[c+1:])
-		rs.chunks[c+1] = right
-		rs.owned = append(rs.owned, false)
-		copy(rs.owned[c+2:], rs.owned[c+1:])
-		rs.owned[c+1] = true
-		if off > mid {
-			c, off = c+1, off-mid
-			ch = right
+		rs.chunks = slices.Insert(rs.chunks, c+1, right)
+		rs.owned = slices.Insert(rs.owned, c+1, true)
+		rs.fence = slices.Insert(rs.fence, c+1, 0)
+		if p.off > mid {
+			p, ch = rankPos{c + 1, p.off - mid}, right
 		}
 	}
+	off := p.off
 	ch.keys = append(ch.keys, 0)
 	copy(ch.keys[off+1:], ch.keys[off:])
 	ch.keys[off] = k
@@ -464,11 +571,14 @@ func (rs *rankStore) insert(i int, k keyspace.Key, slot int32) {
 	ch.slots[off] = slot
 	rs.n++
 	rs.rebuildCum(lo)
+	return p
 }
 
-// remove deletes rank i, shifting ranks i+1.. down by one.
-func (rs *rankStore) remove(i int) {
-	c, off := rs.chunkOf(i)
+// remove deletes the entry at position p, shifting the ranks after it
+// down by one, and returns the position of the rank that followed it
+// (rank 0 when p held the last rank).
+func (rs *rankStore) remove(p rankPos) rankPos {
+	c, off := p.c, p.off
 	ch := rs.ensureOwned(c)
 	copy(ch.keys[off:], ch.keys[off+1:])
 	ch.keys = ch.keys[:len(ch.keys)-1]
@@ -476,27 +586,35 @@ func (rs *rankStore) remove(i int) {
 	ch.slots = ch.slots[:len(ch.slots)-1]
 	rs.n--
 	if len(ch.keys) == 0 {
-		copy(rs.chunks[c:], rs.chunks[c+1:])
-		rs.chunks = rs.chunks[:len(rs.chunks)-1]
-		copy(rs.owned[c:], rs.owned[c+1:])
-		rs.owned = rs.owned[:len(rs.owned)-1]
+		rs.chunks = slices.Delete(rs.chunks, c, c+1)
+		rs.owned = slices.Delete(rs.owned, c, c+1)
+		rs.fence = slices.Delete(rs.fence, c, c+1)
 	}
 	rs.rebuildCum(c)
+	// The next rank took p's place, or opens the next chunk when p was
+	// its chunk's last entry (chunk c itself when that chunk is gone).
+	if off > 0 && off == len(ch.keys) {
+		c, off = c+1, 0
+	}
+	if c == len(rs.chunks) {
+		return rankPos{}
+	}
+	return rankPos{c, off}
 }
 
-// setSlot records that rank i is now held by slot (a Leave's last-slot
-// rename).
-func (rs *rankStore) setSlot(i int, slot int32) {
-	c, off := rs.chunkOf(i)
-	rs.ensureOwned(c).slots[off] = slot
+// setSlot records that the entry at position p is now held by slot (a
+// Leave's last-slot rename).
+func (rs *rankStore) setSlot(p rankPos, slot int32) {
+	rs.ensureOwned(p.c).slots[p.off] = slot
 }
 
-// capture freezes the current index into a view: spine + cum copies,
-// all chunks marked shared.
+// capture freezes the current index into a view: spine, cum and fence
+// copies, all chunks marked shared.
 func (rs *rankStore) capture() rankView {
 	v := rankView{
 		chunks: append([]*rankChunk(nil), rs.chunks...),
 		cum:    append([]int32(nil), rs.cum...),
+		fence:  append([]keyspace.Key(nil), rs.fence...),
 		n:      rs.n,
 	}
 	for j := range rs.owned {
@@ -511,12 +629,9 @@ func (rs *rankStore) capture() rankView {
 func newRankView(byKey keyspace.Points, order []int32) rankView {
 	v := rankView{n: len(byKey)}
 	for lo := 0; lo < len(byKey); lo += rankChunkFill {
-		hi := lo + rankChunkFill
-		if hi > len(byKey) {
-			hi = len(byKey)
-		}
-		c := &rankChunk{keys: byKey[lo:hi:hi], slots: order[lo:hi:hi]}
-		v.chunks = append(v.chunks, c)
+		hi := min(lo+rankChunkFill, len(byKey))
+		v.chunks = append(v.chunks, &rankChunk{keys: byKey[lo:hi:hi], slots: order[lo:hi:hi]})
+		v.fence = append(v.fence, byKey[hi-1])
 	}
 	v.cum = make([]int32, len(v.chunks)+1)
 	for j, ch := range v.chunks {

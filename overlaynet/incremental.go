@@ -69,16 +69,34 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 		rng:      xrand.New(opts.Seed ^ incrementalSeedSalt),
 	}
 	order := make([]int32, n)
-	for u := 0; u < n; u++ {
-		o.long[u] = append([]int32(nil), nw.LongRange(u)...)
+	for u := range order {
 		order[u] = int32(u) // slots start out rank-ordered
-		for _, v := range o.long[u] {
-			o.in[v] = append(o.in[v], int32(u))
-		}
 	}
 	o.rankM = newRankStore(nw.Keys(), order)
-	for rank := 0; rank < n; rank++ {
-		o.wireRank(rank)
+	for p, i := (rankPos{}), 0; i < n; p, i = o.rankM.next(p), i+1 {
+		o.wire(p)
+	}
+	// A CSR row is the key-order neighbours and the long links, sorted
+	// and distinct (the samplers never link a neighbour), so the long
+	// links in ascending order are the row without its neighbours. Should
+	// a builder ever link a neighbour, the row holds fewer of them than
+	// LongRange, and the links are sorted instead.
+	csr := nw.CSR()
+	for u := 0; u < n; u++ {
+		lr := nw.LongRange(u)
+		long := slices.Grow([]int32(nil), len(lr))
+		for _, v := range csr.Out(u) {
+			if v != o.pred[u] && v != o.succ[u] {
+				long = append(long, v)
+			}
+		}
+		if len(long) != len(lr) {
+			long = slices.Sorted(slices.Values(lr))
+		}
+		o.long[u] = long
+		for _, v := range long {
+			o.in[v] = append(o.in[v], int32(u))
+		}
 	}
 	o.keysM = newKeyStore(o.keys)
 	return o, nil
@@ -103,9 +121,14 @@ type incrementalOverlay struct {
 	exponent float64
 	degree   smallworld.DegreeFunc
 
-	// Per-slot state; slots are stable across events.
+	// Per-slot state; slots are stable across events. Each long list is
+	// kept in ascending slot order, so markDirty merges it with the two
+	// key-order neighbours instead of sorting the row; nothing reads the
+	// order for meaning (only membership, counts and loops over distinct
+	// targets). The in-lists are in event order, which handover's draws
+	// and Leave's repair order read: they are never sorted.
 	keys []keyspace.Key
-	long [][]int32 // long-range out-links
+	long [][]int32 // long-range out-links, ascending
 	in   [][]int32 // long-range in-links (who points here)
 	succ []int32   // key-order successor (-1 at the line's top end)
 	pred []int32   // key-order predecessor (-1 at the line's bottom end)
@@ -113,17 +136,18 @@ type incrementalOverlay struct {
 	// keysM is a chunked copy-on-write mirror of keys, written through
 	// on every mutation; rankM is the rank index (identifiers in
 	// ascending order, with the slot holding each), kept only in chunked
-	// form. Every rank read — rankOf, wireRank, drawKey's membership
-	// probe, drawTarget's NearestExcluding, the watcher's cells — goes
-	// through rankM's in-place rankView, so a membership event shifts
-	// entries within one chunk instead of O(N) flat arrays. adj holds
-	// every slot's out-row, rebuilt from pred/succ/long by markDirty.
+	// form. Every rank read — rankOf, wire, drawKey's membership probe,
+	// drawTarget's NearestExcluding, the watcher's cells — goes through
+	// rankM's in-place rankView, so a membership event shifts entries
+	// within one chunk instead of O(N) flat arrays. adj holds every
+	// slot's out-row, rebuilt from pred/succ/long by markDirty.
 	// CaptureSnapshot shares all three stores into the published
 	// Snapshot for O(spine) cost.
 	keysM *keyStore
 	rankM *rankStore
 	adj   *adjStore
 	row   []int32 // markDirty's scratch
+	ins   []int32 // scratch copy of the in-list an event iterates
 
 	rng *xrand.Stream
 
@@ -201,49 +225,62 @@ func (o *incrementalOverlay) rankOf(u int) int {
 	return o.rankM.rankOf(o.keys[u], int32(u))
 }
 
-// wireRank points the node at the given rank at its key-order
-// neighbours (cyclic on the ring, -1 sentinels at the line's ends).
-func (o *incrementalOverlay) wireRank(rank int) {
+// wire points the node at rank position p at its key-order neighbours
+// (cyclic on the ring, -1 sentinels at the line's ends).
+func (o *incrementalOverlay) wire(p rankPos) {
 	rs := o.rankM
-	n := rs.n
-	id := rs.SlotAt(rank)
+	id := rs.slot(p)
 	if o.topo == keyspace.Ring {
-		o.pred[id] = rs.SlotAt((rank - 1 + n) % n)
-		o.succ[id] = rs.SlotAt((rank + 1) % n)
+		o.pred[id] = rs.slot(rs.prev(p))
+		o.succ[id] = rs.slot(rs.next(p))
 		if o.pred[id] == id {
 			o.pred[id], o.succ[id] = -1, -1 // single node
 		}
 		return
 	}
+	rank := rs.rank(p)
 	if rank > 0 {
-		o.pred[id] = rs.SlotAt(rank - 1)
+		o.pred[id] = rs.slot(rs.prev(p))
 	} else {
 		o.pred[id] = -1
 	}
-	if rank+1 < n {
-		o.succ[id] = rs.SlotAt(rank + 1)
+	if rank+1 < rs.n {
+		o.succ[id] = rs.slot(rs.next(p))
 	} else {
 		o.succ[id] = -1
 	}
 }
 
 // markDirty rebuilds node u's out-row from its current neighbour and
-// long-range links (sorted, deduplicated — a repair can transiently
-// make a long link coincide with a neighbouring edge).
+// long-range links: one merge of the ascending long list with the two
+// neighbours, deduplicated — a repair can make a long link coincide
+// with a neighbouring edge, a 2-node ring has pred == succ, and both
+// are -1 on a single node or at a line end.
 func (o *incrementalOverlay) markDirty(u int32) {
 	if u < 0 {
 		return
 	}
-	row := o.row[:0]
-	if o.pred[u] >= 0 {
-		row = append(row, o.pred[u])
+	a, b := o.pred[u], o.succ[u]
+	if a > b {
+		a, b = b, a
 	}
-	if o.succ[u] >= 0 {
-		row = append(row, o.succ[u])
+	if a == b {
+		a = -1
 	}
-	row = append(row, o.long[u]...)
-	slices.Sort(row)
-	o.row = slices.Compact(row)
+	row, long := o.row[:0], o.long[u]
+	for _, x := range [2]int32{a, b} {
+		if x < 0 {
+			continue
+		}
+		for len(long) > 0 && long[0] < x {
+			row = append(row, long[0])
+			long = long[1:]
+		}
+		if len(long) == 0 || long[0] != x {
+			row = append(row, x) // else the long list supplies x
+		}
+	}
+	o.row = append(row, long...)
 	o.adj.setRow(int(u), o.row)
 }
 
@@ -285,24 +322,22 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	o.succ = append(o.succ, -1)
 	o.pred = append(o.pred, -1)
 
-	rank := o.rankM.succIdx(k)
-	o.rankM.insert(rank, k, id)
-
-	n := len(o.keys)
-	o.wireRank((rank - 1 + n) % n)
-	o.wireRank(rank)
-	o.wireRank((rank + 1) % n)
+	rs := o.rankM
+	p := rs.insert(rs.seek(k), k, id)
+	o.wire(rs.prev(p))
+	o.wire(p)
+	o.wire(rs.next(p))
 	o.markDirty(o.pred[id])
 	o.markDirty(o.succ[id])
 
-	m := o.degree(n)
+	m := o.degree(len(o.keys))
 	o.handover(id)
 	o.sampleInto(id, m)
 	o.markDirty(id)
 	if o.watcher != nil {
 		// The newcomer's cell was stolen from its flanks, split at their
 		// former mutual boundary.
-		cell := o.rankM.Cell(o.topo, rank)
+		cell := rs.Cell(o.topo, rs.rank(p))
 		for _, ch := range o.splitCell(true, k, cell, o.pred[id], o.succ[id]) {
 			o.watcher(ch)
 		}
@@ -333,9 +368,9 @@ func (o *incrementalOverlay) handover(w int32) {
 		if frac <= 0 {
 			continue
 		}
-		// Iterate a snapshot: redirecting mutates the in-list.
-		ins := append([]int32(nil), o.in[v]...)
-		for _, u := range ins {
+		// Iterate a copy: redirecting mutates the in-list.
+		o.ins = append(o.ins[:0], o.in[v]...)
+		for _, u := range o.ins {
 			if !o.rng.Bool(frac) {
 				continue
 			}
@@ -344,7 +379,7 @@ func (o *incrementalOverlay) handover(w int32) {
 			}
 			o.dropTarget(u, v)
 			o.dropIn(v, u)
-			o.long[u] = append(o.long[u], w)
+			o.long[u] = addTarget(o.long[u], w)
 			o.in[w] = append(o.in[w], u)
 			o.markDirty(u)
 		}
@@ -420,13 +455,15 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		return fmt.Errorf("overlaynet: leave at %d nodes, need at least 2 remaining", n)
 	}
 	uid := int32(u)
+	rs := o.rankM
+	at, _ := rs.posOf(o.keys[uid], uid)
 
 	// Narrate the leaver's cell being bequeathed to its flanks before any
 	// state is torn down (identifier values are captured immediately; the
 	// watcher itself runs after the event completes).
 	var changes []OwnershipChange
 	if o.watcher != nil {
-		cell := o.rankM.Cell(o.topo, o.rankOf(u))
+		cell := rs.Cell(o.topo, rs.rank(at))
 		changes = o.splitCell(false, o.keys[uid], cell, o.pred[uid], o.succ[uid])
 	}
 
@@ -436,7 +473,8 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	}
 	// Peers holding a link to the departed node lose it now and get a
 	// replacement drawn after the membership change is complete.
-	repair := append([]int32(nil), o.in[uid]...)
+	o.ins = append(o.ins[:0], o.in[uid]...)
+	repair := o.ins
 	for _, w := range repair {
 		o.dropTarget(w, uid)
 		o.markDirty(w)
@@ -445,13 +483,12 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 
 	// Splice u out of the rank index; its former flanks become
 	// key-order neighbours of each other.
-	rank := o.rankOf(u)
-	o.rankM.remove(rank)
-	nn := n - 1
-	o.wireRank((rank - 1 + nn) % nn)
-	o.wireRank(rank % nn)
-	o.markDirty(o.rankM.SlotAt((rank - 1 + nn) % nn))
-	o.markDirty(o.rankM.SlotAt(rank % nn))
+	next := rs.remove(at)
+	prev := rs.prev(next)
+	o.wire(prev)
+	o.wire(next)
+	o.markDirty(rs.slot(prev))
+	o.markDirty(rs.slot(next))
 
 	// Move the last slot into the hole so slots stay dense. Everything
 	// that mentions the old id — rank index, neighbour pointers of its
@@ -465,7 +502,8 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		o.in[uid] = o.in[last]
 		o.succ[uid] = o.succ[last]
 		o.pred[uid] = o.pred[last]
-		o.rankM.setSlot(o.rankOf(int(last)), uid)
+		lp, _ := rs.posOf(o.keys[uid], last)
+		rs.setSlot(lp, uid)
 		if p := o.pred[uid]; p >= 0 {
 			o.succ[p] = uid
 			o.markDirty(p)
@@ -533,26 +571,31 @@ func (o *incrementalOverlay) renameIn(t, from, to int32) {
 	}
 }
 
-// dropTarget removes t from w's long links.
+// dropTarget removes t from w's long links, keeping them ascending.
 func (o *incrementalOverlay) dropTarget(w, t int32) {
 	long := o.long[w]
-	for i, x := range long {
-		if x == t {
-			long[i] = long[len(long)-1]
-			o.long[w] = long[:len(long)-1]
-			return
-		}
+	if i, ok := slices.BinarySearch(long, t); ok {
+		copy(long[i:], long[i+1:])
+		o.long[w] = long[:len(long)-1]
 	}
 }
 
-// renameTarget rewrites from→to in w's long links.
+// renameTarget rewrites from→to in w's long links, moving the entry to
+// keep them ascending; w must not link to both.
 func (o *incrementalOverlay) renameTarget(w, from, to int32) {
-	for i, x := range o.long[w] {
-		if x == from {
-			o.long[w][i] = to
-			return
-		}
+	long := o.long[w]
+	i, ok := slices.BinarySearch(long, from)
+	if !ok {
+		return
 	}
+	j, _ := slices.BinarySearch(long, to)
+	if j <= i {
+		copy(long[j+1:i+1], long[j:i])
+	} else {
+		j--
+		copy(long[i:j], long[i+1:j+1])
+	}
+	long[j] = to
 }
 
 // drawKey samples a fresh identifier from the density, nudging float
@@ -599,7 +642,7 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 			if hasTarget(o.long[u], int32(v)) {
 				continue
 			}
-			o.long[u] = append(o.long[u], int32(v))
+			o.long[u] = addTarget(o.long[u], int32(v))
 			o.in[v] = append(o.in[v], u)
 			o.placed++
 			placed++
@@ -613,13 +656,20 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 	return placed
 }
 
+// hasTarget reports whether the ascending long list holds v.
 func hasTarget(long []int32, v int32) bool {
-	for _, x := range long {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(long, v)
+	return ok
+}
+
+// addTarget inserts v into the ascending long list, which must not hold
+// it yet.
+func addTarget(long []int32, v int32) []int32 {
+	i, _ := slices.BinarySearch(long, v)
+	long = append(long, 0)
+	copy(long[i+1:], long[i:])
+	long[i] = v
+	return long
 }
 
 // drawTarget performs one Section 4.2 link draw for the node at the
@@ -647,11 +697,11 @@ func (o *incrementalOverlay) drawTarget(pos float64, rank int) int {
 	} else {
 		key = keyspace.Clamp(target)
 	}
-	nearest := o.rankM.NearestExcluding(o.topo, key, rank)
+	nearest, p := o.rankM.nearestExcluding(o.topo, key, rank)
 	if nearest < 0 {
 		return -1
 	}
-	return int(o.rankM.SlotAt(nearest))
+	return int(o.rankM.slot(p))
 }
 
 // NewRouter returns a router over the live overlay: each Route walks

@@ -53,6 +53,15 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 				id, rank, o.pred[id], o.succ[id], wantPred, wantSucc)
 		}
 	}
+	// Long lists are strictly ascending (markDirty merges them).
+	for u, links := range o.long {
+		for i := 1; i < len(links); i++ {
+			if links[i] <= links[i-1] {
+				t.Fatalf("slot %d long links %v not strictly ascending", u, links)
+			}
+		}
+	}
+	checkRankFence(t, o.rankM.rankView)
 	// in-lists mirror long links.
 	inCount := make(map[[2]int32]int)
 	for u, links := range o.long {
@@ -86,6 +95,30 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 		if got, want := o.Neighbors(u), ref.rows[u]; !slices.Equal(got, want) {
 			t.Fatalf("slot %d row %v, want %v", u, got, want)
 		}
+	}
+}
+
+// checkRankFence verifies a rank view's spines: no empty chunk, cum
+// counting the chunks' entries, and the fence holding each chunk's
+// last key.
+func checkRankFence(t *testing.T, v rankView) {
+	t.Helper()
+	if len(v.cum) != len(v.chunks)+1 || len(v.fence) != len(v.chunks) || v.cum[0] != 0 {
+		t.Fatalf("%d chunks with %d cum and %d fence entries", len(v.chunks), len(v.cum), len(v.fence))
+	}
+	for j, ch := range v.chunks {
+		if len(ch.keys) == 0 || len(ch.slots) != len(ch.keys) {
+			t.Fatalf("chunk %d holds %d keys and %d slots", j, len(ch.keys), len(ch.slots))
+		}
+		if got := int(v.cum[j+1] - v.cum[j]); got != len(ch.keys) {
+			t.Fatalf("cum counts %d entries in chunk %d of %d", got, j, len(ch.keys))
+		}
+		if last := ch.keys[len(ch.keys)-1]; v.fence[j] != last {
+			t.Fatalf("fence[%d] = %v, chunk's last key %v", j, v.fence[j], last)
+		}
+	}
+	if int(v.cum[len(v.chunks)]) != v.n {
+		t.Fatalf("cum counts %d entries, index holds %d", v.cum[len(v.chunks)], v.n)
 	}
 }
 

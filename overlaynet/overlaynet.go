@@ -108,7 +108,8 @@ type FaultInjector interface {
 	Overlay
 	// FailLinks returns a derived overlay in which each long-range link
 	// has been dropped independently with probability frac, driven by
-	// seed. The receiver is unchanged.
+	// seed, or an error when frac is outside [0, 1] or NaN. The receiver
+	// is unchanged.
 	FailLinks(seed uint64, frac float64) (Overlay, error)
 }
 

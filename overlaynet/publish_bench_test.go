@@ -90,8 +90,59 @@ func BenchmarkChurnEvent(b *testing.B) {
 	}
 }
 
+// BenchmarkRankNearest measures one rank-index lookup on a published
+// snapshot of an incremental skewed ring: GreedyArrived, the check
+// that ends every routed query; Responsible; and NearestExcluding, the
+// lookup behind every link the writer draws, with the excluded rank at
+// the target's successor. Targets are 4096 uniform keys. Sizes build
+// lazily through publishBenchOverlay's cache, so -bench filters skip
+// the ones they do not run.
+func BenchmarkRankNearest(b *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
+		var s *Snapshot
+		var targets []keyspace.Key
+		var dists []float64
+		var selfs []int
+		arms := []struct {
+			name string
+			op   func(i int) int
+		}{
+			{"GreedyArrived", func(i int) int {
+				if s.GreedyArrived(dists[i], targets[i]) {
+					return 1
+				}
+				return 0
+			}},
+			{"Responsible", func(i int) int { return s.Responsible(targets[i]) }},
+			{"NearestExcluding", func(i int) int { return s.rank.NearestExcluding(s.topo, targets[i], selfs[i]) }},
+		}
+		for _, arm := range arms {
+			b.Run(fmt.Sprintf("%s/n=%d", arm.name, n), func(b *testing.B) {
+				if s == nil {
+					s = publishBenchOverlay(b, n).CaptureSnapshot()
+					rng := xrand.New(uint64(n) + 11)
+					for range 4096 {
+						x := keyspace.Key(rng.Float64())
+						targets = append(targets, x)
+						dists = append(dists, s.topo.Distance(s.Key(s.Responsible(x)), x))
+						selfs = append(selfs, s.rank.Successor(x))
+					}
+					b.ResetTimer()
+				}
+				b.ReportAllocs()
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					sum += arm.op(i & 4095)
+				}
+				benchIntSink = sum
+			})
+		}
+	}
+}
+
 var (
 	benchSnapSink *Snapshot
+	benchIntSink  int
 
 	publishBenchMu    sync.Mutex
 	publishBenchCache = map[int]*incrementalOverlay{}

@@ -69,7 +69,10 @@ type Publisher struct {
 	// (checked by chunk-pointer identity of the snapshots' key spines —
 	// chunks are immutable once shared, so pointer-equal spines imply
 	// identical identifiers even when membership events bypassed the
-	// Publisher's own mutators). maskVantage records the vantage the
+	// Publisher's own mutators). When only the population changed, the
+	// new mask copies the marks of the pointer-equal chunks and of every
+	// slot still holding its identifier, and asks the plane about the
+	// rest. maskVantage records the vantage the
 	// last-built mask was derived from, maskPlane the SetFaultPlane
 	// installation it read: two distinct planes may report equal fault
 	// epochs, so the epoch alone does not identify the plane.
@@ -93,6 +96,12 @@ const defaultPublishEvery = 64
 // reconfiguration epoch so a stale mask is distinguishable from a
 // current one. netmodel.Model implements it. Both methods must be safe
 // to call from the publisher's writer side concurrently with readers.
+//
+// The epoch contract: Dead, and ReachabilityPlane's Unreachable, do not
+// change their answer for an identifier (and a vantage) without a
+// FaultEpoch bump. A Publisher relies on it to reuse a mask across
+// publications at one epoch, whole or for every slot whose identifier
+// membership events left in place, without asking the plane again.
 type FaultPlane interface {
 	// Dead reports whether the node holding identifier k is crashed.
 	Dead(k keyspace.Key) bool
@@ -198,18 +207,23 @@ func (p *Publisher) publishLocked() {
 }
 
 // faultMaskLocked returns the fault mask for a snapshot being
-// published: the previous snapshot's mask object when every input it
-// was derived from is unchanged (installed plane, its fault epoch,
-// vantage, membership), a freshly built one otherwise. Sharing keeps
-// the no-change publish path free of the O(N) mask allocation AND the
-// O(N) plane scan; snapshots stay immutable because the shared object
-// is never written after its first publication.
+// published. When the plane's inputs are unchanged (installed plane,
+// its fault epoch, vantage), it is the previous snapshot's mask object
+// if the membership is unchanged too, and otherwise that mask patched
+// over the key chunks the epoch replaced (patchFaultMask); any other
+// change builds a fresh mask. Sharing keeps the no-change publish path
+// free of the O(N) mask allocation AND the O(N) plane scan, and
+// patching keeps an epoch of churn to one copy plus the plane's answers
+// for the slots that changed identifier; snapshots stay immutable
+// because a published mask is never written again.
 func (p *Publisher) faultMaskLocked(s *Snapshot) *snapFaults {
 	if prev := p.cur.Load(); prev != nil && prev.faults != nil &&
 		p.maskPlane == p.plane && prev.faults.epoch == p.faults.FaultEpoch() &&
-		p.maskVantage == p.vantage && p.maskHasVantage == p.hasVantage &&
-		equalKeyViews(prev.keys, s.keys) {
-		return prev.faults
+		p.maskVantage == p.vantage && p.maskHasVantage == p.hasVantage {
+		if equalKeyViews(prev.keys, s.keys) {
+			return prev.faults
+		}
+		return patchFaultMask(prev, s, p.faults, p.vantage, p.hasVantage)
 	}
 	f := buildFaultMask(s, p.faults, p.vantage, p.hasVantage)
 	p.maskVantage, p.maskHasVantage, p.maskPlane = p.vantage, p.hasVantage, p.plane

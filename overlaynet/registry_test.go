@@ -2,6 +2,7 @@ package overlaynet
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -135,6 +136,38 @@ func TestFaultInjection(t *testing.T) {
 	}
 	if batch.Arrived != 200 {
 		t.Fatalf("only %d/200 arrived after link failures", batch.Arrived)
+	}
+}
+
+// TestFailLinksFraction pins FailLinks' range check: a fraction outside
+// [0, 1] or NaN is an error, and the two ends keep every long link and
+// none.
+func TestFailLinksFraction(t *testing.T) {
+	ov, err := Build(context.Background(), "smallworld-uniform", Options{N: 256, Seed: 2, Topology: keyspace.Ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi := ov.(FaultInjector)
+	for _, frac := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		if derived, err := fi.FailLinks(3, frac); err == nil {
+			t.Errorf("FailLinks(%v) = %v, want an error", frac, derived.Kind())
+		}
+	}
+	none, err := fi.FailLinks(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := none.Stats().Links, ov.Stats().Links; got != want {
+		t.Fatalf("FailLinks(0) kept %d of %d links", got, want)
+	}
+	all, err := fi.FailLinks(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < all.N(); u++ {
+		if got := len(all.Neighbors(u)); got != 2 {
+			t.Fatalf("FailLinks(1): node %d keeps %d links, want its 2 ring neighbours", u, got)
+		}
 	}
 }
 

@@ -315,9 +315,9 @@ func (p *snapPlane) Misroute(k keyspace.Key) bool { return p.tr != nil && p.tr.M
 // mask or the Transport's dead oracle says otherwise.
 func (p *snapPlane) Nearest(target keyspace.Key, live bool) float64 {
 	s := p.snap
-	i := s.rank.Nearest(s.topo, target)
+	i, _, d := s.rank.nearest(s.topo, target)
 	if live {
 		return s.nearestLiveDistance(target, i, p.oracle)
 	}
-	return s.topo.Distance(s.rank.KeyAt(i), target)
+	return d
 }

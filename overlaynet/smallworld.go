@@ -107,6 +107,9 @@ func (o *swOverlay) Network() *smallworld.Network { return o.nw }
 // FailLinks implements FaultInjector via the network's link-failure
 // derivation (neighbouring edges always survive).
 func (o *swOverlay) FailLinks(seed uint64, frac float64) (Overlay, error) {
+	if !(frac >= 0 && frac <= 1) {
+		return nil, fmt.Errorf("overlaynet: link failure fraction %v outside [0, 1]", frac)
+	}
 	derived := o.nw.WithFailedLinks(xrand.New(seed), frac)
 	return &swOverlay{kind: o.kind, nw: derived}, nil
 }

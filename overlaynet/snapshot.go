@@ -1,6 +1,7 @@
 package overlaynet
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -72,13 +73,64 @@ type snapFaults struct {
 // With a vantage, nodes the plane reports unreachable from it (the far
 // side of a partition) are masked too — partition-aware serving.
 func buildFaultMask(s *Snapshot, fp FaultPlane, vantage keyspace.Key, hasVantage bool) *snapFaults {
-	f := &snapFaults{epoch: fp.FaultEpoch(), dead: make([]bool, s.keys.n)}
+	return patchFaultMask(nil, s, fp, vantage, hasVantage)
+}
+
+// patchFaultMask is buildFaultMask given prev, the snapshot published
+// before s, whose mask (when prev is not nil) fp drew at its current
+// fault epoch with the same vantage. The plane's answers then depend
+// only on the identifiers (the FaultPlane contract), so the marks of
+// every key chunk s shares with prev, pointer for pointer, are copied;
+// in a chunk the epoch replaced, a slot that holds the identifier it
+// held in prev keeps its mark, and the plane is asked only about the
+// others. The dead count moves by those slots' marks alone. The patched
+// mask keeps prev's epoch, so a bump during the patch leaves it stamped
+// stale and the next publication builds a whole one.
+func patchFaultMask(prev *Snapshot, s *Snapshot, fp FaultPlane, vantage keyspace.Key, hasVantage bool) *snapFaults {
+	n := s.keys.n
+	f := &snapFaults{dead: make([]bool, n)}
+	var old keyView
+	var was []bool
+	if prev != nil {
+		f.epoch, f.n, old, was = prev.faults.epoch, prev.faults.n, prev.keys, prev.faults.dead
+	} else {
+		f.epoch = fp.FaultEpoch()
+	}
 	rp, _ := fp.(ReachabilityPlane)
-	for u := 0; u < s.keys.n; u++ {
-		k := s.keys.At(u)
-		if fp.Dead(k) || (hasVantage && rp != nil && rp.Unreachable(vantage, k)) {
-			f.dead[u] = true
-			f.n++
+	for lo := 0; lo < max(n, old.n); lo += keyChunkLen {
+		j, hi := lo>>keyChunkShift, lo+keyChunkLen
+		var a, b *keyChunk // chunk j of prev and of s, nil past a spine
+		if j < len(old.spine) {
+			a = old.spine[j]
+		}
+		if j < len(s.keys.spine) {
+			b = s.keys.spine[j]
+		}
+		u := lo
+		if a == b {
+			u = min(hi, n, old.n)
+			copy(f.dead[lo:u], was[lo:u])
+		}
+		for ; u < min(hi, n); u++ {
+			k := b[u&keyChunkMask]
+			if u < old.n {
+				if math.Float64bits(float64(a[u&keyChunkMask])) == math.Float64bits(float64(k)) {
+					f.dead[u] = was[u]
+					continue
+				}
+				if was[u] {
+					f.n--
+				}
+			}
+			if fp.Dead(k) || (hasVantage && rp != nil && rp.Unreachable(vantage, k)) {
+				f.dead[u] = true
+				f.n++
+			}
+		}
+		for u = max(lo, n); u < min(hi, old.n); u++ {
+			if was[u] {
+				f.n-- // the slot left the population
+			}
 		}
 	}
 	return f
@@ -218,11 +270,11 @@ func (s *Snapshot) CSR() *graph.CSR { return s.adj.csr() }
 // under the snapshot's topology — the node a correctly terminating
 // greedy route ends at.
 func (s *Snapshot) Responsible(target keyspace.Key) int {
-	i := s.rank.Nearest(s.topo, target)
+	i, slot, _ := s.rank.nearest(s.topo, target)
 	if i < 0 {
 		return -1
 	}
-	return int(s.rank.SlotAt(i))
+	return int(slot)
 }
 
 // NewRouter returns routing scratch pinned to this snapshot. The
@@ -452,12 +504,12 @@ func (s *Snapshot) Delegated() bool { return s.src != nil }
 // responsible node itself may be dead; stopping at its closest live
 // neighbour is then a correct delivery).
 func (s *Snapshot) GreedyArrived(d float64, target keyspace.Key) bool {
-	nearest := s.rank.Nearest(s.topo, target)
+	nearest, slot, dn := s.rank.nearest(s.topo, target)
 	if nearest < 0 {
 		return false
 	}
-	if s.faults == nil || !s.faults.dead[s.rank.SlotAt(nearest)] {
-		return d <= s.topo.Distance(s.rank.KeyAt(nearest), target)
+	if s.faults == nil || !s.faults.dead[slot] {
+		return d <= dn
 	}
 	return d <= s.nearestLiveDistance(target, nearest, nil)
 }
@@ -471,13 +523,20 @@ func (s *Snapshot) GreedyArrived(d float64, target keyspace.Key) bool {
 // the closer of the two first hits, and the cost is the dead run around
 // the target, not N.
 func (s *Snapshot) nearestLiveDistance(target keyspace.Key, start int, oracle deadOracle) float64 {
-	n := s.rank.n
+	r := s.rank
+	n := r.n
 	best := -1.0
+	if n == 0 {
+		return best
+	}
+	at := r.at(start)
 	// Ascending-key direction (clockwise on the ring), then descending.
 	for _, dir := range [2]int{1, -1} {
+		p := at
 		for step, i := 0, start; step < n; step++ {
-			if !s.Dead(int(s.rank.SlotAt(i))) && (oracle == nil || !oracle.Dead(s.rank.KeyAt(i))) {
-				if d := s.topo.Distance(s.rank.KeyAt(i), target); best < 0 || d < best {
+			k := r.key(p)
+			if !s.Dead(int(r.slot(p))) && (oracle == nil || !oracle.Dead(k)) {
+				if d := s.topo.Distance(k, target); best < 0 || d < best {
 					best = d
 				}
 				break
@@ -487,6 +546,11 @@ func (s *Snapshot) nearestLiveDistance(target keyspace.Key, start int, oracle de
 					break
 				}
 				i = (i + n) % n
+			}
+			if dir > 0 {
+				p = r.next(p)
+			} else {
+				p = r.prev(p)
 			}
 		}
 	}
