@@ -45,8 +45,9 @@
 //   - overlaynet — the unified Overlay interface, the name-keyed
 //     topology registry covering every overlay in the repository (both
 //     models, Kleinberg, Watts–Strogatz, Chord, Pastry, P-Grid,
-//     Symphony, Mercury, CAN, and the live Section 4.2 protocol), and
-//     the batched context-aware QueryRunner;
+//     Symphony, Mercury, CAN, and the live Section 4.2 protocol, which
+//     runs on the same incremental writer that serving uses), and the
+//     batched context-aware QueryRunner;
 //   - overlaynet/shard — the sharded serving plane: the key space cut
 //     into K contiguous shards, each served by its own goroutine
 //     behind a wire address, a routed query becoming message frames
@@ -77,8 +78,8 @@
 //     (Prometheus /metrics, expvar, net/http/pprof); zero measurable
 //     overhead when off, bit-identical runs when on.
 //
-// The comparison baselines themselves (internal/dht/*, internal/
-// wattsstrogatz, internal/overlay) and the experiment harness
+// The comparison baselines themselves (internal/dht/*,
+// internal/wattsstrogatz) and the experiment harness
 // (internal/exp) remain internal; external consumers reach every
 // topology through overlaynet.
 //

@@ -1,47 +1,59 @@
-// Churn: drive the Section 4.2 construction protocol through sustained
-// membership churn. Peers join by routing to themselves and sampling
-// long-range links, leave with repairs, and — in the realistic mode —
-// learn the identifier density from random walks and iteratively refine
-// their routing tables. The overlay keeps its O(log N) routing through
-// all of it.
+// Churn: drive the Section 4.2 construction protocol (the "protocol"
+// registry entry) through sustained membership churn. Peers join by
+// routing to themselves and sampling long-range links, leave with
+// repairs, and — without the oracle — learn the identifier density from
+// random walks and refine their routing tables in maintenance rounds.
+// The overlay keeps its O(log N) routing through all of it, and every
+// message is metered in overlay hops.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
 
 	"smallworld/dist"
-	"smallworld/internal/overlay"
 	"smallworld/metrics"
+	"smallworld/overlaynet"
 	"smallworld/sim"
 	"smallworld/xrand"
 )
 
 func main() {
+	ctx := context.Background()
 	f := dist.NewTruncExp(6) // skewed identifier density
-	nw := overlay.New(overlay.Config{
-		Dist:         f,
-		Oracle:       false, // peers must *learn* f
-		EstimateBins: 24,
-		Seed:         3,
+	ov, err := overlaynet.Build(ctx, "protocol", overlaynet.Options{
+		N:    512,
+		Seed: 3,
+		Dist: f,
+		// Oracle stays false: peers must *learn* f.
 	})
-	if err := nw.Bootstrap(512); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
+	dyn := ov.(overlaynet.Dynamic)
+	msgr := ov.(overlaynet.Messenger)
+	mnt := ov.(overlaynet.Maintainer)
 
-	fmt.Printf("bootstrapped %d peers on %s keys (estimated density mode)\n\n", nw.Size(), f.Name())
+	fmt.Printf("built %d peers on %s keys (estimated density mode)\n\n", ov.N(), f.Name())
 	report := func(phase string) {
-		hops := nw.HopStats(99, 800)
+		batch, err := overlaynet.NewQueryRunner(ov).Run(ctx, overlaynet.RandomPairs(ov, 99, 800))
+		if err != nil {
+			log.Fatal(err)
+		}
+		total, _ := msgr.Messages()
 		fmt.Printf("%-28s size %4d  hops mean %.2f p99 %.0f  (log2 N = %.1f)  msgs %d\n",
-			phase, nw.Size(), metrics.Mean(hops), metrics.Percentile(hops, 0.99),
-			math.Log2(float64(nw.Size())), nw.Messages())
+			phase, ov.N(), metrics.Mean(batch.Hops), metrics.Percentile(batch.Hops, 0.99),
+			math.Log2(float64(ov.N())), total)
 	}
-	report("after bootstrap:")
+	report("skew-oblivious start:")
 
 	// Refine: peers sample the network and adapt their links to the skew.
 	for round := 1; round <= 3; round++ {
-		nw.Refine(48, 6)
+		if err := mnt.Maintain(ctx); err != nil {
+			log.Fatal(err)
+		}
 		report(fmt.Sprintf("after refinement round %d:", round))
 	}
 
@@ -55,15 +67,17 @@ func main() {
 	for _, op := range trace {
 		switch op {
 		case sim.OpJoin:
-			_, stats, err := nw.Join()
-			if err != nil {
+			_, before := msgr.Messages()
+			if err := dyn.Join(ctx); err != nil {
 				log.Fatal(err)
 			}
-			joinCost.Add(float64(stats.Total()))
+			_, after := msgr.Messages()
+			joinCost.Add(float64(after - before))
 			joins++
 		case sim.OpLeave:
-			peers := nw.Peers()
-			nw.Leave(peers[rng.Intn(len(peers))], true)
+			if err := dyn.Leave(ctx, rng.Intn(ov.N())); err != nil {
+				log.Fatal(err)
+			}
 			leaves++
 		}
 	}
@@ -71,7 +85,9 @@ func main() {
 		joins, joinCost.Mean(), leaves)
 	report("after churn:")
 
-	// One more refinement pass re-adapts the survivors.
-	nw.Refine(48, 6)
+	// One more refinement round re-adapts the survivors.
+	if err := mnt.Maintain(ctx); err != nil {
+		log.Fatal(err)
+	}
 	report("after post-churn refinement:")
 }

@@ -1,5 +1,6 @@
 // Churnlab: the discrete-event dynamics engine end to end. A live
-// Section 4.2 protocol overlay is driven through three scenarios —
+// Section 4.2 protocol overlay (the "protocol" entry, peers estimating
+// f themselves) is driven through three scenarios —
 // steady Poisson churn, a flash crowd, and a correlated mass failure
 // with maintenance-assisted recovery — while a query load routes
 // concurrently in virtual time. Every run is deterministic: rerun this
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"smallworld/dist"
 	"smallworld/obs"
@@ -106,7 +108,8 @@ func main() {
 	}
 	fmt.Printf("worst sampled query: op=%s outcome=%s latency=%.2f spans=%d\n",
 		worst.Op, worst.Outcome, worst.Latency(), len(worst.Spans))
-	out, err := os.Create("churnlab-worst-trace.json")
+	path := filepath.Join(os.TempDir(), "churnlab-worst-trace.json")
+	out, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,5 +119,5 @@ func main() {
 	if err := out.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("wrote churnlab-worst-trace.json")
+	fmt.Println("wrote", path)
 }

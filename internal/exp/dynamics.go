@@ -95,5 +95,6 @@ func E19ChurnDynamics(scale Scale, seed uint64) Table {
 	}
 	t.AddNote("queries run concurrently with churn in virtual time; hops/log2N must stay O(1) as churn rises")
 	t.AddNote("rebuild baseline = offline Model 2 reconstruction per event (ideal tables, unpayable cost)")
+	t.AddNote("maintMsgs/op = a join's locate and link routes, or one re-draw route per link a leave broke")
 	return t
 }

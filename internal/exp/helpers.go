@@ -17,13 +17,17 @@ import (
 // recorded as the network size (they cannot occur with intact neighbour
 // edges; the sentinel would make a regression obvious in every table).
 func routeHops(nw *smallworld.Network, seed uint64, queries int) []float64 {
-	ov := overlaynet.WrapNetwork(nw)
-	qr := overlaynet.NewQueryRunner(ov, overlaynet.FailHops(float64(nw.N())))
+	return overlayHops(overlaynet.WrapNetwork(nw), seed, queries)
+}
+
+// overlayHops is routeHops over any overlay.
+func overlayHops(ov overlaynet.Overlay, seed uint64, queries int) []float64 {
+	qr := overlaynet.NewQueryRunner(ov, overlaynet.FailHops(float64(ov.N())))
 	batch, err := qr.Run(context.Background(), overlaynet.RandomPairs(ov, seed, queries))
 	if err != nil {
 		// Unreachable with a background context; if an error path ever
 		// appears, every query reports the failure sentinel.
-		return failedHops(queries, nw.N())
+		return failedHops(queries, ov.N())
 	}
 	return batch.Hops
 }

@@ -113,5 +113,6 @@ func E22HostileNetwork(scale Scale, seed uint64) Table {
 	}
 	t.AddNote("cut [0.25,0.75) vs rest at t=40, healed t=60; success must return to 100%% within one window")
 	t.AddNote("retries column shows the resolved per-candidate resend budget; deliv%% includes degraded deliveries")
+	t.AddNote("overlay: the \"protocol\" entry with oracle f, i.e. the incremental writer that serving runs")
 	return t
 }

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"context"
+
 	"smallworld"
 	"smallworld/dist"
-	"smallworld/internal/overlay"
 	"smallworld/keyspace"
 	"smallworld/metrics"
+	"smallworld/overlaynet"
 )
 
 // E10JoinProtocol validates the Section 4.2 construction protocol in its
@@ -24,24 +26,28 @@ func E10JoinProtocol(scale Scale, seed uint64) Table {
 		start, end = 128, 256
 	}
 	d := dist.NewPower(0.7)
-	nw := overlay.New(overlay.Config{Dist: d, Oracle: true, Seed: seed})
-	if err := nw.Bootstrap(start); err != nil {
-		t.AddNote("bootstrap failed: %v", err)
+	ctx := context.Background()
+	ov, err := overlaynet.Build(ctx, "protocol",
+		overlaynet.Options{N: start, Seed: seed, Dist: d, Oracle: true})
+	if err != nil {
+		t.AddNote("build failed: %v", err)
 		return t
 	}
+	dyn, msgr := ov.(overlaynet.Dynamic), ov.(overlaynet.Messenger)
 	q := queriesFor(scale)
 	for size := start; size < end; size *= 2 {
 		var joinCost metrics.Summary
-		for nw.Size() < size*2 {
-			_, stats, err := nw.Join()
-			if err != nil {
+		for ov.N() < size*2 {
+			_, before := msgr.Messages()
+			if err := dyn.Join(ctx); err != nil {
 				t.AddNote("join failed: %v", err)
 				return t
 			}
-			joinCost.Add(float64(stats.Total()))
+			_, after := msgr.Messages()
+			joinCost.Add(float64(after - before))
 		}
-		grown := metrics.Mean(nw.HopStats(seed+70, q))
-		cfg := smallworld.SkewedConfig(nw.Size(), d, seed+71)
+		grown := metrics.Mean(overlayHops(ov, seed+70, q))
+		cfg := smallworld.SkewedConfig(ov.N(), d, seed+71)
 		cfg.Sampler = smallworld.Protocol
 		cfg.Topology = keyspace.Ring
 		offlineHops := 0.0
@@ -49,18 +55,20 @@ func E10JoinProtocol(scale Scale, seed uint64) Table {
 			offlineHops = metrics.Mean(routeHops(offline, seed+72, q))
 		}
 		t.AddRow(
-			"grow", nw.Size(), joinCost.Mean(), log2(nw.Size())*log2(nw.Size()),
+			"grow", ov.N(), joinCost.Mean(), log2(ov.N())*log2(ov.N()),
 			grown, offlineHops)
 	}
 	t.AddNote("join cost ≈ locate O(logN) + logN link queries × O(logN) each = O(log²N)")
+	t.AddNote("grown on the \"protocol\" entry (oracle f): hops metered on the incremental writer's own rows")
 	return t
 }
 
 // E11EstimatedDensity validates the paper's iterative-refinement
 // proposal for the realistic case where peers do not know f: starting
-// from a skew-oblivious uniform assumption, peers estimate f from random
-// walk samples and re-draw their links each round; routing converges
-// toward the oracle overlay's cost.
+// from a skew-oblivious overlay whose links follow key distance, peers
+// estimate f from random walk samples and re-draw their links by
+// estimated mass each round; routing converges toward the oracle
+// overlay's cost.
 func E11EstimatedDensity(scale Scale, seed uint64) Table {
 	t := Table{
 		ID:      "E11",
@@ -73,31 +81,40 @@ func E11EstimatedDensity(scale Scale, seed uint64) Table {
 	}
 	d := dist.NewTruncExp(6)
 	q := queriesFor(scale)
+	ctx := context.Background()
 
-	oracle := overlay.New(overlay.Config{Dist: d, Oracle: true, Seed: seed})
-	if err := oracle.Bootstrap(n); err != nil {
-		t.AddNote("oracle bootstrap failed: %v", err)
+	oracle, err := overlaynet.Build(ctx, "protocol",
+		overlaynet.Options{N: n, Seed: seed, Dist: d, Oracle: true})
+	if err != nil {
+		t.AddNote("oracle build failed: %v", err)
 		return t
 	}
-	oracleHops := metrics.Mean(oracle.HopStats(seed+80, q))
+	oracleHops := metrics.Mean(overlayHops(oracle, seed+80, q))
 
-	est := overlay.New(overlay.Config{Dist: d, Oracle: false, EstimateBins: 24, Seed: seed})
-	if err := est.Bootstrap(n); err != nil {
-		t.AddNote("bootstrap failed: %v", err)
+	est, err := overlaynet.Build(ctx, "protocol", overlaynet.Options{N: n, Seed: seed, Dist: d})
+	if err != nil {
+		t.AddNote("build failed: %v", err)
 		return t
 	}
 	rounds := 5
 	if scale == Quick {
 		rounds = 3
 	}
+	// A reported round is several maintenance rounds, so each peer
+	// gathers more walk samples between rows of the table.
+	const maintainsPerRound = 3
 	for round := 0; round <= rounds; round++ {
-		if round > 0 {
-			est.Refine(48, 6)
+		for i := 0; round > 0 && i < maintainsPerRound; i++ {
+			if err := est.(overlaynet.Maintainer).Maintain(ctx); err != nil {
+				t.AddNote("refinement failed: %v", err)
+				return t
+			}
 		}
-		hops := est.HopStats(seed+81, q)
+		hops := overlayHops(est, seed+81, q)
 		mean := metrics.Mean(hops)
 		t.AddRow(round, mean, metrics.Percentile(hops, 0.99), mean/oracleHops)
 	}
 	t.AddNote("oracle reference: %.2f hops; vsOracle should fall toward ≈ 1 as rounds proceed", oracleHops)
+	t.AddNote("a round is %d Maintain calls; in each, every peer samples random-walk endpoints, re-fits f and N, and re-draws its links", maintainsPerRound)
 	return t
 }

@@ -12,14 +12,14 @@ import (
 // experiments driven by message flights — E22 (robust routing over a
 // faulty plane) and E23 (the replicated store, whose lossy row flies
 // every op) — at the recorded quick scale and seed, and requires rows
-// and notes identical to BENCH_PR17.json. E20's wall-clock buildMs
-// column is left out; E21 and E24 time real goroutines and are not
-// re-run. These deterministic columns are the bit-identity contract:
+// and notes identical to BENCH_PR22.json, the chain reference. E20's
+// wall-clock buildMs column is left out; E21 and E24 time real
+// goroutines and are not re-run. These deterministic columns are the bit-identity contract:
 // the static CSR paths, the generic NewSnapshot capture, the retry
 // discipline. A refactor that moves one RNG draw or reorders one float
 // addition changes a cell here.
 func TestHostileTablesMatchRecorded(t *testing.T) {
-	buf, err := os.ReadFile("../../BENCH_PR17.json")
+	buf, err := os.ReadFile("../../BENCH_PR22.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestHostileTablesMatchRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.Scale != Quick.String() || rec.Seed != 1 {
-		t.Fatalf("BENCH_PR17.json recorded scale %q seed %d, want quick seed 1", rec.Scale, rec.Seed)
+		t.Fatalf("BENCH_PR22.json recorded scale %q seed %d, want quick seed 1", rec.Scale, rec.Seed)
 	}
 	for _, run := range Runners() {
 		if run.ID == "E21" || run.ID == "E24" {
@@ -74,7 +74,7 @@ func TestHostileTablesMatchRecorded(t *testing.T) {
 				}
 				return
 			}
-			t.Fatalf("%s not recorded in BENCH_PR17.json", run.ID)
+			t.Fatalf("%s not recorded in BENCH_PR22.json", run.ID)
 		})
 	}
 }

@@ -85,7 +85,7 @@ func E21ServeUnderChurn(scale Scale, seed uint64) Table {
 		}
 	}
 	t.AddNote("qps/latency are wall-clock (machine-dependent); recorded at GOMAXPROCS=%d — worker scaling needs GOMAXPROCS >= workers", runtime.GOMAXPROCS(0))
-	t.AddNote("churn/s is the configured Poisson rate, events the achieved count (closed-loop readers can starve the writer at GOMAXPROCS=1)")
+	t.AddNote("churn/s is the configured Poisson rate, events the achieved count; churn is scheduled open-loop, so a writer the readers delay applies its overdue events on its next wake")
 	t.AddNote("readers pin one snapshot per 512 queries; epochs = snapshots published (boundary: 16 events)")
 	return t
 }

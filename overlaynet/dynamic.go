@@ -8,22 +8,24 @@ import (
 )
 
 // Messenger is implemented by overlays that meter their own protocol
-// traffic in overlay hops (the paper's message unit). The dynamics
-// simulator uses the maintenance counter to report repair cost per
-// membership event.
+// traffic in overlay hops (the paper's message unit): the "protocol"
+// entry does. The dynamics simulator uses the maintenance counter to
+// report repair cost per membership event.
 type Messenger interface {
 	Overlay
 	// Messages returns cumulative hop counts: total traffic of any kind,
 	// and the maintenance share (join routing, link draws, repairs,
-	// refinement walks — everything except plain lookups).
+	// refinement walks — everything except the routes of the overlay's
+	// own routers).
 	Messages() (total, maintenance int64)
 }
 
 // Maintainer is implemented by dynamic overlays with an explicit
-// maintenance round — the Section 4.2 protocol's iterative refinement,
-// where peers re-estimate the identifier density and re-draw their
-// long-range links. Simulated maintenance schedules call Maintain
-// between membership events.
+// maintenance round — the "protocol" entry's iterative refinement,
+// where peers re-estimate the identifier density from random walks
+// (unless they have the oracle) and re-draw their long-range links.
+// Simulated maintenance schedules call Maintain between membership
+// events.
 type Maintainer interface {
 	Overlay
 	// Maintain runs one maintenance round. Node indices remain valid,

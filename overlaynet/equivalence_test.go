@@ -19,7 +19,6 @@ import (
 	"smallworld/internal/dht/pastry"
 	"smallworld/internal/dht/pgrid"
 	"smallworld/internal/dht/symphony"
-	"smallworld/internal/overlay"
 	"smallworld/internal/wattsstrogatz"
 	"smallworld/keyspace"
 	"smallworld/xrand"
@@ -284,34 +283,6 @@ func TestGoldenCAN(t *testing.T) {
 		got := router.Route(q.Src, q.Target)
 		if got.Hops != hops || got.Dest != owner {
 			t.Fatalf("lookup %d->%v: legacy (%d,%d), registry %+v", q.Src, q.Target, hops, owner, got)
-		}
-	}
-}
-
-// --- the live protocol simulation ---
-
-func TestGoldenProtocol(t *testing.T) {
-	d := dist.NewTruncExp(6)
-	legacy := overlay.New(overlay.Config{Dist: d, Oracle: true, Seed: goldenSeed})
-	if err := legacy.Bootstrap(goldenN); err != nil {
-		t.Fatal(err)
-	}
-	ov := mustBuild(t, "protocol", Options{N: goldenN, Seed: goldenSeed, Dist: d, Oracle: true})
-	peers := legacy.Peers()
-	if len(peers) != ov.N() {
-		t.Fatalf("N: legacy %d, registry %d", len(peers), ov.N())
-	}
-	for u, p := range peers {
-		if p.ID != ov.Key(u) {
-			t.Fatalf("key of node %d: legacy %v, registry %v", u, p.ID, ov.Key(u))
-		}
-	}
-	router := ov.NewRouter()
-	for _, q := range goldenTargets(goldenN) {
-		term, hops := legacy.Lookup(peers[q.Src], q.Target)
-		got := router.Route(q.Src, q.Target)
-		if got.Hops != hops || peers[got.Dest] != term {
-			t.Fatalf("lookup %d->%v: legacy (%v,%d), registry %+v", q.Src, q.Target, term.ID, hops, got)
 		}
 	}
 }

@@ -52,12 +52,16 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 	nw := sw.Network()
 	cfg := nw.Config()
 	n := nw.N()
+	var link dist.Distribution // nil: links by key distance
+	if cfg.Measure == smallworld.Mass {
+		link = cfg.Dist
+	}
 
 	o := &incrementalOverlay{
 		kind:     "incremental:" + name,
 		topo:     cfg.Topology,
 		d:        cfg.Dist,
-		mass:     cfg.Measure == smallworld.Mass,
+		link:     link,
 		exponent: cfg.Exponent,
 		degree:   cfg.Degree,
 		keys:     append([]keyspace.Key(nil), nw.Keys()...),
@@ -116,8 +120,8 @@ const (
 type incrementalOverlay struct {
 	kind     string
 	topo     keyspace.Topology
-	d        dist.Distribution
-	mass     bool
+	d        dist.Distribution // key density: joiners draw identifiers from it
+	link     dist.Distribution // link measure: mass under it, key distance when nil
 	exponent float64
 	degree   smallworld.DegreeFunc
 
@@ -150,6 +154,12 @@ type incrementalOverlay struct {
 	ins   []int32 // scratch copy of the in-list an event iterates
 
 	rng *xrand.Stream
+
+	// msgs meters protocol traffic and est holds each slot's walk
+	// estimate of f. Both are nil except behind the "protocol" entry
+	// (protocol.go), and est is nil there too under Options.Oracle.
+	msgs *messageMeter
+	est  *slotEstimates
 
 	// watcher, when installed, narrates membership events as typed
 	// ownership transfers (see OwnershipReporter).
@@ -313,6 +323,10 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	boot := int32(-1)
+	if o.msgs != nil {
+		boot = o.locate(k)
+	}
 	id := int32(len(o.keys))
 	o.keys = append(o.keys, k)
 	o.keysM.push(k)
@@ -329,6 +343,9 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	o.wire(rs.next(p))
 	o.markDirty(o.pred[id])
 	o.markDirty(o.succ[id])
+	if o.est != nil {
+		o.est.join(o, id, boot)
+	}
 
 	m := o.degree(len(o.keys))
 	o.handover(id)
@@ -533,6 +550,9 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	o.in = o.in[:n-1]
 	o.succ = o.succ[:n-1]
 	o.pred = o.pred[:n-1]
+	if o.est != nil {
+		o.est.remove(uid)
+	}
 
 	// Repair: one replacement draw per broken link.
 	for _, w := range repair {
@@ -621,13 +641,19 @@ func (o *incrementalOverlay) drawKey() (keyspace.Key, error) {
 // sampleInto draws long-range links for node u until it holds m of them
 // (or the attempt budget runs out), excluding itself, its key-order
 // neighbours and its existing links. It returns how many links were
-// placed and keeps the in-lists consistent. The node's measure position
-// and rank are fixed for the whole call (membership cannot change
-// mid-event), so they are computed once, not per attempt.
+// placed and keeps the in-lists consistent. The node's link measure,
+// measure position and rank are fixed for the whole call (membership
+// cannot change mid-event), so they are computed once, not per attempt.
 func (o *incrementalOverlay) sampleInto(u int32, m int) int {
+	// Without the oracle, a slot draws by mass under its own estimates
+	// of f and N.
+	f, lo := o.link, 1/float64(len(o.keys))
+	if o.est != nil {
+		f, lo = o.est.fit[u], 1/o.est.size[u]
+	}
 	pos := float64(o.keys[u])
-	if o.mass {
-		pos = o.d.CDF(pos)
+	if f != nil {
+		pos = f.CDF(pos)
 	}
 	rank := o.rankOf(int(u))
 	placed := 0
@@ -635,7 +661,7 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 		ok := false
 		for attempt := 0; attempt < maxDrawAttempts; attempt++ {
 			o.draws++
-			v := o.drawTarget(pos, rank)
+			v := o.drawTarget(u, f, pos, lo, rank)
 			if v < 0 || v == int(u) || int32(v) == o.pred[u] || int32(v) == o.succ[u] {
 				continue
 			}
@@ -644,6 +670,9 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 			}
 			o.long[u] = addTarget(o.long[u], int32(v))
 			o.in[v] = append(o.in[v], u)
+			if o.est != nil {
+				o.est.observe(u, o.keys[v])
+			}
 			o.placed++
 			placed++
 			ok = true
@@ -672,30 +701,32 @@ func addTarget(long []int32, v int32) []int32 {
 	return long
 }
 
-// drawTarget performs one Section 4.2 link draw for the node at the
-// given measure position and rank, at the current population: a
-// measure-space offset with density ∝ m^-r over the eligible range
-// [1/N, maxM] (smallworld.DrawMeasureTarget — the identical draw the
-// offline Protocol sampler uses), mapped back to a key and resolved to
-// the nearest other peer. It returns the chosen slot, or -1 when no
-// eligible offset exists.
-func (o *incrementalOverlay) drawTarget(pos float64, rank int) int {
-	lo := 1 / float64(len(o.keys))
+// drawTarget performs one Section 4.2 link draw for node u at the given
+// measure position and rank: a measure-space offset with density
+// ∝ m^-r over the eligible range [lo, maxM]
+// (smallworld.DrawMeasureTarget — the identical draw the offline
+// Protocol sampler uses), mapped back to a key through f (key distance
+// when f is nil) and resolved to the nearest other peer. It returns the
+// chosen slot, or -1 when no eligible offset exists.
+func (o *incrementalOverlay) drawTarget(u int32, f dist.Distribution, pos, lo float64, rank int) int {
 	target, ok := smallworld.DrawMeasureTarget(o.rng, o.topo, pos, o.exponent, lo)
 	if !ok {
 		return -1
 	}
 	var key keyspace.Key
-	if o.mass {
+	if f != nil {
 		if target < 0 {
 			target = 0
 		}
 		if target > 1 {
 			target = 1
 		}
-		key = keyspace.Clamp(o.d.Quantile(target))
+		key = keyspace.Clamp(f.Quantile(target))
 	} else {
 		key = keyspace.Clamp(target)
+	}
+	if o.msgs != nil {
+		o.meterDraw(u, key)
 	}
 	nearest, p := o.rankM.nearestExcluding(o.topo, key, rank)
 	if nearest < 0 {

@@ -20,12 +20,13 @@ type Options struct {
 	Seed uint64
 	// Dist is the identifier density f. Nil means uniform. Used by the
 	// small-world family, P-Grid, Symphony/Mercury, CAN and the
-	// protocol simulation.
+	// "protocol" entry.
 	Dist dist.Distribution
 	// Topology selects the key-space geometry for the small-world
 	// family: the zero value is keyspace.Line (the theorems' interval
 	// setting, matching smallworld.Config); pass keyspace.Ring for the
-	// wrap-around geometry. Ring-native overlays ignore it.
+	// wrap-around geometry. Ring-native overlays, "protocol" among
+	// them, ignore it.
 	Topology keyspace.Topology
 	// Degree is the number of long-range links per node. 0 means the
 	// topology default: ceil(log2 N) for the small-world models and
@@ -45,9 +46,11 @@ type Options struct {
 	Dims int
 	// BitsPerDigit is Pastry's digit width b. 0 means 4.
 	BitsPerDigit uint
-	// Oracle gives protocol-simulation peers exact knowledge of f and N
-	// (the paper's "straightforward" case). False means peers estimate
-	// both from random walks.
+	// Oracle is read by the "protocol" entry only. True gives its peers
+	// exact knowledge of f and N (the paper's "straightforward" case):
+	// links are drawn by mass under f. False means each peer starts
+	// from a uniform estimate and estimates both from random walks in
+	// refinement rounds (Maintainer).
 	Oracle bool
 	// Workers bounds construction parallelism where builds are parallel
 	// (the small-world family). 0 means GOMAXPROCS.

@@ -3,7 +3,9 @@
 // the classic Kleinberg construction (package smallworld at the module
 // root), the Watts–Strogatz rewiring model, the five DHT comparison
 // baselines (Chord, Pastry, P-Grid, Symphony/Mercury, CAN), and the
-// live Section 4.2 construction-protocol simulation.
+// live Section 4.2 construction protocol ("protocol"), which runs on
+// the incremental writer that serving uses (NewIncremental) and adds
+// message metering and refinement rounds.
 //
 // Every topology is reachable through one typed contract:
 //
@@ -114,9 +116,11 @@ type FaultInjector interface {
 }
 
 // Dynamic is implemented by live overlays whose membership can change
-// after construction (the Section 4.2 protocol simulation). Node
-// indices, keys and neighbour sets are invalidated by every membership
-// change; routers must be re-created after Join or Leave.
+// after construction (NewIncremental, NewRebuild and the "protocol"
+// entry). Node indices, keys and neighbour sets are invalidated by
+// every membership change; routers must be re-created after Join or
+// Leave, and must not route while one runs: a Dynamic overlay has a
+// single writer.
 type Dynamic interface {
 	Overlay
 	// Join adds one peer by the overlay's join protocol.

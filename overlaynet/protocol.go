@@ -2,133 +2,246 @@ package overlaynet
 
 import (
 	"context"
-	"fmt"
+	"sync/atomic"
 
-	"smallworld/internal/overlay"
+	"smallworld/dist"
 	"smallworld/keyspace"
+	"smallworld/xrand"
 )
 
 func init() {
 	Register(Info{
 		Name:        "protocol",
-		Description: "live Section 4.2 construction protocol: peers join by routing to themselves (Dynamic)",
+		Description: "live Section 4.2 protocol: metered joins and repairs, walk-estimated f unless Oracle (Dynamic)",
 		Build: func(ctx context.Context, opts Options) (Overlay, error) {
-			nw := overlay.New(overlay.Config{
-				Dist:   opts.Dist,
-				Oracle: opts.Oracle,
-				Seed:   opts.Seed,
-			})
-			if err := nw.Bootstrap(opts.N); err != nil {
+			// The protocol is ring-native. With the oracle, peers draw
+			// links by mass under f; without it, keys still follow f but
+			// each peer draws by mass under its own estimate of f, which
+			// starts uniform (key distance) and is learnt in refinement
+			// rounds.
+			opts.Topology = keyspace.Ring
+			name := "smallworld-uniform"
+			if opts.Oracle {
+				name = "smallworld-skewed"
+			}
+			dyn, err := NewIncremental(ctx, name, opts)
+			if err != nil {
 				return nil, err
 			}
-			o := &protoOverlay{nw: nw}
-			o.snapshot()
-			return o, nil
+			o := dyn.(*incrementalOverlay)
+			o.kind = "protocol"
+			rng := xrand.New(opts.Seed ^ protocolSeedSalt)
+			if !opts.Oracle {
+				// Each peer re-draws its first links under its own
+				// knowledge, unmetered: its estimate of N, from the gap
+				// to its flanks, sets its shortest link. The
+				// constructor's one global 1/N routes measurably worse
+				// under skew (E11's round 0, E19's estimated row).
+				o.est = newSlotEstimates(o, rng)
+				for u := range o.keys {
+					o.redraw(int32(u))
+				}
+			}
+			o.msgs = &messageMeter{rng: rng, r: liveRouter{o: o}}
+			return &protocolOverlay{o}, nil
 		},
 	})
 }
 
-// protoOverlay adapts the live protocol simulation. Unlike the static
-// adapters it implements Dynamic: Join and Leave mutate the underlying
-// network and re-snapshot the peer set, invalidating node indices.
-type protoOverlay struct {
-	nw    *overlay.Network
-	peers []*overlay.Peer
-	index map[*overlay.Peer]int
-	keys  []keyspace.Key
-	pts   keyspace.Points // sorted copy of keys, for nearest-owner checks
+const (
+	// protocolSeedSalt derives the protocol stream (bootstrap slots,
+	// walk steps, reservoir replacement) from Options.Seed, apart from
+	// the engine's draw stream, so metering and estimation never shift
+	// a link draw.
+	protocolSeedSalt = 0x2545f4914f6cdd1d
+
+	estimateBins  = 24  // histogram resolution of a slot's estimate of f
+	estimateCap   = 512 // bound on a slot's reservoir of observed keys
+	refineWalks   = 16  // random walks per slot in a refinement round
+	refineWalkLen = 6   // hops per refinement walk
+)
+
+// protocolOverlay is the "protocol" entry: the incremental writer with
+// the Section 4.2 protocol's message metering (Messenger) and its
+// refinement round (Maintainer). Joins, leaves, snapshots and
+// ownership narration are the embedded engine's own.
+type protocolOverlay struct {
+	*incrementalOverlay
 }
 
-// snapshot refreshes the node-index view of the live peer set.
-func (o *protoOverlay) snapshot() {
-	o.peers = o.nw.Peers()
-	o.index = make(map[*overlay.Peer]int, len(o.peers))
-	o.keys = make([]keyspace.Key, len(o.peers))
-	for i, p := range o.peers {
-		o.index[p] = i
-		o.keys[i] = p.ID
+// messageMeter counts protocol traffic in overlay hops. maint is the
+// membership share: locate routes, link-draw routes and refinement
+// walks. total adds the routes of the entry's routers, which may run
+// concurrently with each other (never with Join or Leave).
+type messageMeter struct {
+	total, maint atomic.Int64
+	rng          *xrand.Stream
+	r            liveRouter
+}
+
+// add meters one membership route or walk of hops hops.
+func (m *messageMeter) add(hops int) {
+	m.total.Add(int64(hops))
+	m.maint.Add(int64(hops))
+}
+
+// locate meters a join's route to its own identifier k from a bootstrap
+// slot drawn from the protocol stream, on the rows before the splice,
+// and returns that slot.
+func (o *incrementalOverlay) locate(k keyspace.Key) int32 {
+	boot := int32(o.msgs.rng.Intn(len(o.keys)))
+	o.msgs.add(o.msgs.r.Route(int(boot), k).Hops)
+	return boot
+}
+
+// meterDraw meters the route slot u sends toward a drawn link key. The
+// slot's own row is refreshed first, so the route leaves through the
+// links it holds so far, as a joining peer's queries do.
+func (o *incrementalOverlay) meterDraw(u int32, key keyspace.Key) {
+	o.markDirty(u)
+	o.msgs.add(o.msgs.r.Route(int(u), key).Hops)
+}
+
+// Messages implements Messenger. Building meters nothing, so both
+// counters start at 0.
+func (o *protocolOverlay) Messages() (total, maintenance int64) {
+	return o.msgs.total.Load(), o.msgs.maint.Load()
+}
+
+// NewRouter returns a live router whose route hops add to the total
+// message count.
+func (o *protocolOverlay) NewRouter() Router {
+	return &meteredRouter{r: liveRouter{o: o.incrementalOverlay}, m: o.msgs}
+}
+
+type meteredRouter struct {
+	r liveRouter
+	m *messageMeter
+}
+
+func (r *meteredRouter) Route(src int, target keyspace.Key) Result {
+	res := r.r.Route(src, target)
+	r.m.total.Add(int64(res.Hops))
+	return res
+}
+
+// Maintain implements Maintainer with one refinement round. Slot by
+// slot, a peer without the oracle samples the overlay by random walks
+// and re-fits its estimates of f and N; then every peer drops its long
+// links and re-draws log2 N of them by mass under its measure.
+// Membership is unchanged, so node indices stay valid.
+func (o *protocolOverlay) Maintain(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	sorted := append([]keyspace.Key(nil), o.keys...)
-	o.pts = keyspace.SortPoints(sorted)
-}
-
-func (o *protoOverlay) Kind() string           { return "protocol" }
-func (o *protoOverlay) N() int                 { return len(o.peers) }
-func (o *protoOverlay) Key(u int) keyspace.Key { return o.keys[u] }
-func (o *protoOverlay) Keys() []keyspace.Key   { return o.keys }
-func (o *protoOverlay) Stats() Stats           { return statsOf(o) }
-
-func (o *protoOverlay) Neighbors(u int) []int32 {
-	links := o.nw.Links(o.peers[u])
-	out := make([]int32, 0, len(links))
-	for _, q := range links {
-		if i, ok := o.index[q]; ok {
-			out = append(out, int32(i))
+	w := o.incrementalOverlay
+	for u := range w.keys {
+		if w.est != nil {
+			w.est.refine(w, int32(u))
 		}
+		w.redraw(int32(u))
 	}
-	return out
-}
-
-func (o *protoOverlay) NewRouter() Router { return protoRouter{o: o} }
-
-// Join implements Dynamic via the Section 4.2 join protocol.
-func (o *protoOverlay) Join(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if _, _, err := o.nw.Join(); err != nil {
-		return err
-	}
-	o.snapshot()
 	return nil
 }
 
-// Leave implements Dynamic: node u departs and affected peers repair
-// their long links.
-func (o *protoOverlay) Leave(ctx context.Context, u int) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// redraw replaces slot u's long links with log2 N fresh draws under its
+// link measure.
+func (o *incrementalOverlay) redraw(u int32) {
+	for _, t := range o.long[u] {
+		o.dropIn(t, u)
 	}
-	if u < 0 || u >= len(o.peers) {
-		return fmt.Errorf("overlaynet: leave of unknown node %d", u)
-	}
-	o.nw.Leave(o.peers[u], true)
-	o.snapshot()
-	return nil
+	o.long[u] = o.long[u][:0]
+	o.sampleInto(u, o.degree(len(o.keys)))
+	o.markDirty(u)
 }
 
-// Messages implements Messenger: total protocol traffic and its
-// membership/maintenance share, both in overlay hops.
-func (o *protoOverlay) Messages() (total, maintenance int64) {
-	return o.nw.Messages(), o.nw.MaintMessages()
+// slotEstimates is each slot's local knowledge when peers do not know
+// f: a bounded reservoir of identifiers it has observed, the histogram
+// estimate of f fitted to it, and the estimate of N that follows from
+// the estimated mass between its key-order neighbours. Slices are
+// indexed by slot and follow the engine's slot moves.
+type slotEstimates struct {
+	rng  *xrand.Stream // the protocol stream
+	seen [][]keyspace.Key
+	fit  []*dist.Piecewise
+	size []float64
 }
 
-// Maintain implements Maintainer with one iterative-refinement round:
-// every peer samples the network by random walks, re-estimates the
-// identifier density and network size, and re-draws its long-range
-// links from the improved h_u. Membership is unchanged, so node indices
-// stay valid, but neighbour sets change.
-func (o *protoOverlay) Maintain(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// newSlotEstimates starts every slot with an empty reservoir: the fit
+// is uniform, the skew-oblivious start.
+func newSlotEstimates(o *incrementalOverlay, rng *xrand.Stream) *slotEstimates {
+	n := len(o.keys)
+	e := &slotEstimates{
+		rng:  rng,
+		seen: make([][]keyspace.Key, n),
+		fit:  make([]*dist.Piecewise, n),
+		size: make([]float64, n),
 	}
-	o.nw.Refine(16, 4)
-	return nil
-}
-
-type protoRouter struct {
-	o *protoOverlay
-}
-
-func (r protoRouter) Route(src int, target keyspace.Key) Result {
-	term, hops := r.o.nw.Lookup(r.o.peers[src], target)
-	dest, ok := r.o.index[term]
-	if !ok {
-		// The peer set changed under a stale router.
-		return Result{Hops: hops, Dest: -1}
+	for u := range n {
+		e.refit(o, int32(u))
 	}
-	owner := r.o.pts.Nearest(keyspace.Ring, target)
-	arrived := keyspace.Ring.Distance(term.ID, target) <=
-		keyspace.Ring.Distance(r.o.pts[owner], target)
-	return Result{Hops: hops, Dest: dest, Arrived: arrived}
+	return e
+}
+
+// join gives a newcomer its first knowledge: the identifiers of its
+// flanks and of the bootstrap peer its locate route started from.
+func (e *slotEstimates) join(o *incrementalOverlay, id, boot int32) {
+	e.seen = append(e.seen, nil)
+	e.fit = append(e.fit, nil)
+	e.size = append(e.size, 0)
+	e.observe(id, o.keys[o.pred[id]])
+	e.observe(id, o.keys[o.succ[id]])
+	e.observe(id, o.keys[boot])
+	e.refit(o, id)
+}
+
+// remove drops slot u's state and moves the last slot's into its place,
+// as Leave moves the last slot.
+func (e *slotEstimates) remove(u int32) {
+	last := len(e.seen) - 1
+	e.seen[u], e.fit[u], e.size[u] = e.seen[last], e.fit[last], e.size[last]
+	e.seen, e.fit, e.size = e.seen[:last], e.fit[:last], e.size[:last]
+}
+
+// observe records identifier k in slot u's reservoir. Once the
+// reservoir is full, k replaces a random entry with probability
+// cap/(cap+1).
+func (e *slotEstimates) observe(u int32, k keyspace.Key) {
+	if len(e.seen[u]) < estimateCap {
+		e.seen[u] = append(e.seen[u], k)
+		return
+	}
+	if i := e.rng.Intn(estimateCap + 1); i < estimateCap {
+		e.seen[u][i] = k
+	}
+}
+
+// refine adds the endpoints of refineWalks random walks from u to its
+// reservoir and re-fits its estimates.
+func (e *slotEstimates) refine(o *incrementalOverlay, u int32) {
+	for range refineWalks {
+		cur := u
+		for range refineWalkLen {
+			row := o.adj.Row(int(cur))
+			cur = row[e.rng.Intn(len(row))]
+		}
+		e.observe(u, o.keys[cur])
+	}
+	o.msgs.add(refineWalks * refineWalkLen)
+	e.refit(o, u)
+}
+
+// refit fits slot u's estimate of f to its reservoir and estimates N
+// from the estimated mass between its key-order neighbours, 2/N in
+// expectation (at least 2).
+func (e *slotEstimates) refit(o *incrementalOverlay, u int32) {
+	f := dist.Estimate(e.seen[u], estimateBins)
+	gap := f.CDF(float64(o.keys[o.succ[u]])) - f.CDF(float64(o.keys[o.pred[u]]))
+	if gap < 0 {
+		gap++
+	}
+	e.fit[u], e.size[u] = f, 2
+	if gap > 0 && 2/gap > 2 {
+		e.size[u] = 2 / gap
+	}
 }

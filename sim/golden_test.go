@@ -20,24 +20,24 @@ import (
 // Re-recording one is a behaviour change, not a refactor.
 var flightGolden = map[string]struct{ totals, quantiles, digest string }{
 	"lossy": {
-		"{Queries:933 Arrived:933 Failures:0 Timeouts:0 Joins:10 Leaves:6 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:100 TotalMessages:1180 MaintMessages:1180 Degraded:124 Unroutable:0 Retries:136 Store:<nil> hopSum:2725 latSum:18.41615946814054}",
-		"3f8225a126d0bc00 3fb4cf4a21d632cd 3fb64590569b5666 3fc33dccc1fa4c02 3fd18ac52585c200",
-		"dfe4cdb753170846",
+		"{Queries:933 Arrived:933 Failures:0 Timeouts:0 Joins:10 Leaves:6 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:100 TotalMessages:405 MaintMessages:405 Degraded:127 Unroutable:0 Retries:136 Store:<nil> hopSum:2709 latSum:18.37292418159383}",
+		"3f826eaff855a000 3fb51500f0b01c9a 3fb61af626f8ff9a 3fb7ee7b6db91ceb 3fd11d85dd3ff600",
+		"1d86798cfe52c406",
 	},
 	"byzantine": {
-		"{Queries:932 Arrived:911 Failures:21 Timeouts:21 Joins:10 Leaves:6 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:100 TotalMessages:1180 MaintMessages:1180 Degraded:208 Unroutable:0 Retries:251 Store:<nil> hopSum:3406 latSum:28.520117045481}",
-		"3f83423785c84800 3fb6b33efd07c400 3fc6f244a6a1e8a0 3fd22647e73ce77f 3fedff7f31c19700",
-		"e2a91a7099b6191e",
+		"{Queries:933 Arrived:926 Failures:7 Timeouts:7 Joins:10 Leaves:6 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:100 TotalMessages:405 MaintMessages:405 Degraded:143 Unroutable:0 Retries:146 Store:<nil> hopSum:3026 latSum:19.962397526639755}",
+		"3f82bc4047fca800 3fb40da108e8a020 3fb8d6c6375de100 3fc9915db0888b20 3fd814ebd707e500",
+		"c38f1aa8725c7ba3",
 	},
 	"lossy-heavy": {
-		"{Queries:984 Arrived:832 Failures:152 Timeouts:92 Joins:10 Leaves:6 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:100 TotalMessages:1180 MaintMessages:1180 Degraded:524 Unroutable:60 Retries:1820 Store:<nil> hopSum:2747 latSum:117.10453390347223}",
-		"3fb5b718c832af00 3fd70f045681658d 3fde1c4e0cf4fb06 3fe6fb417a6844f0 3ff6cb94002d8000",
-		"4c57898f093130dc",
+		"{Queries:986 Arrived:919 Failures:67 Timeouts:52 Joins:10 Leaves:6 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:100 TotalMessages:405 MaintMessages:405 Degraded:580 Unroutable:15 Retries:1288 Store:<nil> hopSum:2701 latSum:99.96280502883343}",
+		"3fb51f96c1e7ba00 3fd06eea692bec33 3fd5a5d228b2959d 3fe15151ea12208e 3fead79e011db0c8",
+		"5dac84655b6df802",
 	},
 	"partition-heal": {
-		"{Queries:933 Arrived:845 Failures:88 Timeouts:0 Joins:0 Leaves:0 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:96 TotalMessages:0 MaintMessages:0 Degraded:20 Unroutable:88 Retries:1383 Store:<nil> hopSum:2549 latSum:25.23324832352924}",
-		"3f8176b086d57300 3f907c89dc688f34 3f94450f93afd000 3fe9f1d793cbb2d4 400394f2017af050",
-		"46110492099c07ff",
+		"{Queries:933 Arrived:846 Failures:87 Timeouts:0 Joins:0 Leaves:0 Maintenance:0 Rejected:0 SessionMisses:0 StartNodes:96 FinalNodes:96 TotalMessages:0 MaintMessages:0 Degraded:24 Unroutable:87 Retries:1456 Store:<nil> hopSum:2560 latSum:28.2357402875468}",
+		"3f8130a7ab5cfd80 3f903de2d69d9b00 3f935ad262ce9c00 3ff219ae21d22f67 40012cae94ec3110",
+		"c75c998b6e401a9a",
 	},
 }
 

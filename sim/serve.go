@@ -412,11 +412,13 @@ func Serve(ctx context.Context, pub *overlaynet.Publisher, cfg ServeConfig) (*Se
 		}
 	}
 
-	endT := time.NewTimer(cfg.Duration)
+	end := start.Add(cfg.Duration)
+	endT := time.NewTimer(time.Until(end))
 	defer endT.Stop()
 	winT := time.NewTicker(cfg.Window)
 	defer winT.Stop()
 	churn := newChurnClock(cfg.ChurnRate, churnRNG)
+	defer churn.stop()
 
 	var err error
 loop:
@@ -430,26 +432,33 @@ loop:
 		case t := <-winT.C:
 			closeWindow(t)
 		case <-churn.c:
-			if churnRNG.Bool(cfg.JoinFrac) {
-				if cfg.MaxNodes > 0 && pub.LiveN() >= cfg.MaxNodes {
+			// Apply every event already due when the writer woke, so a
+			// writer that busy readers delayed catches up; later ones
+			// wait for the next wake, which lets window ticks through.
+			woke := time.Now()
+			for !churn.due.After(woke) && ctx.Err() == nil && time.Now().Before(end) {
+				if churnRNG.Bool(cfg.JoinFrac) {
+					if cfg.MaxNodes > 0 && pub.LiveN() >= cfg.MaxNodes {
+						rejected++
+					} else if jerr := pub.Join(ctx); jerr != nil {
+						err = jerr
+						break loop
+					} else {
+						joins++
+						winJoins++
+					}
+				} else if n := pub.LiveN(); n <= cfg.MinNodes {
 					rejected++
-				} else if jerr := pub.Join(ctx); jerr != nil {
-					err = jerr
+				} else if lerr := pub.Leave(ctx, churnRNG.Intn(n)); lerr != nil {
+					err = lerr
 					break loop
 				} else {
-					joins++
-					winJoins++
+					leaves++
+					winLeaves++
 				}
-			} else if n := pub.LiveN(); n <= cfg.MinNodes {
-				rejected++
-			} else if lerr := pub.Leave(ctx, churnRNG.Intn(n)); lerr != nil {
-				err = lerr
-				break loop
-			} else {
-				leaves++
-				winLeaves++
+				churn.advance(churnRNG)
 			}
-			churn.next(churnRNG)
+			churn.arm()
 		}
 	}
 	stop.Store(true)
@@ -535,24 +544,40 @@ func serveWorker(pub *overlaynet.Publisher, cfg ServeConfig, acc *serveAcc, seed
 	}
 }
 
-// churnClock delivers Poisson-spaced wall-clock churn ticks; a zero
-// rate delivers none.
+// churnClock schedules Poisson churn open-loop: each event has an
+// absolute wall-clock due time, one exponential gap after the previous
+// one, however late the writer applied that. c fires when the earliest
+// unapplied event falls due; a zero rate leaves c nil, so it never
+// fires.
 type churnClock struct {
-	rate float64
-	c    <-chan time.Time
+	rate  float64
+	due   time.Time
+	timer *time.Timer
+	c     <-chan time.Time
 }
 
 func newChurnClock(rate float64, rng *xrand.Stream) *churnClock {
-	cc := &churnClock{rate: rate}
-	cc.next(rng)
+	cc := &churnClock{rate: rate, due: time.Now()}
+	if rate > 0 {
+		cc.advance(rng)
+		cc.timer = time.NewTimer(time.Until(cc.due))
+		cc.c = cc.timer.C
+	}
 	return cc
 }
 
-func (cc *churnClock) next(rng *xrand.Stream) {
-	if cc.rate <= 0 {
-		return // cc.c stays nil: the select case never fires
+// advance moves the due time one exponential gap on.
+func (cc *churnClock) advance(rng *xrand.Stream) {
+	cc.due = cc.due.Add(time.Duration(rng.ExpFloat64() / cc.rate * float64(time.Second)))
+}
+
+// arm sets c to fire at the due time, at once when it has passed.
+func (cc *churnClock) arm() { cc.timer.Reset(time.Until(cc.due)) }
+
+func (cc *churnClock) stop() {
+	if cc.timer != nil {
+		cc.timer.Stop()
 	}
-	cc.c = time.After(time.Duration(rng.ExpFloat64() / cc.rate * float64(time.Second)))
 }
 
 // serveRecorder assembles the windowed series and the whole-run

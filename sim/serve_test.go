@@ -91,6 +91,34 @@ func TestServeUnderChurn(t *testing.T) {
 	}
 }
 
+// TestServeChurnRateDelivered: churn is scheduled open-loop, so a
+// writer slowed by busy readers catches up instead of falling behind
+// for good. Beside four closed-loop workers at 1000 events/s, at least
+// half of the events offered in the run's window must be applied. One
+// metrics window spans the run: window closes run on the writer
+// goroutine, and under -race with more Ps than CPUs five of them cost
+// the writer about half its events, which is host capacity, not the
+// schedule this test checks.
+func TestServeChurnRateDelivered(t *testing.T) {
+	const rate, window = 1000, 500 * time.Millisecond
+	pub := servePublisher(t, 256, overlaynet.PublishEvery(2))
+	rep, err := sim.Serve(context.Background(), pub, sim.ServeConfig{
+		Workers:   4,
+		Duration:  window,
+		Window:    window,
+		ChurnRate: rate,
+		Seed:      12,
+		PinEvery:  128,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := rep.Totals.Joins + rep.Totals.Leaves + rep.Totals.Rejected
+	if offered := rate * window.Seconds(); float64(events) < offered/2 {
+		t.Fatalf("%d churn events in a %v window, want at least half of the %.0f offered", events, window, offered)
+	}
+}
+
 // TestServeFrozen covers ChurnRate 0: the population must not move and
 // exactly one epoch serves the whole run.
 func TestServeFrozen(t *testing.T) {
