@@ -8,7 +8,6 @@ import (
 	"smallworld/dist"
 	"smallworld/internal/exp"
 	"smallworld/keyspace"
-	"smallworld/obs"
 	"smallworld/xrand"
 )
 
@@ -120,33 +119,6 @@ func BenchmarkRouteGreedy(b *testing.B) {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
 			nw := buildFor(b, n, smallworld.Protocol, dist.NewPower(0.8))
 			router := nw.NewRouter()
-			rng := xrand.New(2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				router.RouteToNode(rng.Intn(n), rng.Intn(n))
-			}
-		})
-	}
-}
-
-// BenchmarkRouteGreedyObs quantifies the observability plane's overhead
-// on the hot routing path: off is the uninstrumented baseline, counters
-// adds the post-route counter/histogram block, tracing additionally
-// samples 1-in-128 queries into pooled traces. The PR 8 acceptance bar:
-// counters within 5% of off, every mode 0 allocs/op (ReportAllocs).
-func BenchmarkRouteGreedyObs(b *testing.B) {
-	const n = 4096
-	nw := buildFor(b, n, smallworld.Protocol, dist.NewPower(0.8))
-	for _, mode := range []string{"off", "counters", "tracing"} {
-		b.Run(mode, func(b *testing.B) {
-			router := nw.NewRouter()
-			switch mode {
-			case "counters":
-				router.SetObs(obs.NewRegistry(), nil)
-			case "tracing":
-				router.SetObs(obs.NewRegistry(), obs.NewTracer(obs.TracerConfig{}))
-			}
 			rng := xrand.New(2)
 			b.ReportAllocs()
 			b.ResetTimer()

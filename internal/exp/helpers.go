@@ -6,9 +6,7 @@ import (
 	"math"
 
 	"smallworld"
-	"smallworld/keyspace"
 	"smallworld/overlaynet"
-	"smallworld/xrand"
 )
 
 // routeHops routes `queries` random node-to-node requests through a
@@ -28,23 +26,6 @@ func overlayHops(ov overlaynet.Overlay, seed uint64, queries int) []float64 {
 		// Unreachable with a background context; if an error path ever
 		// appears, every query reports the failure sentinel.
 		return failedHops(queries, ov.N())
-	}
-	return batch.Hops
-}
-
-// routeHopsToKeys routes each query to an arbitrary key target, sources
-// drawn deterministically from seed.
-func routeHopsToKeys(nw *smallworld.Network, seed uint64, targets []keyspace.Key) []float64 {
-	ov := overlaynet.WrapNetwork(nw)
-	rng := xrand.New(seed)
-	qs := make([]overlaynet.Query, len(targets))
-	for i := range qs {
-		qs[i] = overlaynet.Query{Src: rng.Intn(nw.N()), Target: targets[i]}
-	}
-	qr := overlaynet.NewQueryRunner(ov, overlaynet.FailHops(float64(nw.N())))
-	batch, err := qr.Run(context.Background(), qs)
-	if err != nil {
-		return failedHops(len(targets), nw.N())
 	}
 	return batch.Hops
 }

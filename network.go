@@ -9,7 +9,6 @@ import (
 
 	"smallworld/graph"
 	"smallworld/keyspace"
-	"smallworld/obs"
 	"smallworld/xrand"
 )
 
@@ -27,11 +26,6 @@ type Network struct {
 	shortfall int // long-range links that could not be placed
 
 	routers sync.Pool // *Router scratch for the allocating convenience API
-
-	// Observability installed by SetObs; inherited by routers created
-	// after the call (see obsrouter.go).
-	obsReg    *obs.Registry
-	obsTracer *obs.Tracer
 }
 
 // Build constructs the overlay described by cfg. The same cfg and seed

@@ -6,8 +6,8 @@
 //
 // # Zero overhead when off, side-channel only when on
 //
-// Every instrumented hot path in this repository (the greedy routers,
-// RobustRouter, Publisher snapshots, the store data plane, netmodel
+// Every instrumented hot path in this repository (the snapshot routers
+// behind a Publisher, RobustRouter, the store data plane, netmodel
 // sends, sim's message loop) holds an optional *Registry that is nil by
 // default. Disabled instrumentation is one predictable nil-check per
 // query; enabled instrumentation is a handful of uncontended atomic

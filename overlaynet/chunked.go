@@ -712,9 +712,11 @@ func (v adjView) csr() *graph.CSR {
 }
 
 // adjStore is the writer side of the adjacency and the incremental
-// overlay's only copy of it. The embedded adjView is the live mapping
-// the writer's Neighbors and router read; capture() freezes a copy of
-// its spine.
+// overlay's only copy of it: the writer edits a row in place, one entry
+// at a time, through setRow, and its in-lists (not these rows) record
+// which entries are long links. The embedded adjView is the live
+// mapping the writer's Neighbors and router read; capture() freezes a
+// copy of its spine.
 type adjStore struct {
 	adjView
 	// spanShared[s] marks span s as possibly read by a snapshot, and

@@ -16,7 +16,8 @@ import (
 // chunked-snapshot path, capturing a snapshot after every event, and
 // pins each epoch's Keys()/rank lookups and every out-row bit-identical
 // to the flat reference (captureFlat, which derives the rank index by
-// sorting the identifiers and each row from pred/succ/long). Retained
+// sorting the identifiers and each row from pred/succ and the in-lists).
+// Retained
 // (snapshot, reference) pairs are re-verified after the full run, so a
 // copy-on-write violation that mutates an already-published chunk or
 // row block fails the test even if the at-capture comparison passed.
@@ -74,8 +75,9 @@ type flatCapture struct {
 
 // captureFlat copies the overlay's identifiers, derives the rank index
 // from them by sorting and rebuilds every row from pred, succ and the
-// long links (sorted, deduplicated), so it never reads the chunked
-// stores it is the reference for.
+// long links the in-lists record (u links v iff u is in in[v]), sorted
+// and deduplicated, so it never reads the chunked stores it is the
+// reference for.
 func (o *incrementalOverlay) captureFlat() flatCapture {
 	keys := append([]keyspace.Key(nil), o.keys...)
 	order := make([]int32, len(keys))
@@ -89,12 +91,18 @@ func (o *incrementalOverlay) captureFlat() flatCapture {
 	}
 	rows := make([][]int32, len(keys))
 	for u := range rows {
-		row := append([]int32(nil), o.long[u]...)
 		for _, v := range [2]int32{o.pred[u], o.succ[u]} {
 			if v >= 0 {
-				row = append(row, v)
+				rows[u] = append(rows[u], v)
 			}
 		}
+	}
+	for v, ins := range o.in {
+		for _, u := range ins {
+			rows[u] = append(rows[u], int32(v))
+		}
+	}
+	for u, row := range rows {
 		slices.Sort(row)
 		rows[u] = slices.Compact(row)
 	}

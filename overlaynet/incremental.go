@@ -33,9 +33,10 @@ import (
 // Internally node slots are stable: indices are join order, not key
 // rank, so a membership event never renumbers the population (a Leave
 // moves only the last slot into the hole). Out-rows live in
-// copy-on-write row blocks (adjStore, chunked.go): an event rewrites
-// the rows it touches in place, and CaptureSnapshot shares the blocks
-// with the snapshot, so no event ever copies the whole adjacency.
+// copy-on-write row blocks (adjStore, chunked.go), the writer's only
+// out-adjacency: an event edits the rows it touches in place, one entry
+// at a time, and CaptureSnapshot shares the blocks with the snapshot,
+// so no event ever copies the whole adjacency.
 // Identifiers are NOT sorted by node index — use Keys()/Key like any
 // other Dynamic overlay.
 func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, error) {
@@ -65,7 +66,6 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 		exponent: cfg.Exponent,
 		degree:   cfg.Degree,
 		keys:     append([]keyspace.Key(nil), nw.Keys()...),
-		long:     make([][]int32, n),
 		in:       make([][]int32, n),
 		succ:     make([]int32, n),
 		pred:     make([]int32, n),
@@ -80,25 +80,10 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 	for p, i := (rankPos{}), 0; i < n; p, i = o.rankM.next(p), i+1 {
 		o.wire(p)
 	}
-	// A CSR row is the key-order neighbours and the long links, sorted
-	// and distinct (the samplers never link a neighbour), so the long
-	// links in ascending order are the row without its neighbours. Should
-	// a builder ever link a neighbour, the row holds fewer of them than
-	// LongRange, and the links are sorted instead.
-	csr := nw.CSR()
+	// The rows come straight from the CSR: the key-order neighbours and
+	// the long links. The in-lists record which entries are long links.
 	for u := 0; u < n; u++ {
-		lr := nw.LongRange(u)
-		long := slices.Grow([]int32(nil), len(lr))
-		for _, v := range csr.Out(u) {
-			if v != o.pred[u] && v != o.succ[u] {
-				long = append(long, v)
-			}
-		}
-		if len(long) != len(lr) {
-			long = slices.Sorted(slices.Values(lr))
-		}
-		o.long[u] = long
-		for _, v := range long {
+		for _, v := range nw.LongRange(u) {
 			o.in[v] = append(o.in[v], int32(u))
 		}
 	}
@@ -125,14 +110,14 @@ type incrementalOverlay struct {
 	exponent float64
 	degree   smallworld.DegreeFunc
 
-	// Per-slot state; slots are stable across events. Each long list is
-	// kept in ascending slot order, so markDirty merges it with the two
-	// key-order neighbours instead of sorting the row; nothing reads the
-	// order for meaning (only membership, counts and loops over distinct
-	// targets). The in-lists are in event order, which handover's draws
-	// and Leave's repair order read: they are never sorted.
+	// Per-slot state; slots are stable across events. A slot's out-row
+	// in adj is its only out-adjacency: its key-order neighbours and its
+	// long-range links, ascending, each once. The in-lists mark which row
+	// entries are long links (u links v long-range iff u is in in[v]),
+	// which the row cannot tell when a long link is also a neighbour.
+	// They are in event order, which handover's draws and Leave's repair
+	// order read: they are never sorted.
 	keys []keyspace.Key
-	long [][]int32 // long-range out-links, ascending
 	in   [][]int32 // long-range in-links (who points here)
 	succ []int32   // key-order successor (-1 at the line's top end)
 	pred []int32   // key-order predecessor (-1 at the line's bottom end)
@@ -144,13 +129,13 @@ type incrementalOverlay struct {
 	// drawTarget's NearestExcluding, the watcher's cells — goes through
 	// rankM's in-place rankView, so a membership event shifts entries
 	// within one chunk instead of O(N) flat arrays. adj holds every
-	// slot's out-row, rebuilt from pred/succ/long by markDirty.
-	// CaptureSnapshot shares all three stores into the published
-	// Snapshot for O(spine) cost.
+	// slot's out-row; an event edits the rows it touches in place, one
+	// entry at a time. CaptureSnapshot shares all three stores into the
+	// published Snapshot for O(spine) cost.
 	keysM *keyStore
 	rankM *rankStore
 	adj   *adjStore
-	row   []int32 // markDirty's scratch
+	row   []int32 // scratch copy of the row being edited
 	ins   []int32 // scratch copy of the in-list an event iterates
 
 	rng *xrand.Stream
@@ -261,37 +246,78 @@ func (o *incrementalOverlay) wire(p rankPos) {
 	}
 }
 
-// markDirty rebuilds node u's out-row from its current neighbour and
-// long-range links: one merge of the ascending long list with the two
-// neighbours, deduplicated — a repair can make a long link coincide
-// with a neighbouring edge, a 2-node ring has pred == succ, and both
-// are -1 on a single node or at a line end.
-func (o *incrementalOverlay) markDirty(u int32) {
-	if u < 0 {
+// rewire is wire for a node whose row is live: it records the node's
+// key-order neighbours, re-points them, and edits the row to match. A
+// former neighbour leaves the row unless it is still a neighbour or the
+// node links it long-range, which only the in-lists can tell: the row
+// holds a neighbour that is also a long link once. New neighbours enter
+// the row.
+func (o *incrementalOverlay) rewire(p rankPos) {
+	id := o.rankM.slot(p)
+	was := [2]int32{o.pred[id], o.succ[id]}
+	o.wire(p)
+	now := [2]int32{o.pred[id], o.succ[id]}
+	if now == was {
 		return
 	}
-	a, b := o.pred[u], o.succ[u]
-	if a > b {
-		a, b = b, a
-	}
-	if a == b {
-		a = -1
-	}
-	row, long := o.row[:0], o.long[u]
-	for _, x := range [2]int32{a, b} {
-		if x < 0 {
-			continue
-		}
-		for len(long) > 0 && long[0] < x {
-			row = append(row, long[0])
-			long = long[1:]
-		}
-		if len(long) == 0 || long[0] != x {
-			row = append(row, x) // else the long list supplies x
+	row := append(o.row[:0], o.adj.Row(int(id))...)
+	for _, x := range was {
+		if x >= 0 && x != now[0] && x != now[1] && !slices.Contains(o.in[x], id) {
+			row = deleteSorted(row, x)
 		}
 	}
-	o.row = append(row, long...)
+	o.row = insertSorted(insertSorted(row, now[0]), now[1])
+	o.adj.setRow(int(id), o.row)
+}
+
+// addLink installs the long-range link u→v: v enters u's row, which must
+// not hold it yet, and u enters v's in-list.
+func (o *incrementalOverlay) addLink(u, v int32) {
+	o.editRow(u, -1, v)
+	o.in[v] = append(o.in[v], u)
+}
+
+// unlink removes the long-range link u→v. v stays in u's row while it
+// is a key-order neighbour of u.
+func (o *incrementalOverlay) unlink(u, v int32) {
+	o.dropIn(v, u)
+	if v != o.pred[u] && v != o.succ[u] {
+		o.editRow(u, v, -1)
+	}
+}
+
+// hasLink reports whether u's row holds v.
+func (o *incrementalOverlay) hasLink(u, v int32) bool {
+	_, ok := slices.BinarySearch(o.adj.Row(int(u)), v)
+	return ok
+}
+
+// editRow rewrites u's ascending row with one setRow: from leaves it and
+// to enters it, where -1 skips a side. A row that lacks from is left as
+// it is, so renaming an entry a row does not hold does nothing.
+func (o *incrementalOverlay) editRow(u, from, to int32) {
+	if from >= 0 && !o.hasLink(u, from) {
+		return
+	}
+	o.row = insertSorted(deleteSorted(append(o.row[:0], o.adj.Row(int(u))...), from), to)
 	o.adj.setRow(int(u), o.row)
+}
+
+// insertSorted inserts v into the ascending s unless s holds it or v is
+// -1 (a missing neighbour).
+func insertSorted(s []int32, v int32) []int32 {
+	if i, ok := slices.BinarySearch(s, v); !ok && v >= 0 {
+		return slices.Insert(s, i, v)
+	}
+	return s
+}
+
+// deleteSorted removes v from the ascending s if s holds it.
+func deleteSorted(s []int32, v int32) []int32 {
+	if i, ok := slices.BinarySearch(s, v); ok {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }
 
 // Topology returns the key-space geometry the overlay routes under.
@@ -331,18 +357,15 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	o.keys = append(o.keys, k)
 	o.keysM.push(k)
 	o.adj.push()
-	o.long = append(o.long, nil)
 	o.in = append(o.in, nil)
 	o.succ = append(o.succ, -1)
 	o.pred = append(o.pred, -1)
 
 	rs := o.rankM
 	p := rs.insert(rs.seek(k), k, id)
-	o.wire(rs.prev(p))
-	o.wire(p)
-	o.wire(rs.next(p))
-	o.markDirty(o.pred[id])
-	o.markDirty(o.succ[id])
+	o.rewire(rs.prev(p))
+	o.rewire(p)
+	o.rewire(rs.next(p))
 	if o.est != nil {
 		o.est.join(o, id, boot)
 	}
@@ -350,7 +373,6 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	m := o.degree(len(o.keys))
 	o.handover(id)
 	o.sampleInto(id, m)
-	o.markDirty(id)
 	if o.watcher != nil {
 		// The newcomer's cell was stolen from its flanks, split at their
 		// former mutual boundary.
@@ -391,14 +413,11 @@ func (o *incrementalOverlay) handover(w int32) {
 			if !o.rng.Bool(frac) {
 				continue
 			}
-			if u == w || o.pred[u] == w || o.succ[u] == w || hasTarget(o.long[u], w) {
+			if u == w || o.hasLink(u, w) {
 				continue
 			}
-			o.dropTarget(u, v)
-			o.dropIn(v, u)
-			o.long[u] = addTarget(o.long[u], w)
-			o.in[w] = append(o.in[w], u)
-			o.markDirty(u)
+			o.unlink(u, v)
+			o.addLink(u, w)
 		}
 	}
 }
@@ -484,69 +503,67 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		changes = o.splitCell(false, o.keys[uid], cell, o.pred[uid], o.succ[uid])
 	}
 
-	// The departing node's own links stop existing.
-	for _, t := range o.long[uid] {
+	// The departing node's own links stop existing; for a neighbour it
+	// does not also link long-range, dropIn finds nothing.
+	for _, t := range o.adj.Row(int(uid)) {
 		o.dropIn(t, uid)
 	}
 	// Peers holding a link to the departed node lose it now and get a
-	// replacement drawn after the membership change is complete.
+	// replacement drawn after the membership change is complete. This
+	// empties the departed node's in-list, so the splice below drops it
+	// from its flanks' rows too.
 	o.ins = append(o.ins[:0], o.in[uid]...)
 	repair := o.ins
 	for _, w := range repair {
-		o.dropTarget(w, uid)
-		o.markDirty(w)
+		o.unlink(w, uid)
 	}
-	o.long[uid], o.in[uid] = nil, nil
 
 	// Splice u out of the rank index; its former flanks become
 	// key-order neighbours of each other.
 	next := rs.remove(at)
-	prev := rs.prev(next)
-	o.wire(prev)
-	o.wire(next)
-	o.markDirty(rs.slot(prev))
-	o.markDirty(rs.slot(next))
+	o.rewire(rs.prev(next))
+	o.rewire(next)
 
 	// Move the last slot into the hole so slots stay dense. Everything
-	// that mentions the old id — rank index, neighbour pointers of its
-	// flanks, rows of its in-neighbours, in-lists of its targets — is
-	// renamed, and every renamed row is dirtied.
+	// that mentions the old id — rank index, neighbour pointers and rows
+	// of its flanks, rows of its in-neighbours, in-lists of its targets —
+	// is renamed. No row holds u any more, so a rename cannot collide.
 	last := int32(n - 1)
 	if uid != last {
 		o.keys[uid] = o.keys[last]
 		o.keysM.set(int(uid), o.keys[last])
-		o.long[uid] = o.long[last]
 		o.in[uid] = o.in[last]
 		o.succ[uid] = o.succ[last]
 		o.pred[uid] = o.pred[last]
 		lp, _ := rs.posOf(o.keys[uid], last)
 		rs.setSlot(lp, uid)
+		o.row = append(o.row[:0], o.adj.Row(int(last))...)
+		o.adj.setRow(int(uid), o.row)
+		for _, t := range o.row {
+			o.renameIn(t, last, uid)
+		}
+		// A slot that is both a flank and an in-neighbour is renamed
+		// once: the second editRow finds no last in its row.
 		if p := o.pred[uid]; p >= 0 {
 			o.succ[p] = uid
-			o.markDirty(p)
+			o.editRow(p, last, uid)
 		}
 		if s := o.succ[uid]; s >= 0 {
 			o.pred[s] = uid
-			o.markDirty(s)
-		}
-		for _, t := range o.long[uid] {
-			o.renameIn(t, last, uid)
+			o.editRow(s, last, uid)
 		}
 		for _, w := range o.in[uid] {
-			o.renameTarget(w, last, uid)
-			o.markDirty(w)
+			o.editRow(w, last, uid)
 		}
 		for i, w := range repair {
 			if w == last {
 				repair[i] = uid
 			}
 		}
-		o.markDirty(uid)
 	}
 	o.keys = o.keys[:n-1]
 	o.keysM.pop()
 	o.adj.pop()
-	o.long = o.long[:n-1]
 	o.in = o.in[:n-1]
 	o.succ = o.succ[:n-1]
 	o.pred = o.pred[:n-1]
@@ -556,10 +573,9 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 
 	// Repair: one replacement draw per broken link.
 	for _, w := range repair {
-		if o.sampleInto(w, len(o.long[w])+1) > 0 {
+		if o.sampleInto(w, 1) > 0 {
 			o.repairs++
 		}
-		o.markDirty(w)
 	}
 	if o.watcher != nil {
 		for _, ch := range changes {
@@ -591,33 +607,6 @@ func (o *incrementalOverlay) renameIn(t, from, to int32) {
 	}
 }
 
-// dropTarget removes t from w's long links, keeping them ascending.
-func (o *incrementalOverlay) dropTarget(w, t int32) {
-	long := o.long[w]
-	if i, ok := slices.BinarySearch(long, t); ok {
-		copy(long[i:], long[i+1:])
-		o.long[w] = long[:len(long)-1]
-	}
-}
-
-// renameTarget rewrites from→to in w's long links, moving the entry to
-// keep them ascending; w must not link to both.
-func (o *incrementalOverlay) renameTarget(w, from, to int32) {
-	long := o.long[w]
-	i, ok := slices.BinarySearch(long, from)
-	if !ok {
-		return
-	}
-	j, _ := slices.BinarySearch(long, to)
-	if j <= i {
-		copy(long[j+1:i+1], long[j:i])
-	} else {
-		j--
-		copy(long[i:j], long[i+1:j+1])
-	}
-	long[j] = to
-}
-
 // drawKey samples a fresh identifier from the density, nudging float
 // collisions apart exactly like the offline key placement.
 func (o *incrementalOverlay) drawKey() (keyspace.Key, error) {
@@ -638,10 +627,10 @@ func (o *incrementalOverlay) drawKey() (keyspace.Key, error) {
 	return 0, fmt.Errorf("overlaynet: could not draw a fresh identifier")
 }
 
-// sampleInto draws long-range links for node u until it holds m of them
-// (or the attempt budget runs out), excluding itself, its key-order
-// neighbours and its existing links. It returns how many links were
-// placed and keeps the in-lists consistent. The node's link measure,
+// sampleInto draws up to m more long-range links for node u (fewer when
+// the attempt budget runs out), rejecting itself and every slot its row
+// already holds: its key-order neighbours and existing links. It
+// returns how many links were placed. The node's link measure,
 // measure position and rank are fixed for the whole call (membership
 // cannot change mid-event), so they are computed once, not per attempt.
 func (o *incrementalOverlay) sampleInto(u int32, m int) int {
@@ -656,49 +645,22 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 		pos = f.CDF(pos)
 	}
 	rank := o.rankOf(int(u))
-	placed := 0
-	for len(o.long[u]) < m {
-		ok := false
-		for attempt := 0; attempt < maxDrawAttempts; attempt++ {
-			o.draws++
-			v := o.drawTarget(u, f, pos, lo, rank)
-			if v < 0 || v == int(u) || int32(v) == o.pred[u] || int32(v) == o.succ[u] {
-				continue
-			}
-			if hasTarget(o.long[u], int32(v)) {
-				continue
-			}
-			o.long[u] = addTarget(o.long[u], int32(v))
-			o.in[v] = append(o.in[v], u)
-			if o.est != nil {
-				o.est.observe(u, o.keys[v])
-			}
-			o.placed++
-			placed++
-			ok = true
-			break
+	placed, misses := 0, 0 // misses: failed draws since the last placed link
+	for placed < m && misses < maxDrawAttempts {
+		o.draws++
+		v := int32(o.drawTarget(u, f, pos, lo, rank))
+		if v < 0 || v == u || o.hasLink(u, v) {
+			misses++
+			continue
 		}
-		if !ok {
-			break
+		o.addLink(u, v)
+		if o.est != nil {
+			o.est.observe(u, o.keys[v])
 		}
+		o.placed++
+		placed, misses = placed+1, 0
 	}
 	return placed
-}
-
-// hasTarget reports whether the ascending long list holds v.
-func hasTarget(long []int32, v int32) bool {
-	_, ok := slices.BinarySearch(long, v)
-	return ok
-}
-
-// addTarget inserts v into the ascending long list, which must not hold
-// it yet.
-func addTarget(long []int32, v int32) []int32 {
-	i, _ := slices.BinarySearch(long, v)
-	long = append(long, 0)
-	copy(long[i+1:], long[i:])
-	long[i] = v
-	return long
 }
 
 // drawTarget performs one Section 4.2 link draw for node u at the given

@@ -16,14 +16,16 @@ import (
 // checkIncrementalInvariants verifies the full internal consistency of
 // an incremental overlay: the rank index equals the one derived by
 // sorting the live (unique) identifiers, neighbour pointers follow key
-// order, in-lists mirror the long links exactly, the row blocks are
-// well formed, and — most importantly — every row the routers read
-// equals the row recomputed from scratch. The last check is what
-// catches a stale row surviving a slot rename.
+// order, each in-list names valid, distinct in-neighbours other than
+// its own slot, the row blocks are well formed, and — most
+// importantly — every row the routers read is strictly ascending and
+// equals the slot's neighbours plus the long links the in-lists record.
+// The last check is what catches a stale row surviving a slot rename,
+// or a long link a splice dropped because it was also a neighbour.
 func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 	t.Helper()
 	n := len(o.keys)
-	if o.rankM.Len() != n || len(o.long) != n || len(o.in) != n || o.adj.n != n {
+	if o.rankM.Len() != n || len(o.in) != n || o.adj.n != n {
 		t.Fatalf("inconsistent state sizes at n=%d", n)
 	}
 	ref := o.captureFlat()
@@ -53,37 +55,17 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 				id, rank, o.pred[id], o.succ[id], wantPred, wantSucc)
 		}
 	}
-	// Long lists are strictly ascending (markDirty merges them).
-	for u, links := range o.long {
-		for i := 1; i < len(links); i++ {
-			if links[i] <= links[i-1] {
-				t.Fatalf("slot %d long links %v not strictly ascending", u, links)
-			}
-		}
-	}
 	checkRankFence(t, o.rankM.rankView)
-	// in-lists mirror long links.
-	inCount := make(map[[2]int32]int)
-	for u, links := range o.long {
-		for _, v := range links {
-			if int(v) == u || v < 0 || int(v) >= n {
-				t.Fatalf("slot %d holds invalid link %d at n=%d", u, v, n)
-			}
-			inCount[[2]int32{v, int32(u)}]++
-		}
-	}
 	for v, ins := range o.in {
+		seen := make(map[int32]bool, len(ins))
 		for _, u := range ins {
-			key := [2]int32{int32(v), u}
-			inCount[key]--
-			if inCount[key] < 0 {
-				t.Fatalf("in-list of %d mentions %d more often than %d links to it", v, u, u)
+			if int(u) == v || u < 0 || int(u) >= n {
+				t.Fatalf("in-list of %d names invalid slot %d at n=%d", v, u, n)
 			}
-		}
-	}
-	for key, c := range inCount {
-		if c != 0 {
-			t.Fatalf("link %d->%d missing from the in-list (count %d)", key[1], key[0], c)
+			if seen[u] {
+				t.Fatalf("in-list of %d names %d twice: %v", v, u, ins)
+			}
+			seen[u] = true
 		}
 	}
 	if len(o.adj.shared) != len(o.adj.spans) || len(o.adj.spanShared) != len(o.adj.spans) {
@@ -92,8 +74,14 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 	checkAdjBlocks(t, o.adj.adjView)
 	// The routed adjacency equals the adjacency recomputed from state.
 	for u := 0; u < n; u++ {
-		if got, want := o.Neighbors(u), ref.rows[u]; !slices.Equal(got, want) {
-			t.Fatalf("slot %d row %v, want %v", u, got, want)
+		row := o.Neighbors(u)
+		for i, v := range row {
+			if int(v) == u || i > 0 && v <= row[i-1] {
+				t.Fatalf("slot %d row %v not strictly ascending without itself", u, row)
+			}
+		}
+		if want := ref.rows[u]; !slices.Equal(row, want) {
+			t.Fatalf("slot %d row %v, want %v", u, row, want)
 		}
 	}
 }
@@ -218,8 +206,8 @@ func TestIncrementalInvariantsUnderChurn(t *testing.T) {
 }
 
 // TestCompactMatchesRowByRowFold pins the row blocks to the row-by-row
-// reference — every row rebuilt from pred/succ/long, and a flat CSR
-// folded from those rows one by one — at the boundaries where the
+// reference — every row rebuilt from pred/succ and the in-lists, and a
+// flat CSR folded from those rows one by one — at the boundaries where the
 // population shrank below its starting size, grew above it, lost its
 // last slot, and saw no event at all, then across a mixed churn run
 // captured at irregular intervals. Each boundary also materialises the

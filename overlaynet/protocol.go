@@ -95,10 +95,9 @@ func (o *incrementalOverlay) locate(k keyspace.Key) int32 {
 }
 
 // meterDraw meters the route slot u sends toward a drawn link key. The
-// slot's own row is refreshed first, so the route leaves through the
-// links it holds so far, as a joining peer's queries do.
+// route leaves through the links u holds so far, as a joining peer's
+// queries do.
 func (o *incrementalOverlay) meterDraw(u int32, key keyspace.Key) {
-	o.markDirty(u)
 	o.msgs.add(o.msgs.r.Route(int(u), key).Hops)
 }
 
@@ -145,14 +144,16 @@ func (o *protocolOverlay) Maintain(ctx context.Context) error {
 }
 
 // redraw replaces slot u's long links with log2 N fresh draws under its
-// link measure.
+// link measure. u leaves the in-list of every row target (dropIn finds
+// nothing for a neighbour u does not also link), and its row shrinks to
+// its neighbours before the draws.
 func (o *incrementalOverlay) redraw(u int32) {
-	for _, t := range o.long[u] {
+	for _, t := range o.adj.Row(int(u)) {
 		o.dropIn(t, u)
 	}
-	o.long[u] = o.long[u][:0]
+	o.row = insertSorted(insertSorted(o.row[:0], o.pred[u]), o.succ[u])
+	o.adj.setRow(int(u), o.row)
 	o.sampleInto(u, o.degree(len(o.keys)))
-	o.markDirty(u)
 }
 
 // slotEstimates is each slot's local knowledge when peers do not know

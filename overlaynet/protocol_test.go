@@ -138,9 +138,10 @@ func TestProtocolInvariants(t *testing.T) {
 				if e := o.est; e != nil && (len(e.seen) != o.N() || len(e.fit) != o.N() || len(e.size) != o.N()) {
 					t.Fatalf("%s: estimate state for %d/%d/%d slots at N=%d", phase, len(e.seen), len(e.fit), len(e.size), o.N())
 				}
+				// Every long link is in exactly one in-list.
 				var long metrics.Summary
-				for u := range o.long {
-					long.Add(float64(len(o.long[u])))
+				for _, ins := range o.in {
+					long.Add(float64(len(ins)))
 				}
 				if min := math.Log2(float64(o.N())) / 2; long.Mean() < min {
 					t.Fatalf("%s: %.1f long links per peer, want at least %.1f", phase, long.Mean(), min)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"smallworld/keyspace"
-	"smallworld/obs"
 )
 
 // Router carries the scratch buffers of greedy routing so that the hot
@@ -28,15 +27,6 @@ type Router struct {
 	// flat buffer its per-frame candidate windows slice into.
 	btFrames []btFrame
 	btCands  []int32
-
-	// Observability (see obsrouter.go). obsOn gates everything with one
-	// predictable branch per route; the inner loops are untouched —
-	// sampled traces are rebuilt from r.path after the walk finishes.
-	obsOn     bool
-	obsReg    *obs.Registry
-	obsHint   obs.Hint
-	obsSample obs.Sampler
-	obsTracer *obs.Tracer
 }
 
 // nextGen sizes the mark table to the network and opens a fresh epoch:
@@ -56,14 +46,9 @@ func (r *Router) nextGen() int32 {
 	return r.gen
 }
 
-// NewRouter returns a router with empty scratch bound to nw, inheriting
-// any instrumentation installed by Network.SetObs.
+// NewRouter returns a router with empty scratch bound to nw.
 func (nw *Network) NewRouter() *Router {
-	r := &Router{nw: nw}
-	if nw.obsReg != nil || nw.obsTracer != nil {
-		r.SetObs(nw.obsReg, nw.obsTracer)
-	}
-	return r
+	return &Router{nw: nw}
 }
 
 // router fetches a pooled Router for the allocating convenience API.
@@ -86,11 +71,7 @@ func (r *Router) RouteToNode(src, dst int) Route {
 // neighbouring edges the stopping node is exactly the network-closest
 // node to the target.
 func (r *Router) RouteGreedy(src int, target keyspace.Key) Route {
-	rt := r.walk(src, target, nil)
-	if r.obsOn {
-		r.observe(&rt, target)
-	}
-	return rt
+	return r.walk(src, target, nil)
 }
 
 // walk is the static network's one greedy scan, shared by RouteGreedy
@@ -152,14 +133,6 @@ func (r *Router) walk(src int, target keyspace.Key, dead []bool) Route {
 // better than the best direct hop, which a direct neighbour can never
 // be.
 func (r *Router) RouteGreedyNoN(src int, target keyspace.Key) Route {
-	rt := r.routeGreedyNoN(src, target)
-	if r.obsOn {
-		r.observe(&rt, target)
-	}
-	return rt
-}
-
-func (r *Router) routeGreedyNoN(src int, target keyspace.Key) Route {
 	nw := r.nw
 	topo := nw.cfg.Topology
 	keys, csr := nw.keys, nw.csr

@@ -43,12 +43,3 @@ func DataTargets(f dist.Distribution) TargetFunc {
 		return dist.Sample(f, r)
 	}
 }
-
-// HotspotTargets concentrates queries on a narrow band around the
-// densest part of the key space (the data median ± 0.005).
-func HotspotTargets(f dist.Distribution) TargetFunc {
-	center := f.Quantile(0.5)
-	return func(r *xrand.Stream) keyspace.Key {
-		return keyspace.Wrap(center + 0.01*(r.Float64()-0.5))
-	}
-}

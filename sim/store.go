@@ -61,17 +61,6 @@ type StoreScenario struct {
 	// Preload writes this many keys before the clock starts, so reads
 	// and scans have data from t=0. Default 256; negative disables.
 	Preload int
-	// BatchHandover coalesces each membership event's per-key repair
-	// copies into one bulk transfer per destination member
-	// (store.Config.BatchHandover). Payload bytes are identical either
-	// way; only Stats.Transfers and the per-transfer overhead change.
-	BatchHandover bool
-	// TransferOverheadBytes charges this many bytes of framing per
-	// transfer into the bytes_moved series — the cost batching
-	// amortises. Default 0, keeping bytes_moved bit-identical to
-	// scenarios recorded before these knobs existed.
-	TransferOverheadBytes int
-
 	// Chunks switches to the sequential-chunk workload: large objects
 	// split into ChunkCount adjacent chunk keys, written and read in
 	// order with a hot-object skew, occasional seek storms, and scans
@@ -255,10 +244,7 @@ func (e *Engine) initStore() {
 		})
 		ss.events = true
 	}
-	st, err := store.New(engineSource{e}, store.Config{
-		Replicas: cfg.Replicas, EventDriven: ss.events,
-		BatchHandover: cfg.BatchHandover, TransferOverheadBytes: cfg.TransferOverheadBytes,
-	})
+	st, err := store.New(engineSource{e}, store.Config{Replicas: cfg.Replicas, EventDriven: ss.events})
 	if err != nil {
 		e.fail(err)
 		return
