@@ -8,6 +8,7 @@ package keyspace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -184,7 +185,7 @@ type Points []Key
 
 // SortPoints sorts ks ascending in place and returns it as Points.
 func SortPoints(ks []Key) Points {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return Points(ks)
 }
 
@@ -242,34 +243,39 @@ func (p Points) NearestExcluding(t Topology, x Key, self int) int {
 	if len(p) < 2 {
 		return -1
 	}
+	return p.NearestExcludingFrom(t, x, self, p.Successor(x))
+}
+
+// NearestExcludingFrom is NearestExcluding for a caller that already
+// holds start = p.Successor(x). The nearest point other than self is
+// among the three from start upward and the three below it, so only
+// those six are probed; the least (distance, index) pair wins, the lower
+// index on a tie. It returns -1 when no probe is nearer than +Inf: then
+// x is NaN, or infinite on the line, and so is every distance to x.
+func (p Points) NearestExcludingFrom(t Topology, x Key, self, start int) int {
+	n := len(p)
+	if n < 2 {
+		return -1
+	}
 	best, bestD := -1, math.Inf(1)
-	// Probe outward from the insertion position; the nearest non-self node
-	// is among the few points flanking x.
-	start := p.Successor(x)
-	for off := 0; off < len(p); off++ {
-		for _, i := range []int{mod(start+off, len(p)), mod(start-off-1, len(p))} {
-			if i == self {
-				continue
-			}
-			if d := t.Distance(p[i], x); d < bestD || (d == bestD && i < best) {
-				best, bestD = i, d
+	up, down := start, start
+	for step := 0; step < 3; step++ {
+		if up != self {
+			if d := t.Distance(p[up], x); d < bestD || (d == bestD && up < best) {
+				best, bestD = up, d
 			}
 		}
-		// Flanking candidates only: after examining both sides once more
-		// than needed we can stop — the points are sorted, so distance grows
-		// monotonically away from x on the line. On the ring two probes per
-		// side suffice as well; off>=2 is conservative and still O(1).
-		if best >= 0 && off >= 2 {
-			break
+		if down--; down < 0 {
+			down += n
+		}
+		if down != self {
+			if d := t.Distance(p[down], x); d < bestD || (d == bestD && down < best) {
+				best, bestD = down, d
+			}
+		}
+		if up++; up == n {
+			up = 0
 		}
 	}
 	return best
-}
-
-func mod(i, n int) int {
-	m := i % n
-	if m < 0 {
-		m += n
-	}
-	return m
 }

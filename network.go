@@ -22,6 +22,9 @@ type Network struct {
 	mpos []float64       // measure-space positions: norm (Mass) or keys (Geometric)
 	csr  *graph.CSR      // the overlay graph: every router and analysis reads this
 	long [][]int32       // long-range targets per node (subset of csr rows)
+	// succStart is the successor index while links are sampled (see
+	// indexKeys), nil after.
+	succStart []int32
 
 	shortfall int // long-range links that could not be placed
 
@@ -112,6 +115,7 @@ func build(ctx context.Context, cfg Config, smp sampler) (*Network, error) {
 	// Long-range sampling: workers claim contiguous chunks through an
 	// atomic cursor. Per-node seeded streams make the link sets a pure
 	// function of (cfg, seed) whatever the chunk/worker interleaving.
+	nw.indexKeys()
 	var wg sync.WaitGroup
 	var cursor atomic.Int64
 	for w := 0; w < cfg.Workers; w++ {
@@ -137,6 +141,7 @@ func build(ctx context.Context, cfg Config, smp sampler) (*Network, error) {
 		}()
 	}
 	wg.Wait()
+	nw.succStart = nil
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -155,10 +160,17 @@ func placeKeys(cfg Config, master *xrand.Stream) (keyspace.Points, error) {
 	if cfg.Keys != nil {
 		copy(ks, cfg.Keys)
 	} else {
+		// The uniforms come off the stream in order; the quantiles are
+		// pure, so they are taken in parallel.
 		rng := master.Split()
 		for i := range ks {
-			ks[i] = keyspace.Clamp(cfg.Dist.Quantile(rng.Float64()))
+			ks[i] = keyspace.Key(rng.Float64())
 		}
+		graph.ParallelRanges(cfg.N, cfg.Workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				ks[i] = keyspace.Clamp(cfg.Dist.Quantile(float64(ks[i])))
+			}
+		})
 	}
 	pts := keyspace.SortPoints(ks)
 	for i := 1; i < len(pts); i++ {

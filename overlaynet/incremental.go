@@ -82,6 +82,22 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 	}
 	// The rows come straight from the CSR: the key-order neighbours and
 	// the long links. The in-lists record which entries are long links.
+	// They are filled in slot order by counting sort, each allocated
+	// once with the capacity appending its links one at a time would
+	// reach, so churn's appends find the room they would have found.
+	count := make([]int, n)
+	for u := 0; u < n; u++ {
+		for _, v := range nw.LongRange(u) {
+			count[v]++
+		}
+	}
+	caps := appendCaps(slices.Max(count))
+	for v, c := range count {
+		if c > 0 {
+			i, _ := slices.BinarySearch(caps, c)
+			o.in[v] = make([]int32, 0, caps[i])
+		}
+	}
 	for u := 0; u < n; u++ {
 		for _, v := range nw.LongRange(u) {
 			o.in[v] = append(o.in[v], int32(u))
@@ -89,6 +105,18 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 	}
 	o.keysM = newKeyStore(o.keys)
 	return o, nil
+}
+
+// appendCaps returns the capacities an []int32 passes through when
+// appended to one element at a time from nil, up to the first that
+// holds n elements.
+func appendCaps(n int) []int {
+	var caps []int
+	for c := 0; c < n; {
+		c = cap(append(make([]int32, c), 0))
+		caps = append(caps, c)
+	}
+	return caps
 }
 
 const (
@@ -632,7 +660,9 @@ func (o *incrementalOverlay) drawKey() (keyspace.Key, error) {
 // already holds: its key-order neighbours and existing links. It
 // returns how many links were placed. The node's link measure,
 // measure position and rank are fixed for the whole call (membership
-// cannot change mid-event), so they are computed once, not per attempt.
+// cannot change mid-event), so they and the draw's constants are
+// computed once, not per attempt. A draw that finds no eligible offset
+// still counts in o.draws.
 func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 	// Without the oracle, a slot draws by mass under its own estimates
 	// of f and N.
@@ -644,11 +674,15 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 	if f != nil {
 		pos = f.CDF(pos)
 	}
+	md, ok := smallworld.NewMeasureDraw(o.topo, pos, o.exponent, lo)
 	rank := o.rankOf(int(u))
 	placed, misses := 0, 0 // misses: failed draws since the last placed link
 	for placed < m && misses < maxDrawAttempts {
 		o.draws++
-		v := int32(o.drawTarget(u, f, pos, lo, rank))
+		v := int32(-1) // no eligible offset
+		if ok {
+			v = int32(o.drawTarget(u, f, &md, rank))
+		}
 		if v < 0 || v == u || o.hasLink(u, v) {
 			misses++
 			continue
@@ -664,17 +698,12 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 }
 
 // drawTarget performs one Section 4.2 link draw for node u at the given
-// measure position and rank: a measure-space offset with density
-// ∝ m^-r over the eligible range [lo, maxM]
-// (smallworld.DrawMeasureTarget — the identical draw the offline
+// rank: a measure-space offset from md (the identical draw the offline
 // Protocol sampler uses), mapped back to a key through f (key distance
 // when f is nil) and resolved to the nearest other peer. It returns the
-// chosen slot, or -1 when no eligible offset exists.
-func (o *incrementalOverlay) drawTarget(u int32, f dist.Distribution, pos, lo float64, rank int) int {
-	target, ok := smallworld.DrawMeasureTarget(o.rng, o.topo, pos, o.exponent, lo)
-	if !ok {
-		return -1
-	}
+// chosen slot, or -1 when the rank index has fewer than two entries.
+func (o *incrementalOverlay) drawTarget(u int32, f dist.Distribution, md *smallworld.MeasureDraw, rank int) int {
+	target := md.Draw(o.rng)
 	var key keyspace.Key
 	if f != nil {
 		if target < 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"smallworld"
 	"smallworld/dist"
 	"smallworld/graph"
 	"smallworld/keyspace"
@@ -138,6 +139,48 @@ func checkAdjBlocks(t *testing.T, v adjView) {
 			if off[i+1] < off[i] || b<<adjBlockShift+i >= v.n && off[i+1] != off[i] {
 				t.Fatalf("block %d: row %d bounds %d..%d at n=%d", b, i, off[i], off[i+1], v.n)
 			}
+		}
+	}
+}
+
+// TestInListsMatchAppendBuilt: NewIncremental fills the in-lists by
+// counting sort. Each must equal the list that appending the build's
+// long links one at a time, in slot order, gives: the same entries in
+// the same order, and the same capacity, because churn appends to
+// them. appendCaps is also checked against one-at-a-time appends past
+// the in-degrees a build reaches.
+func TestInListsMatchAppendBuilt(t *testing.T) {
+	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
+		opts := Options{N: 1 << 12, Seed: 4, Dist: dist.NewPower(0.7), Topology: topo}
+		dyn, err := NewIncremental(context.Background(), "smallworld-skewed", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := dyn.(*incrementalOverlay)
+		base, err := Build(context.Background(), "smallworld-skewed", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := base.(interface{ Network() *smallworld.Network }).Network()
+		want := make([][]int32, nw.N())
+		for u := 0; u < nw.N(); u++ {
+			for _, v := range nw.LongRange(u) {
+				want[v] = append(want[v], int32(u))
+			}
+		}
+		for v, w := range want {
+			if got := o.in[v]; !slices.Equal(got, w) || cap(got) != cap(w) || (got == nil) != (w == nil) {
+				t.Fatalf("%v: in-list of %d is %v (cap %d), want %v (cap %d)", topo, v, got, cap(got), w, cap(w))
+			}
+		}
+	}
+	const most = 4096
+	caps := appendCaps(most)
+	var s []int32
+	for c := 1; c <= most; c++ {
+		s = append(s, 0)
+		if i, _ := slices.BinarySearch(caps, c); caps[i] != cap(s) {
+			t.Fatalf("capacity for %d elements is %d, want %d", c, caps[i], cap(s))
 		}
 	}
 }

@@ -90,6 +90,21 @@ func BenchmarkChurnEvent(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildIncremental measures NewIncremental on the repository
+// benchmark's overlay, smallworld-skewed with power:0.7 keys on the
+// ring: key placement, link sampling, the CSR and the writer's stores
+// and in-lists.
+func BenchmarkBuildIncremental(b *testing.B) {
+	for _, n := range []int{1 << 16, 1 << 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newBenchOverlay(b, n)
+			}
+		})
+	}
+}
+
 // BenchmarkRankNearest measures one rank-index lookup on a published
 // snapshot of an incremental skewed ring: GreedyArrived, the check
 // that ends every routed query; Responsible; and NearestExcluding, the

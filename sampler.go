@@ -12,7 +12,10 @@ import (
 type sampler interface {
 	// sampleLinks returns up to m distinct long-range targets for node u,
 	// excluding u itself and u's neighbouring-edge targets. sc holds
-	// per-worker scratch buffers; it may be nil for one-off calls.
+	// per-worker scratch buffers; it may be nil for one-off calls. It
+	// may read rng past the draw of its last accepted link (the protocol
+	// sampler draws in batches), which is safe because build reseeds the
+	// stream for every node: only that node's links depend on it.
 	sampleLinks(nw *Network, u, m int, rng *xrand.Stream, sc *samplerScratch) []int32
 }
 
@@ -67,6 +70,9 @@ type samplerScratch struct {
 	large []int16
 	// Incremental cursor state of the band boundary searches.
 	scan bandScan
+	// The protocol sampler's batch: target keys and their successors.
+	targets []keyspace.Key
+	succs   []int32
 }
 
 // bandScan caches the band boundary indices of the previously scanned
@@ -402,92 +408,178 @@ func buildAlias(sc *samplerScratch, total float64) {
 // to a key (through the quantile function for the Mass measure), and link
 // to the peer closest to that key — exactly what "query for the drawn
 // value and add the responder" achieves in a deployed overlay.
+//
+// It draws a target for every link still missing, finds all their
+// successors in one pass so that the searches' cache misses overlap,
+// and then accepts them in draw order, so it places exactly the links
+// that drawing and resolving one target at a time would. Once a link
+// has failed maxAttemptsPerLink draws, the rest of the batch is unused.
 type protocolSampler struct{}
 
-func (protocolSampler) sampleLinks(nw *Network, u, m int, rng *xrand.Stream, _ *samplerScratch) []int32 {
+func (protocolSampler) sampleLinks(nw *Network, u, m int, rng *xrand.Stream, sc *samplerScratch) []int32 {
 	if m == 0 {
 		return nil
 	}
-	r := nw.cfg.Exponent
-	lo := nw.cfg.MinMeasure
-	pos := nw.measurePos(u)
 	links := make([]int32, 0, m)
+	md, ok := NewMeasureDraw(nw.cfg.Topology, nw.mpos[u], nw.cfg.Exponent, nw.cfg.MinMeasure)
+	if !ok {
+		return links
+	}
+	if sc == nil {
+		sc = &samplerScratch{}
+	}
+	misses := 0 // failed draws since the last accepted link
 	for len(links) < m {
-		placed := false
-		for attempt := 0; attempt < maxAttemptsPerLink; attempt++ {
-			target, ok := sampleMeasureTarget(nw, pos, r, lo, rng)
-			if !ok {
-				return links
-			}
-			v := nw.resolveKey(target, u)
+		sc.targets, sc.succs = sc.targets[:0], sc.succs[:0]
+		for i := len(links); i < m; i++ {
+			sc.targets = append(sc.targets, nw.targetKey(md.Draw(rng)))
+		}
+		for _, x := range sc.targets {
+			sc.succs = append(sc.succs, int32(nw.successor(x)))
+		}
+		for i, x := range sc.targets {
+			v := nw.keys.NearestExcludingFrom(nw.cfg.Topology, x, u, int(sc.succs[i]))
 			if v >= 0 && acceptLink(nw, u, v, links) {
 				links = append(links, int32(v))
-				placed = true
-				break
+				misses = 0
+			} else if misses++; misses == maxAttemptsPerLink {
+				return links
 			}
-		}
-		if !placed {
-			break
 		}
 	}
 	return links
 }
 
-// sampleMeasureTarget draws a target position in measure space at offset
-// m ∝ m^-r from pos, honouring the line/ring geometry. ok is false when
-// no eligible offset exists on either side.
-func sampleMeasureTarget(nw *Network, pos, r, lo float64, rng *xrand.Stream) (float64, bool) {
-	return DrawMeasureTarget(rng, nw.cfg.Topology, pos, r, lo)
+// MeasureDraw is the Section 4.2 link draw from one position in measure
+// space: an offset with density ∝ m^-r over the eligible range
+// [lo, maxM], on a side chosen uniformly on the ring and by the sides'
+// masses on the line. The Protocol sampler builds with it, and dynamic
+// overlays (overlaynet.NewIncremental) repair with it, so offline
+// construction and live repair follow the identical distribution. Its
+// constants depend only on the position, so a caller drawing many
+// offsets from one position builds it once.
+type MeasureDraw struct {
+	pos, r      float64
+	ring        bool
+	wRight, w   float64   // line: the right side's mass and both sides'
+	right, left powerSide // the ring draws both directions from right
 }
 
-// DrawMeasureTarget performs one Section 4.2 link draw in measure
-// space: starting from position pos, it draws an offset with density
-// ∝ m^-r over the eligible range [lo, maxM], honouring the line/ring
-// geometry (uniform side choice on the ring, side-mass weighting on
-// the line). ok is false when no eligible offset exists on either
-// side. It is the draw the Protocol sampler builds with; dynamic
-// overlays (overlaynet.NewIncremental) share it so offline
-// construction and live repair follow the identical distribution.
-func DrawMeasureTarget(rng *xrand.Stream, topo keyspace.Topology, pos, r, lo float64) (float64, bool) {
-	if topo == keyspace.Ring {
+// powerSide draws m in [lo, hi] with density ∝ m^-r by inverse
+// transform. It holds ln(hi/lo) for r = 1, lo^(1-r) and hi^(1-r)
+// otherwise.
+type powerSide struct {
+	lo, ln, a, b float64
+}
+
+// NewMeasureDraw returns the draw from position pos under exponent r and
+// eligibility floor lo on topology topo. ok is false when no eligible
+// offset exists on either side.
+func NewMeasureDraw(topo keyspace.Topology, pos, r, lo float64) (d MeasureDraw, ok bool) {
+	d = MeasureDraw{pos: pos, r: r, ring: topo == keyspace.Ring}
+	if d.ring {
 		const hi = 0.5
 		if hi <= lo {
-			return 0, false
+			return d, false
 		}
-		off := powerOffset(rng, r, lo, hi)
+		d.right = newPowerSide(r, lo, hi)
+		return d, true
+	}
+	// Line: the available measure to the right is 1-pos, to the left pos.
+	d.wRight = sideWeight(r, lo, 1-pos)
+	d.w = d.wRight + sideWeight(r, lo, pos)
+	if d.w <= 0 {
+		return d, false
+	}
+	d.right = newPowerSide(r, lo, 1-pos)
+	d.left = newPowerSide(r, lo, pos)
+	return d, true
+}
+
+func newPowerSide(r, lo, hi float64) powerSide {
+	if r == 1 {
+		return powerSide{lo: lo, ln: math.Log(hi / lo)}
+	}
+	return powerSide{a: math.Pow(lo, 1-r), b: math.Pow(hi, 1-r)}
+}
+
+// Draw returns one target position: pos moved by a drawn offset, wrapped
+// onto [0,1) on the ring. It reads two uniforms from rng: the offset's
+// and then the direction's on the ring, the side's and then the
+// offset's on the line.
+func (d *MeasureDraw) Draw(rng *xrand.Stream) float64 {
+	if d.ring {
+		off := d.right.draw(rng, d.r)
 		if rng.Bool(0.5) {
 			off = -off
 		}
-		return float64(keyspace.Wrap(pos + off)), true
+		return float64(keyspace.Wrap(d.pos + off))
 	}
-	// Line: the available measure to the right is 1-pos, to the left pos.
-	wRight := sideWeight(r, lo, 1-pos)
-	wLeft := sideWeight(r, lo, pos)
-	if wRight+wLeft <= 0 {
-		return 0, false
+	if rng.Float64()*d.w < d.wRight {
+		return d.pos + d.right.draw(rng, d.r)
 	}
-	if rng.Float64()*(wRight+wLeft) < wRight {
-		return pos + powerOffset(rng, r, lo, 1-pos), true
-	}
-	return pos - powerOffset(rng, r, lo, pos), true
+	return d.pos - d.left.draw(rng, d.r)
 }
 
-// measurePos returns node u's coordinate in measure space: its image in
-// R' for the Mass measure, its raw identifier for the Geometric measure.
-func (nw *Network) measurePos(u int) float64 {
-	return nw.mpos[u]
+func (s *powerSide) draw(rng *xrand.Stream, r float64) float64 {
+	u := rng.Float64()
+	if r == 1 {
+		return s.lo * math.Exp(u*s.ln)
+	}
+	return math.Pow(s.a+u*(s.b-s.a), 1/(1-r))
 }
 
-// resolveKey maps a measure-space position back to the closest node,
-// excluding u. It returns -1 when resolution fails.
-func (nw *Network) resolveKey(target float64, u int) int {
-	var key keyspace.Key
+// targetKey maps a measure-space position back to a key: through the
+// quantile function for the Mass measure, as is for the Geometric one.
+func (nw *Network) targetKey(target float64) keyspace.Key {
 	if nw.cfg.Measure == Mass {
-		key = keyspace.Clamp(nw.cfg.Dist.Quantile(clamp01(target)))
-	} else {
-		key = keyspace.Clamp(target)
+		return keyspace.Clamp(nw.cfg.Dist.Quantile(clamp01(target)))
 	}
-	return nw.keys.NearestExcluding(nw.cfg.Topology, key, u)
+	return keyspace.Clamp(target)
+}
+
+// indexKeys builds the successor index the Protocol sampler resolves
+// its draws through. For the power of two B ≥ N/8, succStart[b] is the
+// first rank whose key k has int(k·B) ≥ b, and succStart[B] = N. For x
+// in [0,1) and b = int(x·B), the successor of x lies in
+// [succStart[b], succStart[b+1]]: scaling by a power of two is exact
+// and floor is monotone, so the keys below succStart[b] are below
+// b/B ≤ x, and the key at succStart[b+1] is at least (b+1)/B > x.
+func (nw *Network) indexKeys() {
+	b := 1
+	for b*8 < len(nw.keys) {
+		b *= 2
+	}
+	nw.succStart = make([]int32, b+1)
+	i := 0
+	for c := range nw.succStart {
+		for i < len(nw.keys) && int(float64(nw.keys[i])*float64(b)) < c {
+			i++
+		}
+		nw.succStart[c] = int32(i)
+	}
+}
+
+// successor returns nw.keys.Successor(x). While the keys are indexed it
+// searches only the ranks of x's bucket, unless x is outside [0,1) or
+// NaN.
+func (nw *Network) successor(x keyspace.Key) int {
+	if nw.succStart == nil || !(x >= 0 && x < 1) {
+		return nw.keys.Successor(x)
+	}
+	b := int(float64(x) * float64(len(nw.succStart)-1))
+	lo, hi := int(nw.succStart[b]), int(nw.succStart[b+1])
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); nw.keys[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(nw.keys) {
+		return 0
+	}
+	return lo
 }
 
 func clamp01(x float64) float64 {
@@ -525,16 +617,4 @@ func sideWeight(r, lo, hi float64) float64 {
 		return math.Log(hi / lo)
 	}
 	return (math.Pow(hi, 1-r) - math.Pow(lo, 1-r)) / (1 - r)
-}
-
-// powerOffset draws m in [lo, hi] with density ∝ m^-r by inverse
-// transform (LogUniform for the harmonic case r = 1).
-func powerOffset(rng *xrand.Stream, r, lo, hi float64) float64 {
-	if r == 1 {
-		return rng.LogUniform(lo, hi)
-	}
-	u := rng.Float64()
-	a := math.Pow(lo, 1-r)
-	b := math.Pow(hi, 1-r)
-	return math.Pow(a+u*(b-a), 1/(1-r))
 }

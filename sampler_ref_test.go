@@ -173,3 +173,77 @@ func circRange(pos []float64, a float64, aInclusive bool, b float64, bInclusive 
 	}
 	return i1 % max(n, 1), (n - i1) + i2
 }
+
+// refProtocolSampler is the reference draw loop of the Protocol
+// sampler: one draw at a time through drawMeasureTargetRef, which
+// recomputes the draw's constants every time, each resolved by a full
+// Points.NearestExcluding search before the next is drawn.
+// TestProtocolSamplerMatchesReference pins protocolSampler to it.
+type refProtocolSampler struct{}
+
+func (refProtocolSampler) sampleLinks(nw *Network, u, m int, rng *xrand.Stream, _ *samplerScratch) []int32 {
+	if m == 0 {
+		return nil
+	}
+	r := nw.cfg.Exponent
+	lo := nw.cfg.MinMeasure
+	pos := nw.mpos[u]
+	links := make([]int32, 0, m)
+	for len(links) < m {
+		placed := false
+		for attempt := 0; attempt < maxAttemptsPerLink; attempt++ {
+			target, ok := drawMeasureTargetRef(rng, nw.cfg.Topology, pos, r, lo)
+			if !ok {
+				return links
+			}
+			v := nw.keys.NearestExcluding(nw.cfg.Topology, nw.targetKey(target), u)
+			if v >= 0 && acceptLink(nw, u, v, links) {
+				links = append(links, int32(v))
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			break
+		}
+	}
+	return links
+}
+
+// drawMeasureTargetRef is MeasureDraw as one function: it computes the
+// side weights and the inverse-transform constants on every draw and
+// reads the stream in the same order.
+func drawMeasureTargetRef(rng *xrand.Stream, topo keyspace.Topology, pos, r, lo float64) (float64, bool) {
+	if topo == keyspace.Ring {
+		const hi = 0.5
+		if hi <= lo {
+			return 0, false
+		}
+		off := powerOffsetRef(rng, r, lo, hi)
+		if rng.Bool(0.5) {
+			off = -off
+		}
+		return float64(keyspace.Wrap(pos + off)), true
+	}
+	wRight := sideWeight(r, lo, 1-pos)
+	wLeft := sideWeight(r, lo, pos)
+	if wRight+wLeft <= 0 {
+		return 0, false
+	}
+	if rng.Float64()*(wRight+wLeft) < wRight {
+		return pos + powerOffsetRef(rng, r, lo, 1-pos), true
+	}
+	return pos - powerOffsetRef(rng, r, lo, pos), true
+}
+
+// powerOffsetRef draws m in [lo, hi] with density ∝ m^-r by inverse
+// transform (LogUniform for the harmonic case r = 1).
+func powerOffsetRef(rng *xrand.Stream, r, lo, hi float64) float64 {
+	if r == 1 {
+		return rng.LogUniform(lo, hi)
+	}
+	u := rng.Float64()
+	a := math.Pow(lo, 1-r)
+	b := math.Pow(hi, 1-r)
+	return math.Pow(a+u*(b-a), 1/(1-r))
+}

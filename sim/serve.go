@@ -396,15 +396,17 @@ func Serve(ctx context.Context, pub *overlaynet.Publisher, cfg ServeConfig) (*Se
 		}(accs[w], seeds[w], cl)
 	}
 
-	// The recorder state lives on this goroutine; workers only touch
-	// their accumulators.
+	// The recorder state lives on a recorder goroutine that closes each
+	// window (drain, sort, series update) at the window tick, so that
+	// work never delays churn. The writer, on this goroutine, only
+	// counts the window's joins and leaves; workers only touch their
+	// accumulators. The last close runs here once both have stopped.
 	start := time.Now()
 	rec := newServeRecorder(cfg.Shards > 0)
 	var joins, leaves, rejected int
-	winJoins, winLeaves := 0, 0
+	var winJoins, winLeaves atomic.Int64
 	closeWindow := func(now time.Time) {
-		rec.closeWindow(rep, accs, pub, now.Sub(start).Seconds(), winJoins, winLeaves)
-		winJoins, winLeaves = 0, 0
+		rec.closeWindow(rep, accs, pub, now.Sub(start).Seconds(), int(winJoins.Swap(0)), int(winLeaves.Swap(0)))
 		if cfg.Obs != nil {
 			if p, ok := rec.series[0].Last(); ok {
 				cfg.Obs.ServeQPS.Set(int64(p.V))
@@ -417,6 +419,19 @@ func Serve(ctx context.Context, pub *overlaynet.Publisher, cfg ServeConfig) (*Se
 	defer endT.Stop()
 	winT := time.NewTicker(cfg.Window)
 	defer winT.Stop()
+	recStop := make(chan struct{})
+	recDone := make(chan struct{})
+	go func() {
+		defer close(recDone)
+		for {
+			select {
+			case <-recStop:
+				return
+			case t := <-winT.C:
+				closeWindow(t)
+			}
+		}
+	}()
 	churn := newChurnClock(cfg.ChurnRate, churnRNG)
 	defer churn.stop()
 
@@ -429,12 +444,11 @@ loop:
 			break loop
 		case <-endT.C:
 			break loop
-		case t := <-winT.C:
-			closeWindow(t)
 		case <-churn.c:
 			// Apply every event already due when the writer woke, so a
 			// writer that busy readers delayed catches up; later ones
-			// wait for the next wake, which lets window ticks through.
+			// wait for the next wake, which lets cancellation and the
+			// end of the run through.
 			woke := time.Now()
 			for !churn.due.After(woke) && ctx.Err() == nil && time.Now().Before(end) {
 				if churnRNG.Bool(cfg.JoinFrac) {
@@ -445,7 +459,7 @@ loop:
 						break loop
 					} else {
 						joins++
-						winJoins++
+						winJoins.Add(1)
 					}
 				} else if n := pub.LiveN(); n <= cfg.MinNodes {
 					rejected++
@@ -454,7 +468,7 @@ loop:
 					break loop
 				} else {
 					leaves++
-					winLeaves++
+					winLeaves.Add(1)
 				}
 				churn.advance(churnRNG)
 			}
@@ -463,6 +477,8 @@ loop:
 	}
 	stop.Store(true)
 	wg.Wait()
+	close(recStop)
+	<-recDone
 	closeWindow(time.Now())
 
 	rep.Seconds = time.Since(start).Seconds()
