@@ -140,16 +140,6 @@ func BenchmarkRouteGreedyNoN(b *testing.B) {
 	}
 }
 
-func BenchmarkMassDistance(b *testing.B) {
-	d := dist.NewTruncNormal(0.3, 0.2)
-	rng := xrand.New(4)
-	u, v := dist.Sample(d, rng), dist.Sample(d, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dist.RingMass(d, u, v)
-	}
-}
-
 func BenchmarkQuantileSample(b *testing.B) {
 	for _, d := range []dist.Distribution{
 		dist.Uniform{}, dist.NewPower(0.8), dist.NewZipf(1024, 1.0),

@@ -80,17 +80,6 @@ func ConstDegree(k int) DegreeFunc {
 	return func(int) int { return k }
 }
 
-// ScaledLog2Degree returns ceil(c·log2 n), for the outdegree trade-off
-// sweeps.
-func ScaledLog2Degree(c float64) DegreeFunc {
-	return func(n int) int {
-		if n <= 1 {
-			return 0
-		}
-		return int(math.Ceil(c * math.Log2(float64(n))))
-	}
-}
-
 // Config describes a small-world overlay to build.
 type Config struct {
 	// N is the number of peers. Required, >= 2.

@@ -48,17 +48,6 @@ func SampleN(d Distribution, r *xrand.Stream, n int) []keyspace.Key {
 	return ks
 }
 
-// RingMass returns the probability mass of the shorter arc between u and
-// v on the unit ring: min(|F(v)-F(u)|, 1-|F(v)-F(u)|). This is the
-// normalised ring distance d'(u',v') of the paper's Eq. (7).
-func RingMass(d Distribution, u, v keyspace.Key) float64 {
-	m := math.Abs(d.CDF(float64(v)) - d.CDF(float64(u)))
-	if m > 0.5 {
-		m = 1 - m
-	}
-	return m
-}
-
 func clamp01(x float64) float64 {
 	switch {
 	case math.IsNaN(x), x < 0:

@@ -146,26 +146,6 @@ func TestMixtureIsConvexCombination(t *testing.T) {
 	}
 }
 
-func TestRingMass(t *testing.T) {
-	u := Uniform{}
-	if m := RingMass(u, 0.1, 0.3); math.Abs(m-0.2) > 1e-12 {
-		t.Errorf("RingMass(0.1,0.3) = %v, want 0.2", m)
-	}
-	if m := RingMass(u, 0.05, 0.95); math.Abs(m-0.1) > 1e-12 {
-		t.Errorf("RingMass should take the shorter arc, got %v", m)
-	}
-	// Under any density the ring mass never exceeds 1/2 and is symmetric.
-	d := NewPower(0.8)
-	r := xrand.New(3)
-	for i := 0; i < 100; i++ {
-		a, b := Sample(d, r), Sample(d, r)
-		m1, m2 := RingMass(d, a, b), RingMass(d, b, a)
-		if m1 != m2 || m1 < 0 || m1 > 0.5 {
-			t.Fatalf("RingMass(%v,%v) = %v / %v", a, b, m1, m2)
-		}
-	}
-}
-
 func TestEstimateRecoversDensity(t *testing.T) {
 	d := NewTruncExp(5)
 	sample := SampleN(d, xrand.New(9), 50000)

@@ -39,13 +39,3 @@ func Runners() []Runner {
 		{"E24", "sharded serving over the message wire (K shards × churn)", E24ShardedServing},
 	}
 }
-
-// All runs every experiment and returns the tables in index order.
-func All(scale Scale, seed uint64) []Table {
-	runners := Runners()
-	tables := make([]Table, len(runners))
-	for i, r := range runners {
-		tables[i] = r.Run(scale, seed)
-	}
-	return tables
-}

@@ -325,12 +325,6 @@ func TestDegreeFuncs(t *testing.T) {
 	if ConstDegree(5)(1<<20) != 5 {
 		t.Error("ConstDegree should ignore n")
 	}
-	if ScaledLog2Degree(0.5)(1024) != 5 {
-		t.Errorf("ScaledLog2Degree(0.5)(1024) = %d", ScaledLog2Degree(0.5)(1024))
-	}
-	if ScaledLog2Degree(2)(4) != 4 {
-		t.Errorf("ScaledLog2Degree(2)(4) = %d", ScaledLog2Degree(2)(4))
-	}
 }
 
 func TestMeasureString(t *testing.T) {

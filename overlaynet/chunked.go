@@ -11,15 +11,15 @@ import (
 // This file implements the structural-sharing backing stores behind
 // Snapshot: persistent chunked arrays with copy-on-write chunks.
 //
-// The writer (the incremental overlay) keeps its rank index and its
-// out-rows only here, and a mirror of its identifiers, in chunks
-// behind a spine of pointers, and reads them in place. CaptureSnapshot
-// copies only the spine (O(N/chunk) pointers) and marks every chunk
-// shared; the writer then clones a chunk the first time it touches it
-// after a capture (copy-on-write), so an epoch with Δ membership
-// events costs O(Δ·chunk + N/chunk) instead of the O(N+M) flat copies
-// a capture of flat arrays would need. Snapshots hold immutable views:
-// a frozen spine that no writer ever mutates through.
+// The writer (the incremental overlay) keeps its rank index, rows and
+// in-lists only here, and a mirror of its identifiers, in chunks behind
+// a spine of pointers, and reads them in place. CaptureSnapshot copies
+// only the spine (O(N/chunk) pointers) and marks every chunk shared;
+// the writer then clones a chunk the first time it touches it after a
+// capture (copy-on-write), so an epoch with Δ membership events costs
+// O(Δ·chunk + N/chunk) instead of the O(N+M) flat copies a capture of
+// flat arrays would need. Snapshots hold immutable views: a frozen
+// spine that no writer ever mutates through.
 //
 // Three stores exist because the three snapshot arrays have different
 // shapes:
@@ -37,11 +37,13 @@ import (
 //     within ONE chunk. The
 //     store embeds the rankView it would hand out, so the writer's
 //     searches and the snapshots' searches are the same code.
-//   - adjStore:  slot-indexed out-rows (Snapshot.adj), in blocks of a
-//     fixed number of slots. Rows vary in length (Log2Degree gives
-//     late joiners longer ones), so a block is a block-local CSR and a
-//     row edit shifts targets within ONE block. Like rankStore, the
-//     key and row stores embed the view they hand out.
+//   - adjStore:  slot-indexed rows of slots, in blocks of a fixed
+//     number of slots: the out-rows (Snapshot.adj), and the writer's
+//     in-lists in a second store that is never captured (inLists).
+//     Rows vary in length (Log2Degree gives late joiners longer ones),
+//     so a block is a block-local CSR and a row edit shifts targets
+//     within ONE block. Like rankStore, the key and row stores embed
+//     the view they hand out.
 
 const (
 	keyChunkShift = 10
@@ -107,7 +109,8 @@ func newKeyView(keys []keyspace.Key) keyView {
 // live mapping the overlay's own router reads.
 type keyStore struct {
 	keyView
-	owned []bool // owned[j]: chunk j not shared with any snapshot
+	owned []bool    // owned[j]: chunk j not shared with any snapshot
+	spare *keyChunk // the last owned chunk pop dropped, for push to reuse
 }
 
 func newKeyStore(keys []keyspace.Key) *keyStore {
@@ -138,8 +141,10 @@ func (ks *keyStore) set(u int, k keyspace.Key) {
 // push mirrors keys = append(keys, k).
 func (ks *keyStore) push(k keyspace.Key) {
 	if ks.n&keyChunkMask == 0 {
-		ks.spine = append(ks.spine, new(keyChunk))
-		ks.owned = append(ks.owned, true)
+		if ks.spare == nil {
+			ks.spare = new(keyChunk)
+		}
+		ks.spine, ks.owned, ks.spare = append(ks.spine, ks.spare), append(ks.owned, true), nil
 	}
 	j := ks.n >> keyChunkShift
 	ks.ensureOwned(j)
@@ -152,9 +157,11 @@ func (ks *keyStore) push(k keyspace.Key) {
 // past a view's n are never readable.
 func (ks *keyStore) pop() {
 	ks.n--
-	if ks.n&keyChunkMask == 0 && len(ks.spine) > ks.n>>keyChunkShift {
-		ks.spine = ks.spine[:len(ks.spine)-1]
-		ks.owned = ks.owned[:len(ks.owned)-1]
+	if j := len(ks.spine) - 1; ks.n&keyChunkMask == 0 && j >= ks.n>>keyChunkShift {
+		if ks.owned[j] {
+			ks.spare = ks.spine[j]
+		}
+		ks.spine, ks.owned = ks.spine[:j], ks.owned[:j]
 	}
 }
 
@@ -176,10 +183,10 @@ type rankChunk struct {
 	slots []int32
 }
 
-func (c *rankChunk) clone() *rankChunk {
+func (c *rankChunk) clone(capacity int) *rankChunk {
 	d := &rankChunk{
-		keys:  make([]keyspace.Key, len(c.keys), rankChunkCap),
-		slots: make([]int32, len(c.slots), rankChunkCap),
+		keys:  make([]keyspace.Key, len(c.keys), capacity),
+		slots: make([]int32, len(c.slots), capacity),
 	}
 	copy(d.keys, c.keys)
 	copy(d.slots, c.slots)
@@ -291,12 +298,6 @@ func (v rankView) prev(p rankPos) rankPos {
 	p.off--
 	return p
 }
-
-// KeyAt returns the identifier at rank i.
-func (v rankView) KeyAt(i int) keyspace.Key { return v.key(v.at(i)) }
-
-// SlotAt returns the slot holding rank i.
-func (v rankView) SlotAt(i int) int32 { return v.slot(v.at(i)) }
 
 // succIdx returns the first rank whose key is >= x (n when none).
 func (v rankView) succIdx(x keyspace.Key) int { return v.rank(v.seek(x)) }
@@ -462,16 +463,6 @@ func (v rankView) materializeKeys() keyspace.Points {
 	return out
 }
 
-// materializeSlots copies the rank→slot mapping into a flat order
-// slice (test/reference use).
-func (v rankView) materializeSlots() []int32 {
-	out := make([]int32, 0, v.n)
-	for _, ch := range v.chunks {
-		out = append(out, ch.slots...)
-	}
-	return out
-}
-
 // rankStore is the writer side of the rank index and the incremental
 // overlay's only copy of it. The embedded rankView is the live index:
 // the writer searches it in place, and capture() freezes a copy of its
@@ -484,12 +475,13 @@ type rankStore struct {
 }
 
 // newRankStore indexes a flat ascending identifier array, byKey[i]
-// held by slot order[i], in owned chunks with room to grow.
+// held by slot order[i], in owned chunks copied at their length: an
+// insert grows one by append, and capture's clones reserve room.
 func newRankStore(byKey keyspace.Points, order []int32) *rankStore {
 	rs := &rankStore{rankView: newRankView(byKey, order)}
 	rs.owned = make([]bool, len(rs.chunks))
 	for j, c := range rs.chunks {
-		rs.chunks[j] = c.clone()
+		rs.chunks[j] = c.clone(len(c.keys))
 		rs.owned[j] = true
 	}
 	return rs
@@ -517,7 +509,7 @@ func (rs *rankStore) rebuildCum(c int) {
 
 func (rs *rankStore) ensureOwned(c int) *rankChunk {
 	if !rs.owned[c] {
-		rs.chunks[c] = rs.chunks[c].clone()
+		rs.chunks[c] = rs.chunks[c].clone(rankChunkCap)
 		rs.owned[c] = true
 	}
 	return rs.chunks[c]
@@ -674,8 +666,8 @@ func (v adjView) block(u int) *adjBlock {
 	return &v.spans[u>>adjSpanRowShift][(u>>adjBlockShift)&adjSpanMask]
 }
 
-// Row returns u's sorted out-row. The slice aliases the block and must
-// not be modified.
+// Row returns u's row, aliasing the block: only a store that is never
+// captured (inLists) may write through it.
 func (v adjView) Row(u int) []int32 {
 	b, i := v.block(u), u&adjBlockMask
 	return b.tgt[b.off[i]:b.off[i+1]]
@@ -711,18 +703,18 @@ func (v adjView) csr() *graph.CSR {
 	return graph.NewCSR(offsets, targets)
 }
 
-// adjStore is the writer side of the adjacency and the incremental
-// overlay's only copy of it: the writer edits a row in place, one entry
-// at a time, through setRow, and its in-lists (not these rows) record
-// which entries are long links. The embedded adjView is the live
-// mapping the writer's Neighbors and router read; capture() freezes a
-// copy of its spine.
+// adjStore is the writer side of a row store; its rows need not be
+// sorted. The out-rows, the incremental overlay's only adjacency, are
+// ascending and edited in place, one entry at a time, through setRow.
+// The embedded adjView is the live mapping the writer's Neighbors and
+// router read; capture() freezes a copy of its spine.
 type adjStore struct {
 	adjView
 	// spanShared[s] marks span s as possibly read by a snapshot, and
 	// bit j of shared[s] marks block j of it.
 	spanShared []bool
 	shared     []uint64
+	spare      []adjBlock // a span pop dropped that no snapshot reads, for push to reuse
 }
 
 // newAdjStore lays rows 0..n-1, as row(u) returns them, out in blocks,
@@ -736,15 +728,16 @@ func newAdjStore(n int, row func(u int) []int32) *adjStore {
 			for v := u; v < min(u+adjBlockLen, n); v++ {
 				size += len(row(v))
 			}
-			as.block(u).tgt = make([]int32, 0, size)
+			as.block(u).tgt = slices.Grow([]int32(nil), size) // with the allocation's spare room
 		}
 		as.setRow(u, row(u))
 	}
 	return as
 }
 
-// setRow replaces u's out-row with row in place, cloning u's span and
-// then its block first if a snapshot may still read them.
+// setRow replaces u's row with row in place, cloning u's span and then
+// its block first if a snapshot may still read them. row must not alias
+// the store.
 func (as *adjStore) setRow(u int, row []int32) {
 	s, j := u>>adjSpanRowShift, (u>>adjBlockShift)&adjSpanMask
 	if as.spanShared[s] {
@@ -776,7 +769,10 @@ func (as *adjStore) setRow(u int, row []int32) {
 // push appends an empty row for slot n.
 func (as *adjStore) push() {
 	if as.n&(1<<adjSpanRowShift-1) == 0 {
-		as.spans = append(as.spans, make([]adjBlock, adjSpanLen))
+		if as.spare == nil {
+			as.spare = make([]adjBlock, adjSpanLen)
+		}
+		as.spans, as.spare = append(as.spans, as.spare), nil
 		as.spanShared = append(as.spanShared, false)
 		as.shared = append(as.shared, 0)
 	}
@@ -787,9 +783,11 @@ func (as *adjStore) push() {
 func (as *adjStore) pop() {
 	as.setRow(as.n-1, nil)
 	if as.n--; as.n&(1<<adjSpanRowShift-1) == 0 {
-		as.spans = as.spans[:len(as.spans)-1]
-		as.spanShared = as.spanShared[:len(as.spanShared)-1]
-		as.shared = as.shared[:len(as.shared)-1]
+		s := len(as.spans) - 1
+		if !as.spanShared[s] && as.shared[s] == 0 {
+			as.spare = as.spans[s]
+		}
+		as.spans, as.spanShared, as.shared = as.spans[:s], as.spanShared[:s], as.shared[:s]
 	}
 }
 
@@ -801,4 +799,106 @@ func (as *adjStore) capture() adjView {
 		as.spanShared[s], as.shared[s] = true, ^uint64(0)
 	}
 	return adjView{spans: slices.Clone(as.spans), n: as.n}
+}
+
+// inLists holds the writer's long-range in-lists (who links each slot)
+// as the rows of an adjStore that is never captured, so setRow never
+// clones. Row v is v's in-list in event order, then -1s as room (-1
+// never names a slot), as long as the capacity the list would reach as
+// a slice appended to one entry at a time (roomFor).
+type inLists struct {
+	adjStore
+	buf []int32 // scratch row: setRow must not read the store it edits
+}
+
+// inCaps holds 0 and the capacities an []int32 passes through when
+// appended to one element at a time, up to the most a block holds.
+var inCaps = func() []int {
+	caps := []int{0}
+	for c := 0; c < math.MaxUint16; caps = append(caps, c) {
+		c = cap(append(make([]int32, c), 0))
+	}
+	return caps
+}()
+
+// roomFor returns the row length of a list of c entries: the first of
+// inCaps that holds them.
+func roomFor(c int) int {
+	i, _ := slices.BinarySearch(inCaps, c)
+	return inCaps[i]
+}
+
+// newInLists builds the in-lists of n slots, where u links every slot in
+// out(u) long-range, in place, in slot order, by counting sort.
+func newInLists(n int, out func(u int) []int32) *inLists {
+	count := make([]int32, n)
+	var pad []int32 // -1s: a prefix of it is each row's initial content
+	for u := 0; u < n; u++ {
+		for _, v := range out(u) {
+			if count[v]++; int(count[v]) > len(pad) {
+				pad = slices.Repeat([]int32{-1}, roomFor(int(count[v])))
+			}
+		}
+	}
+	il := &inLists{adjStore: *newAdjStore(n, func(u int) []int32 { return pad[:roomFor(int(count[u]))] })}
+	clear(count) // now each row's fill
+	for u := 0; u < n; u++ {
+		for _, v := range out(u) {
+			il.Row(int(v))[count[v]] = int32(u)
+			count[v]++
+		}
+	}
+	return il
+}
+
+// list returns v's in-list, the row without its -1 tail. The slice
+// aliases the block.
+func (il *inLists) list(v int32) []int32 {
+	row := il.Row(int(v))
+	for len(row) > 0 && row[len(row)-1] < 0 {
+		row = row[:len(row)-1]
+	}
+	return row
+}
+
+// add appends u to v's in-list; a row with no room grows to the next of
+// inCaps, in a block reallocated with an eighth to spare if need be.
+func (il *inLists) add(v, u int32) {
+	row := il.Row(int(v))
+	if l := len(il.list(v)); l < len(row) {
+		row[l] = u
+		return
+	}
+	il.buf = append(append(il.buf[:0], row...), u)
+	for c := roomFor(len(il.buf)); len(il.buf) < c; {
+		il.buf = append(il.buf, -1)
+	}
+	b := il.block(int(v))
+	if need := len(b.tgt) + len(il.buf) - len(row); need > cap(b.tgt) {
+		b.tgt = append(slices.Grow([]int32(nil), need+need/8), b.tgt...)
+	}
+	il.setRow(int(v), il.buf)
+}
+
+// drop swap-deletes u from v's in-list, leaving -1 where the last was.
+func (il *inLists) drop(v, u int32) {
+	in := il.list(v)
+	if i := slices.Index(in, u); i >= 0 {
+		in[i], in[len(in)-1] = in[len(in)-1], -1
+	}
+}
+
+// rename rewrites from as to in v's in-list.
+func (il *inLists) rename(v, from, to int32) {
+	in := il.list(v)
+	if i := slices.Index(in, from); i >= 0 {
+		in[i] = to
+	}
+}
+
+// move gives to the row of from, room included, as a slice assignment
+// hands over a list with its capacity.
+func (il *inLists) move(to, from int32) {
+	il.buf = append(il.buf[:0], il.Row(int(from))...)
+	il.setRow(int(to), il.buf)
 }

@@ -97,8 +97,8 @@ func (o *incrementalOverlay) captureFlat() flatCapture {
 			}
 		}
 	}
-	for v, ins := range o.in {
-		for _, u := range ins {
+	for v := range rows {
+		for _, u := range o.in.list(int32(v)) {
 			rows[u] = append(rows[u], int32(v))
 		}
 	}

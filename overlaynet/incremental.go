@@ -66,10 +66,10 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 		exponent: cfg.Exponent,
 		degree:   cfg.Degree,
 		keys:     append([]keyspace.Key(nil), nw.Keys()...),
-		in:       make([][]int32, n),
 		succ:     make([]int32, n),
 		pred:     make([]int32, n),
-		adj:      newAdjStore(n, nw.CSR().Out),
+		adj:      newAdjStore(n, nw.CSR().Out), // neighbours and long links
+		in:       newInLists(n, nw.LongRange),
 		rng:      xrand.New(opts.Seed ^ incrementalSeedSalt),
 	}
 	order := make([]int32, n)
@@ -80,43 +80,8 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 	for p, i := (rankPos{}), 0; i < n; p, i = o.rankM.next(p), i+1 {
 		o.wire(p)
 	}
-	// The rows come straight from the CSR: the key-order neighbours and
-	// the long links. The in-lists record which entries are long links.
-	// They are filled in slot order by counting sort, each allocated
-	// once with the capacity appending its links one at a time would
-	// reach, so churn's appends find the room they would have found.
-	count := make([]int, n)
-	for u := 0; u < n; u++ {
-		for _, v := range nw.LongRange(u) {
-			count[v]++
-		}
-	}
-	caps := appendCaps(slices.Max(count))
-	for v, c := range count {
-		if c > 0 {
-			i, _ := slices.BinarySearch(caps, c)
-			o.in[v] = make([]int32, 0, caps[i])
-		}
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range nw.LongRange(u) {
-			o.in[v] = append(o.in[v], int32(u))
-		}
-	}
 	o.keysM = newKeyStore(o.keys)
 	return o, nil
-}
-
-// appendCaps returns the capacities an []int32 passes through when
-// appended to one element at a time from nil, up to the first that
-// holds n elements.
-func appendCaps(n int) []int {
-	var caps []int
-	for c := 0; c < n; {
-		c = cap(append(make([]int32, c), 0))
-		caps = append(caps, c)
-	}
-	return caps
 }
 
 const (
@@ -141,14 +106,14 @@ type incrementalOverlay struct {
 	// Per-slot state; slots are stable across events. A slot's out-row
 	// in adj is its only out-adjacency: its key-order neighbours and its
 	// long-range links, ascending, each once. The in-lists mark which row
-	// entries are long links (u links v long-range iff u is in in[v]),
-	// which the row cannot tell when a long link is also a neighbour.
+	// entries are long links (u links v long-range iff in.list(v) holds
+	// u), which the row cannot tell when a long link is also a neighbour.
 	// They are in event order, which handover's draws and Leave's repair
 	// order read: they are never sorted.
 	keys []keyspace.Key
-	in   [][]int32 // long-range in-links (who points here)
-	succ []int32   // key-order successor (-1 at the line's top end)
-	pred []int32   // key-order predecessor (-1 at the line's bottom end)
+	succ []int32  // key-order successor (-1 at the line's top end)
+	pred []int32  // key-order predecessor (-1 at the line's bottom end)
+	in   *inLists // long-range in-links (who points here)
 
 	// keysM is a chunked copy-on-write mirror of keys, written through
 	// on every mutation; rankM is the rank index (identifiers in
@@ -290,7 +255,7 @@ func (o *incrementalOverlay) rewire(p rankPos) {
 	}
 	row := append(o.row[:0], o.adj.Row(int(id))...)
 	for _, x := range was {
-		if x >= 0 && x != now[0] && x != now[1] && !slices.Contains(o.in[x], id) {
+		if x >= 0 && x != now[0] && x != now[1] && !slices.Contains(o.in.list(x), id) {
 			row = deleteSorted(row, x)
 		}
 	}
@@ -302,13 +267,13 @@ func (o *incrementalOverlay) rewire(p rankPos) {
 // not hold it yet, and u enters v's in-list.
 func (o *incrementalOverlay) addLink(u, v int32) {
 	o.editRow(u, -1, v)
-	o.in[v] = append(o.in[v], u)
+	o.in.add(v, u)
 }
 
 // unlink removes the long-range link u→v. v stays in u's row while it
 // is a key-order neighbour of u.
 func (o *incrementalOverlay) unlink(u, v int32) {
-	o.dropIn(v, u)
+	o.in.drop(v, u)
 	if v != o.pred[u] && v != o.succ[u] {
 		o.editRow(u, v, -1)
 	}
@@ -385,7 +350,7 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	o.keys = append(o.keys, k)
 	o.keysM.push(k)
 	o.adj.push()
-	o.in = append(o.in, nil)
+	o.in.push()
 	o.succ = append(o.succ, -1)
 	o.pred = append(o.pred, -1)
 
@@ -436,7 +401,7 @@ func (o *incrementalOverlay) handover(w int32) {
 			continue
 		}
 		// Iterate a copy: redirecting mutates the in-list.
-		o.ins = append(o.ins[:0], o.in[v]...)
+		o.ins = append(o.ins[:0], o.in.list(v)...)
 		for _, u := range o.ins {
 			if !o.rng.Bool(frac) {
 				continue
@@ -532,15 +497,15 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	}
 
 	// The departing node's own links stop existing; for a neighbour it
-	// does not also link long-range, dropIn finds nothing.
+	// does not also link long-range, drop finds nothing.
 	for _, t := range o.adj.Row(int(uid)) {
-		o.dropIn(t, uid)
+		o.in.drop(t, uid)
 	}
 	// Peers holding a link to the departed node lose it now and get a
 	// replacement drawn after the membership change is complete. This
 	// empties the departed node's in-list, so the splice below drops it
 	// from its flanks' rows too.
-	o.ins = append(o.ins[:0], o.in[uid]...)
+	o.ins = append(o.ins[:0], o.in.list(uid)...)
 	repair := o.ins
 	for _, w := range repair {
 		o.unlink(w, uid)
@@ -560,7 +525,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	if uid != last {
 		o.keys[uid] = o.keys[last]
 		o.keysM.set(int(uid), o.keys[last])
-		o.in[uid] = o.in[last]
+		o.in.move(uid, last)
 		o.succ[uid] = o.succ[last]
 		o.pred[uid] = o.pred[last]
 		lp, _ := rs.posOf(o.keys[uid], last)
@@ -568,7 +533,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		o.row = append(o.row[:0], o.adj.Row(int(last))...)
 		o.adj.setRow(int(uid), o.row)
 		for _, t := range o.row {
-			o.renameIn(t, last, uid)
+			o.in.rename(t, last, uid)
 		}
 		// A slot that is both a flank and an in-neighbour is renamed
 		// once: the second editRow finds no last in its row.
@@ -580,7 +545,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 			o.pred[s] = uid
 			o.editRow(s, last, uid)
 		}
-		for _, w := range o.in[uid] {
+		for _, w := range o.in.list(uid) {
 			o.editRow(w, last, uid)
 		}
 		for i, w := range repair {
@@ -592,7 +557,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	o.keys = o.keys[:n-1]
 	o.keysM.pop()
 	o.adj.pop()
-	o.in = o.in[:n-1]
+	o.in.pop()
 	o.succ = o.succ[:n-1]
 	o.pred = o.pred[:n-1]
 	if o.est != nil {
@@ -611,28 +576,6 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		}
 	}
 	return nil
-}
-
-// dropIn removes w from t's in-list.
-func (o *incrementalOverlay) dropIn(t, w int32) {
-	in := o.in[t]
-	for i, x := range in {
-		if x == w {
-			in[i] = in[len(in)-1]
-			o.in[t] = in[:len(in)-1]
-			return
-		}
-	}
-}
-
-// renameIn rewrites from→to in t's in-list.
-func (o *incrementalOverlay) renameIn(t, from, to int32) {
-	for i, x := range o.in[t] {
-		if x == from {
-			o.in[t][i] = to
-			return
-		}
-	}
 }
 
 // drawKey samples a fresh identifier from the density, nudging float

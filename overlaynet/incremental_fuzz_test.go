@@ -36,8 +36,8 @@ func TestSpliceKeepsLongLinkNeighbours(t *testing.T) {
 			rng := xrand.New(seed)
 			for ev := 0; ev < 200; ev++ {
 				var both []pair
-				for x, ins := range o.in {
-					for _, u := range ins {
+				for x := range o.N() {
+					for _, u := range o.in.list(int32(x)) {
 						if o.pred[u] == int32(x) || o.succ[u] == int32(x) {
 							both = append(both, pair{o.keys[u], o.keys[x]})
 						}

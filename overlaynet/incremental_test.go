@@ -18,15 +18,17 @@ import (
 // an incremental overlay: the rank index equals the one derived by
 // sorting the live (unique) identifiers, neighbour pointers follow key
 // order, each in-list names valid, distinct in-neighbours other than
-// its own slot, the row blocks are well formed, and — most
-// importantly — every row the routers read is strictly ascending and
-// equals the slot's neighbours plus the long links the in-lists record.
+// its own slot and is padded with -1 to a length roomFor keeps, in a
+// store that was never captured, the row blocks of both stores are
+// well formed, and — most importantly — every row the routers read is
+// strictly ascending and equals the slot's neighbours plus the long
+// links the in-lists record.
 // The last check is what catches a stale row surviving a slot rename,
 // or a long link a splice dropped because it was also a neighbour.
 func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 	t.Helper()
 	n := len(o.keys)
-	if o.rankM.Len() != n || len(o.in) != n || o.adj.n != n {
+	if o.rankM.Len() != n || o.in.n != n || o.adj.n != n {
 		t.Fatalf("inconsistent state sizes at n=%d", n)
 	}
 	ref := o.captureFlat()
@@ -57,7 +59,8 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 		}
 	}
 	checkRankFence(t, o.rankM.rankView)
-	for v, ins := range o.in {
+	for v := 0; v < n; v++ {
+		ins, row := o.in.list(int32(v)), o.in.Row(v)
 		seen := make(map[int32]bool, len(ins))
 		for _, u := range ins {
 			if int(u) == v || u < 0 || int(u) >= n {
@@ -68,11 +71,19 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 			}
 			seen[u] = true
 		}
+		if roomFor(len(row)) != len(row) || slices.ContainsFunc(row[len(ins):], func(x int32) bool { return x != -1 }) {
+			t.Fatalf("in-list row of %d is %v: want its list, then -1 up to a length roomFor keeps", v, row)
+		}
 	}
-	if len(o.adj.shared) != len(o.adj.spans) || len(o.adj.spanShared) != len(o.adj.spans) {
-		t.Fatalf("%d/%d sharing flags for %d spans", len(o.adj.spanShared), len(o.adj.shared), len(o.adj.spans))
+	for _, as := range []*adjStore{o.adj, &o.in.adjStore} {
+		if len(as.shared) != len(as.spans) || len(as.spanShared) != len(as.spans) {
+			t.Fatalf("%d/%d sharing flags for %d spans", len(as.spanShared), len(as.shared), len(as.spans))
+		}
+		checkAdjBlocks(t, as.adjView)
 	}
-	checkAdjBlocks(t, o.adj.adjView)
+	if slices.Contains(o.in.spanShared, true) || slices.ContainsFunc(o.in.shared, func(b uint64) bool { return b != 0 }) {
+		t.Fatal("the in-list store was captured")
+	}
 	// The routed adjacency equals the adjacency recomputed from state.
 	for u := 0; u < n; u++ {
 		row := o.Neighbors(u)
@@ -146,9 +157,9 @@ func checkAdjBlocks(t *testing.T, v adjView) {
 // TestInListsMatchAppendBuilt: NewIncremental fills the in-lists by
 // counting sort. Each must equal the list that appending the build's
 // long links one at a time, in slot order, gives: the same entries in
-// the same order, and the same capacity, because churn appends to
-// them. appendCaps is also checked against one-at-a-time appends past
-// the in-degrees a build reaches.
+// the same order, and a row as long as that list's capacity, because
+// churn appends to them. roomFor is also checked against one-at-a-time
+// appends past the in-degrees a build reaches.
 func TestInListsMatchAppendBuilt(t *testing.T) {
 	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
 		opts := Options{N: 1 << 12, Seed: 4, Dist: dist.NewPower(0.7), Topology: topo}
@@ -169,20 +180,52 @@ func TestInListsMatchAppendBuilt(t *testing.T) {
 			}
 		}
 		for v, w := range want {
-			if got := o.in[v]; !slices.Equal(got, w) || cap(got) != cap(w) || (got == nil) != (w == nil) {
-				t.Fatalf("%v: in-list of %d is %v (cap %d), want %v (cap %d)", topo, v, got, cap(got), w, cap(w))
+			if got, row := o.in.list(int32(v)), o.in.Row(v); !slices.Equal(got, w) || len(row) != cap(w) {
+				t.Fatalf("%v: in-list of %d is %v (row length %d), want %v (cap %d)", topo, v, got, len(row), w, cap(w))
 			}
 		}
 	}
-	const most = 4096
-	caps := appendCaps(most)
 	var s []int32
-	for c := 1; c <= most; c++ {
+	for c := 0; c <= 4096; c++ {
+		if roomFor(c) != cap(s) {
+			t.Fatalf("room for %d elements is %d, want %d", c, roomFor(c), cap(s))
+		}
 		s = append(s, 0)
-		if i, _ := slices.BinarySearch(caps, c); caps[i] != cap(s) {
-			t.Fatalf("capacity for %d elements is %d, want %d", c, caps[i], cap(s))
+	}
+}
+
+// TestRankChunksBuiltAtLength: NewIncremental copies every rank chunk
+// at its own length, rankChunkFill entries but the last, with no room
+// reserved. An insert grows an uncaptured chunk by append, and the
+// first write after a capture clones the chunk at rankChunkCap.
+func TestRankChunksBuiltAtLength(t *testing.T) {
+	ctx := context.Background()
+	dyn, err := NewIncremental(ctx, "smallworld-skewed", Options{N: 3000, Seed: 5, Dist: dist.NewPower(0.7), Topology: keyspace.Ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := dyn.(*incrementalOverlay)
+	chunks := o.rankM.chunks
+	for j, ch := range chunks {
+		if cap(ch.keys) != len(ch.keys) || cap(ch.slots) != len(ch.slots) || j < len(chunks)-1 && len(ch.keys) != rankChunkFill {
+			t.Fatalf("chunk %d of %d: %d keys (cap %d), %d slots (cap %d)", j, len(chunks), len(ch.keys), cap(ch.keys), len(ch.slots), cap(ch.slots))
 		}
 	}
+	for range 2 {
+		if err := o.Join(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.CaptureSnapshot()
+	if err := o.Join(ctx); err != nil {
+		t.Fatal(err)
+	}
+	u := int32(o.N() - 1)
+	p, _ := o.rankM.posOf(o.keys[u], u)
+	if ch := o.rankM.chunks[p.c]; cap(ch.keys) != rankChunkCap || cap(ch.slots) != rankChunkCap {
+		t.Fatalf("the first write after a capture left capacities %d and %d, want %d", cap(ch.keys), cap(ch.slots), rankChunkCap)
+	}
+	checkIncrementalInvariants(t, o)
 }
 
 func TestIncrementalInvariantsUnderChurn(t *testing.T) {

@@ -144,12 +144,12 @@ func (o *protocolOverlay) Maintain(ctx context.Context) error {
 }
 
 // redraw replaces slot u's long links with log2 N fresh draws under its
-// link measure. u leaves the in-list of every row target (dropIn finds
+// link measure. u leaves the in-list of every row target (drop finds
 // nothing for a neighbour u does not also link), and its row shrinks to
 // its neighbours before the draws.
 func (o *incrementalOverlay) redraw(u int32) {
 	for _, t := range o.adj.Row(int(u)) {
-		o.dropIn(t, u)
+		o.in.drop(t, u)
 	}
 	o.row = insertSorted(insertSorted(o.row[:0], o.pred[u]), o.succ[u])
 	o.adj.setRow(int(u), o.row)

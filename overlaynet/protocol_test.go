@@ -140,8 +140,8 @@ func TestProtocolInvariants(t *testing.T) {
 				}
 				// Every long link is in exactly one in-list.
 				var long metrics.Summary
-				for _, ins := range o.in {
-					long.Add(float64(len(ins)))
+				for v := range o.N() {
+					long.Add(float64(len(o.in.list(int32(v)))))
 				}
 				if min := math.Log2(float64(o.N())) / 2; long.Mean() < min {
 					t.Fatalf("%s: %.1f long links per peer, want at least %.1f", phase, long.Mean(), min)

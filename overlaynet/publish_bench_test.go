@@ -53,10 +53,14 @@ func BenchmarkPublishEpoch(b *testing.B) {
 // Publisher at its default cadence does, so ns/op includes the
 // amortised capture and every block clone it causes. Both arms at one
 // size churn the same overlay, built on first use so -bench filters
-// skip it.
+// skip it. Each arm reports heap-B/node after its events: the live
+// heap the overlay (and the publish arm's last capture) holds beyond
+// what was live before the build, per node, read after a GC with the
+// timer stopped.
 func BenchmarkChurnEvent(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 14, 1 << 16, 1 << 20} {
 		var o *incrementalOverlay
+		var base uint64 // live heap before the build
 		rng := xrand.New(uint64(n) + 3)
 		for _, arm := range []struct {
 			name  string
@@ -65,6 +69,8 @@ func BenchmarkChurnEvent(b *testing.B) {
 			events := 0 // across the b.N probes, so joins and leaves alternate
 			b.Run(fmt.Sprintf("%sn=%d", arm.name, n), func(b *testing.B) {
 				if o == nil {
+					benchSnapSink = nil
+					base = liveHeap()
 					o = newBenchOverlay(b, n)
 					b.ResetTimer()
 				}
@@ -85,6 +91,8 @@ func BenchmarkChurnEvent(b *testing.B) {
 						benchSnapSink = o.CaptureSnapshot()
 					}
 				}
+				b.StopTimer()
+				reportHeapPerNode(b, base, o.N())
 			})
 		}
 	}
@@ -93,16 +101,40 @@ func BenchmarkChurnEvent(b *testing.B) {
 // BenchmarkBuildIncremental measures NewIncremental on the repository
 // benchmark's overlay, smallworld-skewed with power:0.7 keys on the
 // ring: key placement, link sampling, the CSR and the writer's stores
-// and in-lists.
+// and in-lists. heap-B/node is the live heap the last build holds, per
+// node, read after a GC with the timer stopped.
 func BenchmarkBuildIncremental(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var o *incrementalOverlay
+			var base uint64
 			for i := 0; i < b.N; i++ {
-				newBenchOverlay(b, n)
+				b.StopTimer()
+				o = nil
+				base = liveHeap()
+				b.StartTimer()
+				o = newBenchOverlay(b, n)
 			}
+			b.StopTimer()
+			reportHeapPerNode(b, base, o.N())
+			runtime.KeepAlive(o)
 		})
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a GC, as the
+// repository benchmark reads heap_bytes_per_node.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// reportHeapPerNode reports the live heap above base, per node.
+func reportHeapPerNode(b *testing.B, base uint64, n int) {
+	b.ReportMetric((float64(liveHeap())-float64(base))/float64(n), "heap-B/node")
 }
 
 // BenchmarkRankNearest measures one rank-index lookup on a published

@@ -9,6 +9,22 @@ import (
 	"smallworld/xrand"
 )
 
+// KeyAt returns the identifier at rank i.
+func (v rankView) KeyAt(i int) keyspace.Key { return v.key(v.at(i)) }
+
+// SlotAt returns the slot holding rank i.
+func (v rankView) SlotAt(i int) int32 { return v.slot(v.at(i)) }
+
+// materializeSlots copies the rank→slot mapping into a flat order
+// slice.
+func (v rankView) materializeSlots() []int32 {
+	out := make([]int32, 0, v.n)
+	for _, ch := range v.chunks {
+		out = append(out, ch.slots...)
+	}
+	return out
+}
+
 // rankModel drives a rankStore, the incremental overlay's rank index,
 // against a sorted-slice reference: the identifiers in ascending order
 // and the slot holding each. Writes go through the store the way Join

@@ -37,25 +37,14 @@ func (nw *Network) PartitionOf(m float64) int {
 	return j
 }
 
-// NodePartitionCounts returns, for node u, how many of its long-range
-// links fall into each doubling partition of normalised distance from u.
-// Index 0 of the result is partition 1.
+// LinkPartitionCounts returns how many long-range links fall into each
+// doubling partition of normalised distance from their source, over all
+// nodes. Index 0 of the result is partition 1.
 //
 // Section 3.1 observes that under the harmonic selection rule these
 // counts are near-uniform across partitions — the "probabilistic
 // partitioning" that makes the model subsume Chord/Pastry/P-Grid routing
 // tables, which place exactly one entry per partition.
-func (nw *Network) NodePartitionCounts(u int) []int {
-	counts := make([]int, nw.Partitions())
-	for _, v := range nw.long[u] {
-		if j := nw.PartitionOf(nw.NormalizedMass(u, int(v))); j >= 1 {
-			counts[j-1]++
-		}
-	}
-	return counts
-}
-
-// LinkPartitionCounts aggregates NodePartitionCounts over all nodes.
 func (nw *Network) LinkPartitionCounts() []int {
 	counts := make([]int, nw.Partitions())
 	for u := 0; u < nw.cfg.N; u++ {

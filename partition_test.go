@@ -81,17 +81,20 @@ func TestLinkPartitionSkewedMatchesUniform(t *testing.T) {
 	}
 }
 
-func TestNodePartitionCountsSum(t *testing.T) {
+// TestLinkPartitionCountsSum: every long link lands in a partition, so
+// the counts sum to the number of long links.
+func TestLinkPartitionCountsSum(t *testing.T) {
 	cfg := UniformConfig(512, 57)
 	nw := mustBuild(t, cfg)
+	var sum, links int
+	for _, c := range nw.LinkPartitionCounts() {
+		sum += c
+	}
 	for u := 0; u < nw.N(); u++ {
-		var sum int
-		for _, c := range nw.NodePartitionCounts(u) {
-			sum += c
-		}
-		if sum != len(nw.LongRange(u)) {
-			t.Fatalf("node %d: partition counts sum %d != %d links", u, sum, len(nw.LongRange(u)))
-		}
+		links += len(nw.LongRange(u))
+	}
+	if sum != links {
+		t.Fatalf("partition counts sum %d != %d links", sum, links)
 	}
 }
 
