@@ -123,20 +123,9 @@ func BenchmarkRouteGreedy(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				router.RouteToNode(rng.Intn(n), rng.Intn(n))
+				router.RouteGreedy(rng.Intn(n), nw.Key(rng.Intn(n)))
 			}
 		})
-	}
-}
-
-func BenchmarkRouteGreedyNoN(b *testing.B) {
-	nw := buildFor(b, 4096, smallworld.Protocol, dist.NewPower(0.8))
-	router := nw.NewRouter()
-	rng := xrand.New(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		router.RouteGreedyNoN(rng.Intn(4096), nw.Key(rng.Intn(4096)))
 	}
 }
 

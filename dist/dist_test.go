@@ -168,8 +168,8 @@ func TestEstimateEmptySampleIsUniform(t *testing.T) {
 
 func TestEstimateClampsOutOfRangeKeys(t *testing.T) {
 	est := Estimate([]keyspace.Key{0, 0.5, keyspace.Key(math.Nextafter(1, 0))}, 4)
-	if est.Bins() != 4 {
-		t.Errorf("bins = %d", est.Bins())
+	if est.k != 4 {
+		t.Errorf("bins = %d", est.k)
 	}
 	if q := est.Quantile(1); q > 1 {
 		t.Errorf("Quantile(1) = %v", q)

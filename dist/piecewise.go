@@ -43,9 +43,6 @@ func NewPiecewise(masses []float64) *Piecewise {
 	return &Piecewise{cum: cum, k: len(masses)}
 }
 
-// Bins returns the number of histogram bins.
-func (p *Piecewise) Bins() int { return p.k }
-
 // CDF interpolates the cumulative mass linearly inside the containing bin.
 func (p *Piecewise) CDF(x float64) float64 {
 	x = clamp01(x)

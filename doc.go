@@ -32,7 +32,7 @@
 //
 //   - . (module root) — the paper's two models and the Kleinberg
 //     construction: Config/Build/Network, zero-allocation Routers,
-//     range queries, partition analysis, fault models;
+//     partition analysis, fault models;
 //   - dist — identifier densities with exact CDF and quantile maps
 //     (uniform, power, truncated exponential/normal, Zipf, mixtures,
 //     histogram estimation, flag parsing via dist.Parse);
@@ -149,18 +149,18 @@
 //
 // # Range queries
 //
-// Range queries are why order preservation matters: RangeLookup routes
-// greedily to the interval's low end and then walks successor cells.
-// Its contract is exact: RangeResult.Nodes[0] is always the node whose
-// half-open Cell contains the interval's low end — the locate
-// correction walks key order (bounded by N) until the containing cell
-// is reached, rather than probing a fixed neighbourhood, so degenerate
-// identifier spacings (ulp-adjacent keys from heavily skewed densities,
-// zero-width cells) and degraded locate terminals cannot surface a
-// non-responsible first node. Cells tile the key space exactly once:
-// the line's top cell ends at exactly 1 (inclusive top end), and when
-// neighbouring identifiers coincide the upper one owns the shared
-// point.
+// Range queries are why order preservation matters. The store package
+// serves them: store.Scan routes greedily to the owner of the
+// interval's low end, then walks successor cells, one hop per cell, and
+// returns every stored key inside the interval in arc order from its
+// low end — through the top of the ring and on from 0 when the interval
+// wraps (the line reads a wrapping interval as two walks). Ownership is
+// keyspace.Cell, the one definition the store and the incremental
+// writer share. Cells tile the key space exactly once: the line's top
+// cell ends at exactly 1 (inclusive top end), and when neighbouring
+// identifiers coincide the upper one owns the shared point, so
+// degenerate spacings (ulp-adjacent keys from heavily skewed densities,
+// zero-width cells) still give every key exactly one owner.
 //
 // See README.md for a tour. The benchmarks in bench_test.go regenerate
 // every experiment table (run with -v to see them).

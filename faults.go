@@ -19,38 +19,22 @@ import (
 // Churning fault runs use netmodel's identifier-hashed classes instead.
 type FailSet struct {
 	dead []bool
-	n    int
 }
 
 // NewFailSet marks each node dead independently with probability frac,
 // using r: one Bool per node, in ascending node order, which is part of
 // the replay format. The source and destination of experiments can be
-// re-rolled by the caller via Alive.
+// re-rolled by the caller via Dead.
 func NewFailSet(nw *Network, r *xrand.Stream, frac float64) *FailSet {
 	fs := &FailSet{dead: make([]bool, nw.N())}
 	for i := range fs.dead {
-		if r.Bool(frac) {
-			fs.dead[i] = true
-			fs.n++
-		}
+		fs.dead[i] = r.Bool(frac)
 	}
 	return fs
 }
 
 // Dead reports whether node u is crashed.
 func (fs *FailSet) Dead(u int) bool { return fs.dead[u] }
-
-// Alive reports whether node u is reachable.
-func (fs *FailSet) Alive(u int) bool { return !fs.dead[u] }
-
-// CountDead returns the number of crashed nodes.
-func (fs *FailSet) CountDead() int { return fs.n }
-
-// ClosestLive returns the live node closest to target, or -1 when every
-// node is dead.
-func (nw *Network) ClosestLive(target keyspace.Key, fs *FailSet) int {
-	return nw.closestLive(target, fs.dead)
-}
 
 // closestLive returns the node closest to target among those not
 // marked in dead, or -1 when every node is. With dead nil it is
@@ -110,10 +94,9 @@ type btFrame struct {
 // the live subgraph connects src to it.
 //
 // All search state lives on the router's reusable scratch: the visited
-// set is the epoch-marked table shared with the NoN lookahead, and the
-// per-frame candidate lists are windows of one flat buffer — so the
-// steady state allocates nothing. The returned Path aliases the
-// router's scratch.
+// set is the epoch-marked table, and the per-frame candidate lists are
+// windows of one flat buffer — so the steady state allocates nothing.
+// The returned Path aliases the router's scratch.
 func (r *Router) RouteBacktracking(src int, target keyspace.Key, fs *FailSet) Route {
 	nw := r.nw
 	topo := nw.cfg.Topology

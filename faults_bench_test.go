@@ -10,7 +10,7 @@ import (
 // The fault-path benchmarks: routing across a network with a live
 // FailSet (20% of nodes crashed, stale links still in place). Both
 // policies route through a per-benchmark Router and report allocs/op —
-// the visited set (epoch-marked, shared with the NoN table) and the
+// the visited set (an epoch-marked table) and the
 // frame stack live on reusable Router scratch, so the steady state is
 // allocation-free for both (0 allocs/op is part of the acceptance bar).
 
@@ -91,6 +91,6 @@ func BenchmarkClosestLive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw.ClosestLive(targets[i%len(targets)], fs)
+		nw.closestLive(targets[i%len(targets)], fs.dead)
 	}
 }

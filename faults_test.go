@@ -13,13 +13,14 @@ func TestFailSetBasics(t *testing.T) {
 	cfg.Topology = keyspace.Ring
 	nw := mustBuild(t, cfg)
 	fs := NewFailSet(nw, xrand.New(72), 0.3)
-	if fs.CountDead() < 20 || fs.CountDead() > 60 {
-		t.Errorf("dead count %d implausible for frac 0.3 of 128", fs.CountDead())
-	}
+	dead := 0
 	for u := 0; u < nw.N(); u++ {
-		if fs.Dead(u) == fs.Alive(u) {
-			t.Fatal("Dead and Alive disagree")
+		if fs.Dead(u) {
+			dead++
 		}
+	}
+	if dead < 20 || dead > 60 {
+		t.Errorf("dead count %d implausible for frac 0.3 of 128", dead)
 	}
 }
 
@@ -29,14 +30,13 @@ func TestClosestLive(t *testing.T) {
 	nw := mustBuild(t, cfg)
 	fs := NewFailSet(nw, xrand.New(74), 0)
 	target := nw.Key(10)
-	if got := nw.ClosestLive(target, fs); got != 10 {
-		t.Errorf("ClosestLive with no failures = %d, want 10", got)
+	if got := nw.closestLive(target, fs.dead); got != 10 {
+		t.Errorf("closestLive with no failures = %d, want 10", got)
 	}
 	fs.dead[10] = true
-	fs.n++
-	got := nw.ClosestLive(target, fs)
+	got := nw.closestLive(target, fs.dead)
 	if got != 9 && got != 11 {
-		t.Errorf("ClosestLive with owner dead = %d, want a ring neighbour", got)
+		t.Errorf("closestLive with owner dead = %d, want a ring neighbour", got)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestBacktrackingNoFailuresMatchesGreedy(t *testing.T) {
 // TestFaultRoutesArriveOnExactTie is the regression for judging arrival
 // by node identity: with the target at the exact midpoint of two
 // neighbouring peers, either peer is a correct destination. Starting at
-// the one ClosestLive does not pick, every router must stop at once and
+// the one closestLive does not pick, every router must stop at once and
 // report a delivery.
 func TestFaultRoutesArriveOnExactTie(t *testing.T) {
 	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
@@ -165,7 +165,7 @@ func TestFaultRoutesArriveOnExactTie(t *testing.T) {
 			}
 			tested++
 			src := u + 1
-			if nw.ClosestLive(mid, fs) == src {
+			if nw.closestLive(mid, fs.dead) == src {
 				src = u
 			}
 			for name, rt := range map[string]Route{
@@ -193,9 +193,8 @@ func TestClosestLiveAllDead(t *testing.T) {
 	for u := 0; u < nw.N(); u++ {
 		fs.dead[u] = true
 	}
-	fs.n = nw.N()
-	if got := nw.ClosestLive(0.5, fs); got != -1 {
-		t.Errorf("ClosestLive with everyone dead = %d, want -1", got)
+	if got := nw.closestLive(0.5, fs.dead); got != -1 {
+		t.Errorf("closestLive with everyone dead = %d, want -1", got)
 	}
 }
 
@@ -251,7 +250,6 @@ func TestRouteBacktrackingAllDead(t *testing.T) {
 	for u := 0; u < nw.N(); u++ {
 		fs.dead[u] = true
 	}
-	fs.n = nw.N()
 	rt := nw.RouteBacktracking(0, 0.5, fs)
 	if rt.Arrived {
 		t.Error("cannot arrive when every node is dead")

@@ -53,11 +53,6 @@ func (c *CSR) Out(u int) []int32 {
 	return c.targets[c.offsets[u]:c.offsets[u+1]]
 }
 
-// OutDegree returns the out-degree of u.
-func (c *CSR) OutDegree(u int) int {
-	return int(c.offsets[u+1] - c.offsets[u])
-}
-
 // RowStart returns the index into the flat edge array where u's row
 // begins: edge j of Out(u) is global edge RowStart(u)+j. Per-edge
 // side tables (e.g. obs link-traffic counters) are addressed this way.
@@ -115,14 +110,10 @@ func (s *Scratch) bfsBuffers(n int) ([]int, []int32) {
 	return s.dist, s.queue[:0]
 }
 
-// Reverse returns the CSR with every edge flipped. Built with a counting
-// pass over the offsets, so rows come out sorted without an extra sort.
-func (c *CSR) Reverse() *CSR {
-	return c.ReverseWith(&Scratch{})
-}
-
-// ReverseWith is Reverse reusing s's buffers. The returned CSR aliases
-// the scratch and is overwritten by the next ReverseWith on s.
+// ReverseWith returns the CSR with every edge flipped, built in s's
+// buffers with a counting pass over the offsets, so rows come out sorted
+// without an extra sort. The returned CSR aliases the scratch and is
+// overwritten by the next ReverseWith on s.
 func (c *CSR) ReverseWith(s *Scratch) *CSR {
 	n, m := c.N(), len(c.targets)
 	if cap(s.revOffsets) < n+1 {
@@ -158,15 +149,8 @@ func (c *CSR) ReverseWith(s *Scratch) *CSR {
 	return r
 }
 
-// BFS returns hop distances from src to every node (-1 if unreachable).
-func (c *CSR) BFS(src int) []int {
-	dist := make([]int, c.N())
-	queue := make([]int32, 0, c.N())
-	c.bfsInto(src, dist, queue)
-	return dist
-}
-
-// BFSWith is BFS reusing s's buffers. The returned slice aliases the
+// BFSWith returns hop distances from src to every node (-1 if
+// unreachable), computed in s's buffers. The returned slice aliases the
 // scratch and is overwritten by the next BFSWith on s.
 func (c *CSR) BFSWith(src int, s *Scratch) []int {
 	dist, queue := s.bfsBuffers(c.N())
@@ -195,15 +179,10 @@ func (c *CSR) bfsInto(src int, dist []int, queue []int32) {
 	}
 }
 
-// StronglyConnected reports whether every node can reach every other node.
-// It runs forward and reverse BFS from node 0 (Kosaraju-style check),
-// which is exact for strong connectivity. An empty graph is connected;
-// a single node is connected.
-func (c *CSR) StronglyConnected() bool {
-	return c.StronglyConnectedWith(&Scratch{})
-}
-
-// StronglyConnectedWith is StronglyConnected reusing s's buffers.
+// StronglyConnectedWith reports whether every node can reach every
+// other node, searching in s's buffers. It runs forward and reverse BFS
+// from node 0 (Kosaraju-style check), which is exact for strong
+// connectivity. An empty graph is connected; a single node is connected.
 func (c *CSR) StronglyConnectedWith(s *Scratch) bool {
 	if c.N() <= 1 {
 		return true
@@ -267,18 +246,12 @@ func (c *CSR) ClusteringCoefficient() float64 {
 	return total / float64(n)
 }
 
-// PathLengthStats estimates the shortest-path-length distribution by
-// running BFS from `samples` random sources and aggregating distances to
-// all reachable nodes. It also reports the largest distance seen
-// (a lower bound on the diameter). BFS scratch is allocated once and
-// reused across sources.
-func (c *CSR) PathLengthStats(r *xrand.Stream, samples int) (metrics.Summary, int) {
-	return c.PathLengthStatsWith(r, samples, &Scratch{})
-}
-
-// PathLengthStatsWith is PathLengthStats reusing sc's BFS buffers, so
-// repeated analyses (a beta sweep, the E20 frontier at 2^22) don't
-// allocate a fresh N-sized dist/queue pair per call.
+// PathLengthStatsWith estimates the shortest-path-length distribution
+// by running BFS from `samples` random sources and aggregating distances
+// to all reachable nodes. It also reports the largest distance seen (a
+// lower bound on the diameter). It reuses sc's BFS buffers, so repeated
+// analyses (a beta sweep, the E20 frontier at 2^22) don't allocate a
+// fresh N-sized dist/queue pair per call.
 func (c *CSR) PathLengthStatsWith(r *xrand.Stream, samples int, sc *Scratch) (s metrics.Summary, maxDist int) {
 	n := c.N()
 	if n == 0 || samples <= 0 {

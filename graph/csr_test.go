@@ -47,7 +47,7 @@ func TestCSRMatchesEdgeList(t *testing.T) {
 func TestCSRReverse(t *testing.T) {
 	f := func(seed uint64) bool {
 		c := randomGraph(seed)
-		r := c.Reverse()
+		r := c.ReverseWith(&Scratch{})
 		if r.M() != c.M() {
 			return false
 		}

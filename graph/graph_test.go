@@ -88,7 +88,7 @@ func TestBoundsPanic(t *testing.T) {
 
 func TestOutAndDegree(t *testing.T) {
 	g := fromEdges(4, [][2]int{{0, 1}, {0, 3}})
-	if g.OutDegree(0) != 2 || g.OutDegree(1) != 0 {
+	if len(g.Out(0)) != 2 || len(g.Out(1)) != 0 {
 		t.Error("out degrees wrong")
 	}
 	if out := g.Out(0); len(out) != 2 || g.RowStart(1) != 2 {
@@ -117,7 +117,7 @@ func TestOutRowsSorted(t *testing.T) {
 }
 
 func TestBFSRing(t *testing.T) {
-	d := ring(6).BFS(0)
+	d := ring(6).BFSWith(0, &Scratch{})
 	want := []int{0, 1, 2, 3, 4, 5}
 	for i := range want {
 		if d[i] != want[i] {
@@ -127,7 +127,7 @@ func TestBFSRing(t *testing.T) {
 }
 
 func TestBFSUnreachable(t *testing.T) {
-	d := fromEdges(3, [][2]int{{0, 1}}).BFS(0)
+	d := fromEdges(3, [][2]int{{0, 1}}).BFSWith(0, &Scratch{})
 	if d[2] != -1 {
 		t.Errorf("unreachable node distance = %d, want -1", d[2])
 	}
@@ -135,7 +135,7 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestReverse(t *testing.T) {
 	g := fromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	r := g.Reverse()
+	r := g.ReverseWith(&Scratch{})
 	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
 		t.Error("Reverse wrong")
 	}
@@ -145,13 +145,13 @@ func TestReverse(t *testing.T) {
 }
 
 func TestStronglyConnected(t *testing.T) {
-	if !ring(10).StronglyConnected() {
+	if !ring(10).StronglyConnectedWith(&Scratch{}) {
 		t.Error("directed ring must be strongly connected")
 	}
-	if fromEdges(3, [][2]int{{0, 1}, {1, 2}}).StronglyConnected() {
+	if fromEdges(3, [][2]int{{0, 1}, {1, 2}}).StronglyConnectedWith(&Scratch{}) {
 		t.Error("path graph is not strongly connected")
 	}
-	if !fromEdges(0, nil).StronglyConnected() || !fromEdges(1, nil).StronglyConnected() {
+	if !fromEdges(0, nil).StronglyConnectedWith(&Scratch{}) || !fromEdges(1, nil).StronglyConnectedWith(&Scratch{}) {
 		t.Error("trivial graphs are connected")
 	}
 }
@@ -185,7 +185,7 @@ func TestClusteringCoefficient(t *testing.T) {
 }
 
 func TestPathLengthStatsRing(t *testing.T) {
-	s, maxD := ring(16).PathLengthStats(xrand.New(1), 16)
+	s, maxD := ring(16).PathLengthStatsWith(xrand.New(1), 16, &Scratch{})
 	// On a directed 16-ring, distances from any source are 1..15, mean 8.
 	if d := s.Mean() - 8; d > 1e-9 || d < -1e-9 {
 		t.Errorf("mean path length = %v, want 8", s.Mean())
@@ -196,14 +196,14 @@ func TestPathLengthStatsRing(t *testing.T) {
 }
 
 func TestPathLengthStatsEmpty(t *testing.T) {
-	s, maxD := fromEdges(0, nil).PathLengthStats(xrand.New(1), 4)
+	s, maxD := fromEdges(0, nil).PathLengthStatsWith(xrand.New(1), 4, &Scratch{})
 	if s.N() != 0 || maxD != 0 {
 		t.Error("empty graph should yield empty stats")
 	}
 }
 
 func TestPathLengthSamplesClamped(t *testing.T) {
-	s, _ := ring(4).PathLengthStats(xrand.New(1), 100) // more samples than nodes
+	s, _ := ring(4).PathLengthStatsWith(xrand.New(1), 100, &Scratch{}) // more samples than nodes
 	if s.N() != 4*3 {
 		t.Errorf("expected all-pairs coverage, got %d observations", s.N())
 	}
@@ -213,7 +213,7 @@ func TestPathLengthSamplesClamped(t *testing.T) {
 func TestReverseInvolution(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraph(seed)
-		rr := g.Reverse().Reverse()
+		rr := g.ReverseWith(&Scratch{}).ReverseWith(&Scratch{})
 		if rr.M() != g.M() {
 			return false
 		}
@@ -236,7 +236,7 @@ func TestReverseInvolution(t *testing.T) {
 func TestBFSEdgeConsistency(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomGraph(seed)
-		d := g.BFS(0)
+		d := g.BFSWith(0, &Scratch{})
 		for u := 0; u < g.N(); u++ {
 			if d[u] < 0 {
 				continue

@@ -199,18 +199,12 @@ func (nw *Network) N() int { return len(nw.zones) }
 // Zone returns node u's zone.
 func (nw *Network) Zone(u int) Zone { return nw.zones[u] }
 
-// TableSize returns the number of neighbours node u keeps.
-func (nw *Network) TableSize(u int) int { return len(nw.neighbors[u]) }
-
 // Links returns the indices of the zones bordering node u's zone. The
 // slice must not be modified.
 func (nw *Network) Links(u int) []int32 { return nw.neighbors[u] }
 
 // Dims returns the dimensionality of the cube.
 func (nw *Network) Dims() int { return nw.cfg.Dims }
-
-// Owner returns the node whose zone contains p.
-func (nw *Network) Owner(p Point) int { return nw.zoneContaining(p) }
 
 // Lookup routes a query for point p from node src by greedy forwarding
 // to the bordering zone closest to p (nearest-point distance, which

@@ -107,7 +107,7 @@ func TestLookupFindsOwner(t *testing.T) {
 				p[d] = r.Float64()
 			}
 			_, got := nw.Lookup(src, p)
-			if want := nw.Owner(p); got != want {
+			if want := nw.zoneContaining(p); got != want {
 				t.Fatalf("dims=%d: lookup = %d, owner %d", dims, got, want)
 			}
 		}

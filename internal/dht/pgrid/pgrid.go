@@ -186,10 +186,6 @@ func (nw *Network) N() int { return len(nw.paths) }
 // Key returns peer u's identifier.
 func (nw *Network) Key(u int) keyspace.Key { return nw.keys[u] }
 
-// PathLen returns the trie depth of peer u — its routing-table size, one
-// reference per level.
-func (nw *Network) PathLen(u int) int { return len(nw.paths[u]) }
-
 // TableSize returns the number of routing entries peer u keeps.
 func (nw *Network) TableSize(u int) int { return len(nw.refs[u]) }
 

@@ -181,7 +181,7 @@ func TestDeterministic(t *testing.T) {
 	a := mustBuild(t, Config{N: 128, Seed: 11})
 	b := mustBuild(t, Config{N: 128, Seed: 11})
 	for u := 0; u < a.N(); u++ {
-		if a.Key(u) != b.Key(u) || a.PathLen(u) != b.PathLen(u) {
+		if a.Key(u) != b.Key(u) || len(a.paths[u]) != len(b.paths[u]) {
 			t.Fatal("builds differ for equal seeds")
 		}
 	}

@@ -138,9 +138,6 @@ func abs(x int) int {
 	return x
 }
 
-// LongRange returns node u's long-range targets.
-func (nw *Network) LongRange(u int) []int32 { return nw.long[u] }
-
 // neighbors appends u's lattice neighbours to buf and returns it.
 func (nw *Network) neighbors(u int, buf []int32) []int32 {
 	n := nw.cfg.Side

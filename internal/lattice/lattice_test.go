@@ -54,7 +54,7 @@ func TestCoordAndDist(t *testing.T) {
 func TestLongRangeLinksValid(t *testing.T) {
 	nw := mustBuild(t, Config{Side: 16, Q: 2, R: 2, Seed: 2})
 	for u := 0; u < nw.N(); u++ {
-		for _, v := range nw.LongRange(u) {
+		for _, v := range nw.long[u] {
 			if int(v) == u || v < 0 || int(v) >= nw.N() {
 				t.Fatalf("invalid long link %d -> %d", u, v)
 			}
@@ -125,7 +125,7 @@ func TestDeterministic(t *testing.T) {
 	a := mustBuild(t, Config{Side: 16, Q: 2, R: 2, Seed: 9})
 	b := mustBuild(t, Config{Side: 16, Q: 2, R: 2, Seed: 9})
 	for u := 0; u < a.N(); u++ {
-		la, lb := a.LongRange(u), b.LongRange(u)
+		la, lb := a.long[u], b.long[u]
 		if len(la) != len(lb) {
 			t.Fatal("link counts differ")
 		}

@@ -2,6 +2,7 @@ package loadbalance
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"smallworld/dist"
@@ -94,14 +95,14 @@ func TestPlaceEqualMassQuantiles(t *testing.T) {
 			t.Errorf("point %d = %v, want %v", i, p, want)
 		}
 	}
-	if !pts.IsSorted() {
+	if !slices.IsSorted(pts) {
 		t.Error("points not sorted")
 	}
 }
 
 func TestPlaceUniformSorted(t *testing.T) {
 	pts := PlaceUniform(100, xrand.New(4))
-	if !pts.IsSorted() || len(pts) != 100 {
+	if !slices.IsSorted(pts) || len(pts) != 100 {
 		t.Error("PlaceUniform output invalid")
 	}
 }

@@ -36,7 +36,7 @@ func TestRegularLattice(t *testing.T) {
 	// Every node connects to its two successors (and receives the two
 	// reverse edges): total out-degree 4.
 	for u := 0; u < 16; u++ {
-		if d := nw.CSR().OutDegree(u); d != 4 {
+		if d := len(nw.CSR().Out(u)); d != 4 {
 			t.Fatalf("node %d degree %d, want 4", u, d)
 		}
 		if !nw.CSR().HasEdge(u, (u+1)%16) || !nw.CSR().HasEdge(u, (u+2)%16) {

@@ -1,10 +1,9 @@
 package keyspace
 
 // Responsibility cells. This file is the single definition of "who owns
-// what" in the key space: the store's replica placement, the overlay
-// snapshots' OwnedRange, and the small-world Network.Cell all delegate
-// here, so a key can never be attributed to different owners by
-// different layers.
+// what" in the key space: the store's replica placement and scans and
+// the incremental writer's ownership events all read it, so a key can
+// never be attributed to different owners by different layers.
 
 // MidpointRing returns the midpoint of the clockwise arc from a to b.
 // Duplicate identifiers yield a itself — the zero-width-cell convention

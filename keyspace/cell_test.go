@@ -138,6 +138,65 @@ func TestOwnerDegenerate(t *testing.T) {
 	}
 }
 
+// TestCellLineTopEnd pins the line's top cell: Hi is exactly 1 (not
+// math.Nextafter(1, 2), which leaked a Key > 1 into Interval.Length and
+// coverage arithmetic), the top end stays covered inclusively, and cell
+// lengths sum to exactly the unit interval.
+func TestCellLineTopEnd(t *testing.T) {
+	p := skewedPoints(64, 3, 103)
+	top := Cell(Line, p, len(p)-1)
+	if top.Hi != 1 {
+		t.Fatalf("top cell Hi = %.20g, want exactly 1", float64(top.Hi))
+	}
+	if !top.Contains(Key(math.Nextafter(1, 0))) {
+		t.Fatal("top cell does not cover the largest valid key")
+	}
+	if top.Length() > 1 {
+		t.Fatalf("top cell length %v exceeds the space", top.Length())
+	}
+	var total float64
+	for i := range p {
+		total += Cell(Line, p, i).Length()
+	}
+	if math.Abs(total-1) > 1e-12 {
+		t.Fatalf("cells cover %.17g of the line, want 1", total)
+	}
+}
+
+// TestCellDegenerateSpacing pins the zero-width-cell convention on
+// ulp-dense clusters (nine keys one ulp apart at 0.5, two just below the
+// ring wrap) beside isolated keys: every cell's length lies in [0, 1],
+// the cells still tile the space, and every key, its float neighbours
+// and 0 lie in exactly one cell. MidpointRing of a zero arc is the point
+// itself (the duplicate-identifier definition).
+func TestCellDegenerateSpacing(t *testing.T) {
+	if got := MidpointRing(0.25, 0.25); got != 0.25 {
+		t.Fatalf("MidpointRing(a, a) = %v, want a", got)
+	}
+	var p Points
+	for i, x := 0, 0.5; i < 9; i, x = i+1, math.Nextafter(x, 1) {
+		p = append(p, Key(x))
+	}
+	below := math.Nextafter(math.Nextafter(1, 0), 0)
+	p = append(p, Key(below), Key(math.Nextafter(below, 1)), 0.05, 0.2, 0.8)
+	p = SortPoints(p)
+	probes := []Key{0}
+	for _, k := range p {
+		probes = append(probes, k, Key(math.Nextafter(float64(k), 0)))
+		if up := Key(math.Nextafter(float64(k), 1)); up.Valid() {
+			probes = append(probes, up)
+		}
+	}
+	for _, topo := range []Topology{Ring, Line} {
+		for i := range p {
+			if l := Cell(topo, p, i).Length(); l < 0 || l > 1 {
+				t.Fatalf("%v: cell %d has length %v", topo, i, l)
+			}
+		}
+		checkCells(t, topo, p, probes)
+	}
+}
+
 // fuzzKey decodes a key from float64 bits with the sign cleared; the
 // result is valid for about half of all words.
 func fuzzKey(bits uint64) Key { return Key(math.Float64frombits(bits &^ (1 << 63))) }

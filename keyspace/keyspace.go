@@ -82,16 +82,6 @@ func (t Topology) MaxDistance() float64 {
 	return 1
 }
 
-// Offset returns the key at signed arc-distance delta from u. On the ring
-// it wraps; on the line it clamps to the interval boundary.
-func (t Topology) Offset(u Key, delta float64) Key {
-	x := float64(u) + delta
-	if t == Ring {
-		return Wrap(x)
-	}
-	return Clamp(x)
-}
-
 // Advances reports whether next lies strictly between from and target
 // along the routing arc (the direct segment on the line, the shorter arc
 // on the ring), or exactly on target. It uses only order comparisons and
@@ -173,11 +163,6 @@ func (iv Interval) Empty() bool { return iv.Lo == iv.Hi }
 // String formats the interval.
 func (iv Interval) String() string { return fmt.Sprintf("[%.6f,%.6f)", iv.Lo, iv.Hi) }
 
-// Midpoint returns the key halfway along the interval (wrapping if needed).
-func (iv Interval) Midpoint() Key {
-	return Wrap(float64(iv.Lo) + iv.Length()/2)
-}
-
 // Points is an ascending sorted slice of keys with search helpers. It is
 // the canonical "who lives where" index used by graph constructors to
 // resolve a sampled key to the closest peer.
@@ -187,11 +172,6 @@ type Points []Key
 func SortPoints(ks []Key) Points {
 	slices.Sort(ks)
 	return Points(ks)
-}
-
-// IsSorted reports whether p is ascending.
-func (p Points) IsSorted() bool {
-	return sort.SliceIsSorted(p, func(i, j int) bool { return p[i] < p[j] })
 }
 
 // Successor returns the index of the first point >= x, wrapping to 0 when x

@@ -2,6 +2,7 @@ package keyspace
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -135,21 +136,6 @@ func TestDistanceBounds(t *testing.T) {
 	}
 }
 
-func TestOffset(t *testing.T) {
-	if got := Ring.Offset(0.9, 0.2); math.Abs(float64(got)-0.1) > 1e-12 {
-		t.Errorf("Ring.Offset(0.9, 0.2) = %v, want 0.1", got)
-	}
-	if got := Ring.Offset(0.1, -0.2); math.Abs(float64(got)-0.9) > 1e-12 {
-		t.Errorf("Ring.Offset(0.1, -0.2) = %v, want 0.9", got)
-	}
-	if got := Line.Offset(0.9, 0.2); !got.Valid() || got < 0.99 {
-		t.Errorf("Line.Offset(0.9, 0.2) = %v, want clamp near 1", got)
-	}
-	if got := Line.Offset(0.1, -0.2); got != 0 {
-		t.Errorf("Line.Offset(0.1, -0.2) = %v, want 0", got)
-	}
-}
-
 func TestTopologyString(t *testing.T) {
 	if Line.String() != "line" || Ring.String() != "ring" {
 		t.Errorf("unexpected names: %q %q", Line, Ring)
@@ -188,9 +174,6 @@ func TestIntervalWrapping(t *testing.T) {
 	if got := iv.Length(); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("wrapping length = %v, want 0.2", got)
 	}
-	if got := iv.Midpoint(); math.Abs(float64(got)-0.0) > 1e-9 && math.Abs(float64(got)-1.0) > 1e-9 {
-		t.Errorf("wrapping midpoint = %v, want ~0.0", got)
-	}
 }
 
 func TestIntervalLengthAndEmpty(t *testing.T) {
@@ -207,7 +190,7 @@ func TestIntervalLengthAndEmpty(t *testing.T) {
 
 func TestSortPointsAndSearch(t *testing.T) {
 	p := SortPoints([]Key{0.5, 0.1, 0.9, 0.3})
-	if !p.IsSorted() {
+	if !slices.IsSorted(p) {
 		t.Fatal("SortPoints did not sort")
 	}
 	if i := p.Successor(0.2); p[i] != 0.3 {

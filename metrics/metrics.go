@@ -1,5 +1,5 @@
 // Package metrics provides the statistical helpers used by the experiment
-// harness: streaming summaries, percentiles, histograms, load-imbalance
+// harness: streaming summaries, percentiles, histogram quantiles, load-imbalance
 // measures (Gini, coefficient of variation), least-squares fits for
 // scaling laws, and a chi-square distance for partition-occupancy tests.
 package metrics
@@ -32,13 +32,6 @@ func (s *Summary) Add(x float64) {
 		s.max = x
 	}
 	s.populated = true
-}
-
-// AddAll records every value in xs.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -213,62 +206,4 @@ func FitLine(x, y []float64) LinFit {
 		r2 = 1 - ssRes/ssTot
 	}
 	return LinFit{Slope: slope, Intercept: intercept, R2: r2}
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over
-// [lo, hi). It panics unless lo < hi and bins > 0.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if !(lo < hi) || bins <= 0 {
-		panic("metrics: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records x, clamping out-of-range values into the boundary bins.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Density returns the normalised density estimate per bin (integrates to 1
-// over [Lo,Hi)). Empty histograms yield all-zero densities.
-func (h *Histogram) Density() []float64 {
-	d := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return d
-	}
-	binWidth := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		d[i] = float64(c) / (float64(h.total) * binWidth)
-	}
-	return d
-}
-
-// Fractions returns each bin's share of the total count.
-func (h *Histogram) Fractions() []float64 {
-	f := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return f
-	}
-	for i, c := range h.Counts {
-		f[i] = float64(c) / float64(h.total)
-	}
-	return f
 }

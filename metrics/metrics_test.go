@@ -6,9 +6,17 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
+// summaryOf records xs in a fresh Summary.
+func summaryOf(xs ...float64) Summary {
 	var s Summary
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
+
+func TestSummaryBasics(t *testing.T) {
+	s := summaryOf(2, 4, 4, 4, 5, 5, 7, 9)
 	if s.N() != 8 {
 		t.Errorf("N = %d, want 8", s.N())
 	}
@@ -35,8 +43,7 @@ func TestSummaryEmpty(t *testing.T) {
 }
 
 func TestSummaryCV(t *testing.T) {
-	var s Summary
-	s.AddAll([]float64{10, 10, 10, 10})
+	s := summaryOf(10, 10, 10, 10)
 	if s.CV() != 0 {
 		t.Errorf("CV of constant data = %v, want 0", s.CV())
 	}
@@ -53,8 +60,7 @@ func TestSummaryMatchesBatch(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		var s Summary
-		s.AddAll(clean)
+		s := summaryOf(clean...)
 		return math.Abs(s.Mean()-Mean(clean)) < 1e-6*(1+math.Abs(s.Mean()))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -197,73 +203,4 @@ func TestFitLinePanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	FitLine([]float64{1, 2}, []float64{1})
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	for _, x := range []float64{0.1, 0.1, 0.3, 0.6, 0.9, 1.5, -0.5} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
-	}
-	want := []int{3, 1, 1, 2} // -0.5 clamps to bin 0, 1.5 clamps to bin 3
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bin %d = %d, want %d", i, c, want[i])
-		}
-	}
-}
-
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	h := NewHistogram(0, 2, 8)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i%200) / 100)
-	}
-	d := h.Density()
-	binWidth := 0.25
-	var integral float64
-	for _, v := range d {
-		integral += v * binWidth
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Errorf("density integral = %v, want 1", integral)
-	}
-}
-
-func TestHistogramFractionsSum(t *testing.T) {
-	h := NewHistogram(0, 1, 5)
-	for i := 0; i < 137; i++ {
-		h.Add(float64(i) / 137)
-	}
-	var sum float64
-	for _, f := range h.Fractions() {
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("fractions sum = %v, want 1", sum)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	for _, v := range h.Density() {
-		if v != 0 {
-			t.Error("empty histogram density should be zero")
-		}
-	}
-	for _, v := range h.Fractions() {
-		if v != 0 {
-			t.Error("empty histogram fractions should be zero")
-		}
-	}
-}
-
-func TestNewHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 4)
 }

@@ -16,7 +16,7 @@
 // coordination.
 //
 // Determinism: class membership consumes no generator state (it is a
-// hash), and all per-message draws (loss, burst lengths, latency
+// hash), and all per-message draws (loss, byzantine drops, latency
 // variates, byzantine misroutes) come from one xrand stream owned by
 // the Model. The same (Config, seed) therefore replays every delivery
 // decision bit-identically, independent of how many nodes exist or in
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 
-	"smallworld/dist"
 	"smallworld/keyspace"
 	"smallworld/obs"
 	"smallworld/xrand"
@@ -74,30 +73,17 @@ type Delivery struct {
 
 // Config declares the fault plane. The zero value of every field means
 // its documented default, so Config{Loss: 0.05} is a complete, runnable
-// plane. Probabilities are per message or per node as documented;
-// negative values mean "none" where 0 would otherwise select a default.
+// plane. Probabilities are per message or per node as documented.
+//
+// Some parameters are fixed: a delivered hop takes latencyBase plus
+// latencyScale times a uniform [0,1) variate (0.002 + 0.002·U
+// virtual-time units, before the slow-node factor), and a byzantine
+// node drops a message addressed to it with probability byzDrop (0.25)
+// and misroutes a query passing through it with probability misroute
+// (0.5).
 type Config struct {
 	// Loss is the independent per-message Bernoulli loss probability.
 	Loss float64
-	// BurstFrac is the probability that a message opens a loss burst:
-	// it and the following burst-length messages are all lost (a
-	// two-state Gilbert-style channel). 0 disables bursts.
-	BurstFrac float64
-	// BurstLen is the mean burst length in messages, drawn
-	// exponentially per burst. Default 8.
-	BurstLen float64
-
-	// LatencyBase is the fixed per-hop latency floor. Default 0.002
-	// virtual-time units (when LatencyBase and LatencyScale are both
-	// zero, both defaults apply).
-	LatencyBase float64
-	// LatencyScale multiplies the per-hop latency variate. Default
-	// 0.002 alongside LatencyBase's default.
-	LatencyScale float64
-	// LatencyDist shapes the latency variate on [0,1] via its Quantile
-	// (inverse-transform sampling, like dist.Sample). nil means
-	// uniform.
-	LatencyDist dist.Distribution
 
 	// SlowFrac is the fraction of nodes that are slow: every message
 	// they send or receive takes SlowFactor times longer.
@@ -110,35 +96,26 @@ type Config struct {
 	DeadFrac float64
 
 	// ByzantineFrac is the fraction of nodes that are byzantine: they
-	// drop messages addressed to them with probability ByzDrop, and
-	// misroute queries passing through them with probability Misroute.
+	// drop messages addressed to them with probability byzDrop, and
+	// misroute queries passing through them (forward to a uniformly
+	// random neighbour instead of the greedy choice) with probability
+	// misroute.
 	ByzantineFrac float64
-	// Misroute is the probability a byzantine node forwards an arriving
-	// query to a uniformly random neighbour instead of the greedy
-	// choice. Default 0.5; negative means never.
-	Misroute float64
-	// ByzDrop is the probability a byzantine node silently drops a
-	// message addressed to it. Default 0.25; negative means never.
-	ByzDrop float64
 }
+
+// The fixed parameters of the plane (see Config).
+const (
+	latencyBase  = 0.002 // per-hop latency floor, virtual-time units
+	latencyScale = 0.002 // multiplies the per-hop uniform latency variate
+	misroute     = 0.5   // a byzantine node hijacks an arriving query
+	byzDrop      = 0.25  // a byzantine node drops a message addressed to it
+)
 
 // withDefaults resolves zero-valued fields to their documented
 // defaults.
 func (c Config) withDefaults() Config {
-	if c.BurstLen <= 0 {
-		c.BurstLen = 8
-	}
-	if c.LatencyBase == 0 && c.LatencyScale == 0 {
-		c.LatencyBase, c.LatencyScale = 0.002, 0.002
-	}
 	if c.SlowFactor <= 0 {
 		c.SlowFactor = 4
-	}
-	if c.Misroute == 0 {
-		c.Misroute = 0.5
-	}
-	if c.ByzDrop == 0 {
-		c.ByzDrop = 0.25
 	}
 	return c
 }
@@ -155,7 +132,6 @@ func (c Config) validate() error {
 		v    float64
 	}{
 		{"loss", c.Loss},
-		{"burst frac", c.BurstFrac},
 		{"slow frac", c.SlowFrac},
 		{"dead frac", c.DeadFrac},
 		{"byzantine frac", c.ByzantineFrac},
@@ -164,18 +140,8 @@ func (c Config) validate() error {
 			return fmt.Errorf("netmodel: %s %v outside [0,1]", f.name, f.v)
 		}
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"burst length", c.BurstLen},
-		{"latency base", c.LatencyBase},
-		{"latency scale", c.LatencyScale},
-		{"slow factor", c.SlowFactor},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("netmodel: %s %v must be finite and non-negative", f.name, f.v)
-		}
+	if math.IsNaN(c.SlowFactor) || math.IsInf(c.SlowFactor, 0) || c.SlowFactor < 0 {
+		return fmt.Errorf("netmodel: slow factor %v must be finite and non-negative", c.SlowFactor)
 	}
 	return nil
 }
@@ -216,8 +182,7 @@ type Model struct {
 
 	deadSeed, slowSeed, byzSeed uint64
 
-	rng       *xrand.Stream // per-message draws: loss, bursts, latency, misroute
-	burstLeft int           // messages remaining in the current loss burst
+	rng *xrand.Stream // per-message draws: loss, drops, latency, misroute
 
 	part  partitionState
 	epoch epochCounter
@@ -249,9 +214,6 @@ func New(cfg Config, seed uint64) (*Model, error) {
 	m.epoch.store(1)
 	return m, nil
 }
-
-// Config returns the resolved (defaulted) configuration.
-func (m *Model) Config() Config { return m.cfg }
 
 // Dead reports whether the node holding identifier k is crashed.
 // Identifier-keyed, so the answer survives churn renames. Safe for
@@ -296,10 +258,10 @@ func (m *Model) Unreachable(from, to keyspace.Key) bool {
 // neighbour. Draws generator state only when k is byzantine. NOT safe
 // for concurrent use (shares the Send stream).
 func (m *Model) Misroute(k keyspace.Key) bool {
-	if m.cfg.Misroute <= 0 || !m.Byzantine(k) {
+	if !m.Byzantine(k) {
 		return false
 	}
-	return m.rng.Bool(m.cfg.Misroute)
+	return m.rng.Bool(misroute)
 }
 
 // SetObs installs a metrics registry: every Send then counts into the
@@ -338,30 +300,13 @@ func (m *Model) send(from, to keyspace.Key) Delivery {
 	if p := m.part.load(); p != nil && p.Component(from) != p.Component(to) {
 		return Delivery{Status: SendUnreachable}
 	}
-	if m.burstLeft > 0 {
-		m.burstLeft--
-		return Delivery{Status: SendLost}
-	}
-	if m.cfg.BurstFrac > 0 && m.rng.Bool(m.cfg.BurstFrac) {
-		// This message opens a burst; the exponential draw sets how many
-		// of its successors the burst also swallows.
-		m.burstLeft = int(m.rng.ExpFloat64() * (m.cfg.BurstLen - 1))
-		return Delivery{Status: SendLost}
-	}
 	if m.cfg.Loss > 0 && m.rng.Bool(m.cfg.Loss) {
 		return Delivery{Status: SendLost}
 	}
-	if m.cfg.ByzDrop > 0 && m.Byzantine(to) && m.rng.Bool(m.cfg.ByzDrop) {
+	if m.Byzantine(to) && m.rng.Bool(byzDrop) {
 		return Delivery{Status: SendLost}
 	}
-	lat := m.cfg.LatencyBase
-	if m.cfg.LatencyScale > 0 {
-		v := m.rng.Float64()
-		if m.cfg.LatencyDist != nil {
-			v = m.cfg.LatencyDist.Quantile(v)
-		}
-		lat += m.cfg.LatencyScale * v
-	}
+	lat := latencyBase + latencyScale*m.rng.Float64()
 	if m.cfg.SlowFrac > 0 && (m.Slow(from) || m.Slow(to)) {
 		lat *= m.cfg.SlowFactor
 	}

@@ -74,7 +74,7 @@ func TestClassesAreIdentifierKeyed(t *testing.T) {
 }
 
 func TestSendDeterminism(t *testing.T) {
-	cfg := Config{Loss: 0.1, BurstFrac: 0.02, SlowFrac: 0.2, ByzantineFrac: 0.1}
+	cfg := Config{Loss: 0.1, SlowFrac: 0.2, ByzantineFrac: 0.1}
 	keys := testKeys(64, 9)
 	run := func() []Delivery {
 		m, err := New(cfg, 21)
@@ -110,28 +110,6 @@ func TestLossRate(t *testing.T) {
 	}
 	if got := float64(lost) / float64(total); math.Abs(got-0.05) > 0.01 {
 		t.Errorf("loss rate %.4f, want ~0.05", got)
-	}
-}
-
-func TestBurstLoss(t *testing.T) {
-	m, _ := New(Config{BurstFrac: 0.01, BurstLen: 16}, 5)
-	keys := testKeys(16, 2)
-	// Bursts must produce runs of consecutive losses far longer than
-	// independent 1% loss could plausibly produce.
-	longest, run := 0, 0
-	for i := 0; i < 100000; i++ {
-		d := m.Send(keys[i%len(keys)], keys[(i+3)%len(keys)])
-		if d.Status == SendLost {
-			run++
-			if run > longest {
-				longest = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	if longest < 8 {
-		t.Errorf("longest loss run %d, want >= 8 under mean-16 bursts", longest)
 	}
 }
 
@@ -259,8 +237,8 @@ func TestConfigValidation(t *testing.T) {
 		{Loss: 1.5},
 		{Loss: math.NaN()},
 		{DeadFrac: -0.1},
-		{LatencyBase: math.Inf(1)},
-		{BurstFrac: 2},
+		{SlowFactor: math.Inf(1)},
+		{SlowFrac: 2},
 	} {
 		if _, err := New(cfg, 1); err == nil {
 			t.Errorf("New(%+v) accepted, want error", cfg)
@@ -269,7 +247,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestMisrouteOnlyByzantine(t *testing.T) {
-	m, _ := New(Config{ByzantineFrac: 0.2, Misroute: 1}, 51)
+	m, _ := New(Config{ByzantineFrac: 0.2}, 51)
 	keys := testKeys(2000, 7)
 	for _, k := range keys {
 		if !m.Byzantine(k) && m.Misroute(k) {
@@ -284,6 +262,6 @@ func TestMisrouteOnlyByzantine(t *testing.T) {
 		}
 	}
 	if !hijacked {
-		t.Error("no byzantine node ever misrouted at probability 1")
+		t.Error("no byzantine node ever misrouted")
 	}
 }

@@ -310,10 +310,6 @@ func (nw *Network) CSR() *graph.CSR { return nw.csr }
 // modified.
 func (nw *Network) LongRange(u int) []int32 { return nw.long[u] }
 
-// Shortfall returns how many long-range links could not be placed
-// (sampling exhausted, e.g. in tiny networks).
-func (nw *Network) Shortfall() int { return nw.shortfall }
-
 // Footprint returns the approximate resident bytes of the overlay's
 // routing state: identifiers, normalised positions, the CSR adjacency,
 // and the per-node long-range link sets.

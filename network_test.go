@@ -3,9 +3,11 @@ package smallworld
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"smallworld/dist"
+	"smallworld/graph"
 	"smallworld/keyspace"
 	"smallworld/xrand"
 )
@@ -27,10 +29,10 @@ func TestBuildUniformBasics(t *testing.T) {
 	if nw.N() != n {
 		t.Fatalf("N = %d", nw.N())
 	}
-	if !nw.Keys().IsSorted() {
+	if !slices.IsSorted(nw.Keys()) {
 		t.Error("keys not sorted")
 	}
-	if !nw.CSR().StronglyConnected() {
+	if !nw.CSR().StronglyConnectedWith(&graph.Scratch{}) {
 		t.Error("overlay must be strongly connected")
 	}
 	deg := Log2Degree()(n) // 8
@@ -39,13 +41,13 @@ func TestBuildUniformBasics(t *testing.T) {
 	}
 	// Every node: 2 neighbour edges + up to deg long-range.
 	for u := 0; u < n; u++ {
-		out := nw.CSR().OutDegree(u)
+		out := len(nw.CSR().Out(u))
 		if out < 2 || out > 2+deg {
 			t.Errorf("node %d outdegree %d outside [2,%d]", u, out, 2+deg)
 		}
 	}
-	if nw.Shortfall() > n/50 {
-		t.Errorf("shortfall = %d, too many unplaced links", nw.Shortfall())
+	if nw.shortfall > n/50 {
+		t.Errorf("shortfall = %d, too many unplaced links", nw.shortfall)
 	}
 }
 
@@ -66,7 +68,7 @@ func TestBuildLineTopologyNeighbors(t *testing.T) {
 		t.Error("line neighbour edges missing")
 	}
 	// Line networks are still strongly connected through the chain.
-	if !g.StronglyConnected() {
+	if !g.StronglyConnectedWith(&graph.Scratch{}) {
 		t.Error("line overlay must be strongly connected")
 	}
 }
@@ -281,7 +283,7 @@ func TestWithFailedLinks(t *testing.T) {
 			t.Fatal("frac=1 should remove every long-range link")
 		}
 	}
-	if !all.CSR().StronglyConnected() {
+	if !all.CSR().StronglyConnectedWith(&graph.Scratch{}) {
 		t.Error("ring edges must keep the overlay connected")
 	}
 	// Original untouched.
@@ -346,7 +348,40 @@ func TestShortfallTinyNetwork(t *testing.T) {
 	cfg.Topology = keyspace.Ring
 	cfg.Degree = ConstDegree(4)
 	nw := mustBuild(t, cfg)
-	if nw.Shortfall() != 3*4 {
-		t.Errorf("shortfall = %d, want 12", nw.Shortfall())
+	if nw.shortfall != 3*4 {
+		t.Errorf("shortfall = %d, want 12", nw.shortfall)
+	}
+}
+
+// TestCellsTileTheSpace checks the ownership the store and the writer
+// read, keyspace.Cell, over a built network's skewed identifiers on both
+// topologies: every cell contains its own key, the cells cover the whole
+// space, and a random key lies in the cell of the node ClosestNode
+// returns (or, on an exact tie, of a key-order neighbour).
+func TestCellsTileTheSpace(t *testing.T) {
+	for _, topo := range []keyspace.Topology{keyspace.Line, keyspace.Ring} {
+		cfg := SkewedConfig(128, dist.NewPower(0.6), 91)
+		cfg.Topology = topo
+		nw := mustBuild(t, cfg)
+		n := nw.N()
+		cell := func(u int) keyspace.Interval { return keyspace.Cell(topo, nw.Keys(), (u+n)%n) }
+		var total float64
+		for u := 0; u < n; u++ {
+			if !cell(u).Contains(nw.Key(u)) {
+				t.Fatalf("%v: cell of %d does not contain its key", topo, u)
+			}
+			total += cell(u).Length()
+		}
+		if math.Abs(total-1) > 1e-6 {
+			t.Errorf("%v: cells cover %v of the space", topo, total)
+		}
+		r := xrand.New(92)
+		for i := 0; i < 300; i++ {
+			k := keyspace.Key(r.Float64())
+			owner := nw.ClosestNode(k)
+			if !cell(owner).Contains(k) && !cell(owner+1).Contains(k) && !cell(owner-1).Contains(k) {
+				t.Fatalf("%v: key %v outside closest node %d's cell %v", topo, k, owner, cell(owner))
+			}
+		}
 	}
 }

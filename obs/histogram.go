@@ -89,16 +89,6 @@ func (h *Histogram) Sum() float64 {
 	return float64(h.sumMicro.Load()) / 1e6
 }
 
-// Underflow returns the number of samples with v <= 0.
-func (h *Histogram) Underflow() uint64 { return h.under.Load() }
-
-// Overflow returns the number of samples above the last bucket bound
-// (including +Inf and NaN).
-func (h *Histogram) Overflow() uint64 { return h.over.Load() }
-
-// BucketCount returns bucket i's own (non-cumulative) count.
-func (h *Histogram) BucketCount(i int) uint64 { return h.counts[i].Load() }
-
 // Snapshot copies the bucket counts (underflow folded into bucket 0,
 // the way Prometheus exposition reports them) into a fresh slice of
 // length HistBuckets, and returns it with the overflow count.

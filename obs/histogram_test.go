@@ -38,8 +38,8 @@ func TestHistogramUnderOverflow(t *testing.T) {
 	h.Observe(0)
 	h.Observe(-3.5)
 	h.Observe(math.Inf(-1))
-	if got := h.Underflow(); got != 3 {
-		t.Fatalf("Underflow() = %d, want 3", got)
+	if got := h.under.Load(); got != 3 {
+		t.Fatalf("underflow = %d, want 3", got)
 	}
 	if got := h.Sum(); got != 0 {
 		t.Fatalf("Sum() after underflow-only = %g, want 0", got)
@@ -47,8 +47,8 @@ func TestHistogramUnderOverflow(t *testing.T) {
 	// +Inf and NaN: overflow, no sum contribution.
 	h.Observe(math.Inf(1))
 	h.Observe(math.NaN())
-	if got := h.Overflow(); got != 2 {
-		t.Fatalf("Overflow() = %d, want 2", got)
+	if got := h.over.Load(); got != 2 {
+		t.Fatalf("overflow = %d, want 2", got)
 	}
 	if got := h.Sum(); got != 0 {
 		t.Fatalf("Sum() after Inf/NaN = %g, want 0", got)
@@ -57,8 +57,8 @@ func TestHistogramUnderOverflow(t *testing.T) {
 	// toward the sum.
 	big := math.Ldexp(1, 25) // 2^25 > 2^19
 	h.Observe(big)
-	if got := h.Overflow(); got != 3 {
-		t.Fatalf("Overflow() = %d, want 3", got)
+	if got := h.over.Load(); got != 3 {
+		t.Fatalf("overflow = %d, want 3", got)
 	}
 	if got := h.Sum(); got != big {
 		t.Fatalf("Sum() = %g, want %g", got, big)
@@ -83,8 +83,8 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 		bucket int
 		count  uint64
 	}{{20, 1}, {21, 2}, {22, 1}, {23, 1}, {27, 1}} {
-		if got := h.BucketCount(tc.bucket); got != tc.count {
-			t.Errorf("BucketCount(%d) = %d, want %d", tc.bucket, got, tc.count)
+		if got := h.counts[tc.bucket].Load(); got != tc.count {
+			t.Errorf("bucket %d holds %d, want %d", tc.bucket, got, tc.count)
 		}
 	}
 	if got := h.Count(); got != uint64(len(samples)) {

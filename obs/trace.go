@@ -156,10 +156,6 @@ type TracerConfig struct {
 	// SpanCap is each trace's preallocated span buffer. Default 64;
 	// spans beyond it are counted in Trace.Dropped.
 	SpanCap int
-	// TimeScale converts trace time units to microseconds for Chrome
-	// trace export (ts/dur are microseconds there). Default 1e6 — trace
-	// times in seconds (virtual or wall).
-	TimeScale float64
 }
 
 func (c TracerConfig) withDefaults() TracerConfig {
@@ -171,9 +167,6 @@ func (c TracerConfig) withDefaults() TracerConfig {
 	}
 	if c.SpanCap <= 0 {
 		c.SpanCap = 64
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1e6
 	}
 	return c
 }
@@ -211,9 +204,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	return t
 }
 
-// Config returns the resolved configuration.
-func (t *Tracer) Config() TracerConfig { return t.cfg }
-
 // NewSampler returns a caller-local sampling gate for this tracer.
 // Nil-safe: a nil tracer yields a Sampler that never samples. A Sampler
 // is not safe for concurrent use — hold one per goroutine, like a
@@ -232,9 +222,6 @@ type Sampler struct {
 	every uint64
 	n     uint64
 }
-
-// Active reports whether the sampler is connected to a tracer.
-func (s *Sampler) Active() bool { return s.t != nil }
 
 // Start returns a fresh Trace when this query is sampled, nil
 // otherwise (including always for the zero Sampler).
@@ -337,18 +324,6 @@ func (t *Tracer) Worst() (Trace, bool) {
 	return out, true
 }
 
-// WriteJSON writes the given traces as an indented JSON document.
-func WriteJSON(w io.Writer, traces ...Trace) error {
-	buf, err := json.MarshalIndent(struct {
-		Traces []Trace `json:"traces"`
-	}{Traces: traces}, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(buf, '\n'))
-	return err
-}
-
 // chromeEvent is one Chrome trace-event ("X" = complete event with a
 // duration). ts and dur are microseconds.
 type chromeEvent struct {
@@ -407,7 +382,7 @@ func WriteChromeTrace(w io.Writer, scale float64, traces ...Trace) error {
 }
 
 // WriteChrome writes every retained trace (ring order) in Chrome
-// trace-event format using the tracer's TimeScale.
+// trace-event format, reading trace times as seconds (virtual or wall).
 func (t *Tracer) WriteChrome(w io.Writer) error {
-	return WriteChromeTrace(w, t.cfg.TimeScale, t.Traces()...)
+	return WriteChromeTrace(w, 1e6, t.Traces()...)
 }

@@ -11,9 +11,6 @@ import (
 func TestSamplerCadence(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{Sample: 4, Keep: 64})
 	s := tracer.NewSampler()
-	if !s.Active() {
-		t.Fatal("sampler on a live tracer reports inactive")
-	}
 	var sampled []int
 	for i := 1; i <= 20; i++ {
 		tr := s.Start("test", 0, 0, 0)
@@ -38,9 +35,6 @@ func TestSamplerCadence(t *testing.T) {
 func TestNilTracerSafe(t *testing.T) {
 	var tracer *obs.Tracer
 	s := tracer.NewSampler()
-	if s.Active() {
-		t.Error("zero Sampler reports active")
-	}
 	for i := 0; i < 10; i++ {
 		if tr := s.Start("test", 0, 0, 0); tr != nil {
 			t.Fatal("zero Sampler sampled a query")
@@ -179,7 +173,7 @@ func TestChromeTraceExport(t *testing.T) {
 	if top.Ph != "X" || top.Name != "route delivered" {
 		t.Errorf("top event = %+v, want ph=X name=%q", top, "route delivered")
 	}
-	// Default TimeScale 1e6: seconds become microseconds.
+	// Trace times are seconds; Chrome's ts/dur are microseconds.
 	if top.Ts != 1e6 || top.Dur != 1e6 {
 		t.Errorf("top ts/dur = %g/%g, want 1e6/1e6", top.Ts, top.Dur)
 	}
@@ -187,30 +181,5 @@ func TestChromeTraceExport(t *testing.T) {
 		if ev.Ph != "X" || ev.Pid != 1 || ev.Tid != doc.TraceEvents[0].Tid {
 			t.Errorf("event %+v breaks the one-lane-per-trace layout", ev)
 		}
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	tracer := obs.NewTracer(obs.TracerConfig{Sample: 1})
-	s := tracer.NewSampler()
-	tr := s.Start("get", 2, 0.75, 0)
-	tr.Hop(0, 1, 4, 0, 0, obs.SpanReplica, 0)
-	tracer.Finish(tr, 1, "delivered")
-
-	var buf bytes.Buffer
-	if err := obs.WriteJSON(&buf, tracer.Traces()...); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Traces []obs.Trace `json:"traces"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace JSON does not round-trip: %v", err)
-	}
-	if len(doc.Traces) != 1 || doc.Traces[0].Op != "get" || doc.Traces[0].Outcome != "delivered" {
-		t.Fatalf("round-trip = %+v", doc.Traces)
-	}
-	if len(doc.Traces[0].Spans) != 1 {
-		t.Fatalf("spans lost in round-trip: %+v", doc.Traces[0])
 	}
 }

@@ -299,29 +299,6 @@ func (v rankView) prev(p rankPos) rankPos {
 	return p
 }
 
-// succIdx returns the first rank whose key is >= x (n when none).
-func (v rankView) succIdx(x keyspace.Key) int { return v.rank(v.seek(x)) }
-
-// Successor mirrors keyspace.Points.Successor: first rank with key
-// >= x, wrapping to 0 past the top.
-func (v rankView) Successor(x keyspace.Key) int {
-	i := v.succIdx(x)
-	if i == v.n {
-		return 0
-	}
-	return i
-}
-
-// Predecessor mirrors keyspace.Points.Predecessor: last rank with key
-// < x, wrapping to n-1 below the bottom.
-func (v rankView) Predecessor(x keyspace.Key) int {
-	i := v.succIdx(x)
-	if i == 0 {
-		return v.n - 1
-	}
-	return i - 1
-}
-
 // Nearest mirrors keyspace.Points.Nearest exactly, including the
 // lower-index tie-break, so routing termination decisions are
 // bit-identical to the flat path.
@@ -351,17 +328,11 @@ func (v rankView) nearest(t keyspace.Topology, x keyspace.Key) (i int, slot int3
 	return si, v.slot(s), ds
 }
 
-// NearestExcluding mirrors keyspace.Points.NearestExcluding exactly:
-// the rank closest to x other than self, lower rank on a tie; -1 with
-// fewer than two entries. The incremental overlay's link draws resolve
-// through it.
-func (v rankView) NearestExcluding(t keyspace.Topology, x keyspace.Key, self int) int {
-	i, _ := v.nearestExcluding(t, x, self)
-	return i
-}
-
-// nearestExcluding is NearestExcluding that also returns the winner's
-// position. Points probes the three ranks from x's successor upward and
+// nearestExcluding mirrors keyspace.Points.NearestExcluding exactly and
+// also returns the winner's position: the rank closest to x other than
+// self, lower rank on a tie; -1 with fewer than two entries. The
+// incremental overlay's link draws resolve through it. Points probes
+// the three ranks from x's successor upward and
 // the three below it and keeps the least (distance, rank) pair, which
 // does not depend on the probe order; here one cursor walks each way
 // from the position of x's successor. (Points probes on past those six
@@ -736,8 +707,9 @@ func newAdjStore(n int, row func(u int) []int32) *adjStore {
 }
 
 // setRow replaces u's row with row in place, cloning u's span and then
-// its block first if a snapshot may still read them. row must not alias
-// the store.
+// its block first if a snapshot may still read them. A block that lacks
+// room is reallocated with an eighth to spare. row must not alias the
+// store.
 func (as *adjStore) setRow(u int, row []int32) {
 	s, j := u>>adjSpanRowShift, (u>>adjBlockShift)&adjSpanMask
 	if as.spanShared[s] {
@@ -756,7 +728,10 @@ func (as *adjStore) setRow(u int, row []int32) {
 		if end+d > math.MaxUint16 {
 			panic("overlaynet: a row block would hold more than 65535 targets")
 		}
-		blk = slices.Grow(blk, max(d, 0))[:end+d]
+		if need := end + d; need > cap(blk) {
+			blk = append(slices.Grow([]int32(nil), need+need/8), blk...)
+		}
+		blk = blk[:end+d]
 		copy(blk[hi+d:], blk[hi:end])
 		for k := i + 1; k <= adjBlockLen; k++ {
 			b.off[k] = uint16(int(b.off[k]) + d)
@@ -862,7 +837,7 @@ func (il *inLists) list(v int32) []int32 {
 }
 
 // add appends u to v's in-list; a row with no room grows to the next of
-// inCaps, in a block reallocated with an eighth to spare if need be.
+// inCaps (setRow reallocates the block if need be).
 func (il *inLists) add(v, u int32) {
 	row := il.Row(int(v))
 	if l := len(il.list(v)); l < len(row) {
@@ -872,10 +847,6 @@ func (il *inLists) add(v, u int32) {
 	il.buf = append(append(il.buf[:0], row...), u)
 	for c := roomFor(len(il.buf)); len(il.buf) < c; {
 		il.buf = append(il.buf, -1)
-	}
-	b := il.block(int(v))
-	if need := len(b.tgt) + len(il.buf) - len(row); need > cap(b.tgt) {
-		b.tgt = append(slices.Grow([]int32(nil), need+need/8), b.tgt...)
 	}
 	il.setRow(int(v), il.buf)
 }

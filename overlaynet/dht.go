@@ -24,9 +24,7 @@ func init() {
 		Name:        "pastry",
 		Description: "Pastry: prefix routing over base-2^b digits with a leaf set (b default 4)",
 		Build: func(ctx context.Context, opts Options) (Overlay, error) {
-			nw, err := pastry.Build(pastry.Config{
-				N: opts.N, BitsPerDigit: opts.BitsPerDigit, Seed: opts.Seed,
-			})
+			nw, err := pastry.Build(pastry.Config{N: opts.N, Seed: opts.Seed})
 			if err != nil {
 				return nil, err
 			}
@@ -62,9 +60,7 @@ func init() {
 		Name:        "can",
 		Description: "CAN: d-dimensional zone partition (d default 2); hop counts degrade under key skew",
 		Build: func(ctx context.Context, opts Options) (Overlay, error) {
-			nw, err := can.Build(can.Config{
-				N: opts.N, Dims: opts.Dims, Dist: opts.Dist, Seed: opts.Seed,
-			})
+			nw, err := can.Build(can.Config{N: opts.N, Dist: opts.Dist, Seed: opts.Seed})
 			if err != nil {
 				return nil, err
 			}

@@ -199,14 +199,6 @@ func (o *incrementalOverlay) Stats() Stats           { return statsOf(o) }
 // Neighbors returns u's current out-row.
 func (o *incrementalOverlay) Neighbors(u int) []int32 { return o.adj.Row(u) }
 
-// Ops reports the cumulative churn-repair work in build-equivalent
-// operations: link-draw attempts, links placed, and departure repairs.
-// A full rebuild costs ≥ N·k placed links per event; these counters are
-// what the ≥50×-fewer-operations benchmark reads.
-func (o *incrementalOverlay) Ops() (draws, placed, repairs int64) {
-	return o.draws, o.placed, o.repairs
-}
-
 // rankOf returns node u's position in key order (exact: identifiers are
 // unique by construction).
 func (o *incrementalOverlay) rankOf(u int) int {

@@ -419,7 +419,7 @@ func TestIncrementalOpsRatio(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	draws, placed, repairs := o.Ops()
+	draws, placed, repairs := o.draws, o.placed, o.repairs
 	k := math.Ceil(math.Log2(float64(n)))
 	rebuildPlaced := float64(events) * float64(n) * k // what NewRebuild samples per trajectory
 	ratio := rebuildPlaced / float64(placed)

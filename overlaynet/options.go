@@ -39,22 +39,12 @@ type Options struct {
 	// Sampler selects the small-world link sampler: "protocol" (default)
 	// or "exact".
 	Sampler string
-	// RewireP is the Watts–Strogatz rewiring probability. 0 means 0.1,
-	// the classic small-world regime.
-	RewireP float64
-	// Dims is CAN's dimensionality. 0 means 2.
-	Dims int
-	// BitsPerDigit is Pastry's digit width b. 0 means 4.
-	BitsPerDigit uint
 	// Oracle is read by the "protocol" entry only. True gives its peers
 	// exact knowledge of f and N (the paper's "straightforward" case):
 	// links are drawn by mass under f. False means each peer starts
 	// from a uniform estimate and estimates both from random walks in
 	// refinement rounds (Maintainer).
 	Oracle bool
-	// Workers bounds construction parallelism where builds are parallel
-	// (the small-world family). 0 means GOMAXPROCS.
-	Workers int
 }
 
 // validate rejects option values no builder can accept.
@@ -67,9 +57,6 @@ func (o Options) validate() error {
 	}
 	if math.IsNaN(o.Exponent) || math.IsInf(o.Exponent, 0) || o.Exponent < 0 {
 		return fmt.Errorf("overlaynet: exponent %v must be finite and non-negative", o.Exponent)
-	}
-	if math.IsNaN(o.RewireP) || o.RewireP < 0 || o.RewireP > 1 {
-		return fmt.Errorf("overlaynet: rewire probability %v outside [0,1]", o.RewireP)
 	}
 	return nil
 }

@@ -5,22 +5,11 @@ import (
 )
 
 // Ownership: which node is responsible for which keys. The math itself
-// lives in keyspace.Cell/Owner — the single definition shared with the
-// small-world Network and the store's replica placement — and this file
-// exposes it over snapshots plus the typed churn events that let a data
-// plane (the store package) follow ownership as membership changes.
-
-// OwnedRange returns the responsibility region of slot u in snapshot s:
-// the Voronoi cell of u's identifier over the snapshot's population,
-// under the snapshot's topology. Cells tile the key space exactly once
-// (see keyspace.Cell), so a key is owned by exactly one slot of any
-// given snapshot. An out-of-range slot yields the empty interval.
-func OwnedRange(s *Snapshot, u int) keyspace.Interval {
-	if s == nil || u < 0 || u >= s.keys.n {
-		return keyspace.Interval{}
-	}
-	return keyspace.Cell(s.topo, s.SortedKeys(), s.rank.rankOf(s.keys.At(u), int32(u)))
-}
+// lives in keyspace.Cell/Owner — the single definition the writer and
+// the store's replica placement share — and this file exposes the
+// snapshot's sorted population it runs over plus the typed churn events
+// that let a data plane (the store package) follow ownership as
+// membership changes.
 
 // SortedKeys returns the snapshot's identifiers in ascending key order —
 // the population the ownership math runs over. Read-only. Like Keys,

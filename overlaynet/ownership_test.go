@@ -9,6 +9,13 @@ import (
 	"smallworld/keyspace"
 )
 
+// ownedRange is the responsibility region of slot u in snapshot s: the
+// keyspace.Cell of u's rank in the snapshot's sorted population, the
+// cell the store reads for u.
+func ownedRange(s *Snapshot, u int) keyspace.Interval {
+	return keyspace.Cell(s.topo, s.SortedKeys(), s.rank.rankOf(s.keys.At(u), int32(u)))
+}
+
 // TestOwnedRangeTilesKeySpace pins the ownership properties the store
 // depends on, under skewed identifier populations and non-power-of-two
 // N on both topologies: every slot's owned range is well defined, the
@@ -32,7 +39,7 @@ func TestOwnedRangeTilesKeySpace(t *testing.T) {
 			s := NewSnapshot(dyn)
 			sum := 0.0
 			for u := 0; u < s.N(); u++ {
-				sum += OwnedRange(s, u).Length()
+				sum += ownedRange(s, u).Length()
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				t.Fatalf("%s n=%d: owned ranges sum to %v, want 1", tc.name, n, sum)
@@ -44,13 +51,13 @@ func TestOwnedRangeTilesKeySpace(t *testing.T) {
 				probes = append(probes, keyspace.Key(float64(i)/128))
 			}
 			for u := 0; u < s.N(); u++ {
-				r := OwnedRange(s, u)
+				r := ownedRange(s, u)
 				probes = append(probes, s.Key(u), r.Lo)
 			}
 			for _, k := range probes {
 				owners := 0
 				for u := 0; u < s.N(); u++ {
-					if OwnedRange(s, u).Contains(k) {
+					if ownedRange(s, u).Contains(k) {
 						owners++
 					}
 				}
@@ -62,7 +69,7 @@ func TestOwnedRangeTilesKeySpace(t *testing.T) {
 			// centred on their points) unless degenerate spacing collapsed
 			// it to zero width.
 			for u := 0; u < s.N(); u++ {
-				r := OwnedRange(s, u)
+				r := ownedRange(s, u)
 				if !r.Empty() && !r.Contains(s.Key(u)) {
 					// The upper-owns convention can push a key one cell up
 					// only when the midpoint rounds onto the key itself.
@@ -91,13 +98,13 @@ func TestOwnedRangeMatchesNetworkCell(t *testing.T) {
 		rank := keyspace.Owner(s.Topology(), s.SortedKeys(), k)
 		var owner int = -1
 		for u := 0; u < s.N(); u++ {
-			if OwnedRange(s, u).Contains(k) {
+			if ownedRange(s, u).Contains(k) {
 				owner = u
 				break
 			}
 		}
 		if owner < 0 || s.Key(owner) != s.SortedKeys()[rank] {
-			t.Fatalf("key %v: OwnedRange owner %d (key %v) disagrees with keyspace.Owner rank %d (key %v)",
+			t.Fatalf("key %v: ownedRange owner %d (key %v) disagrees with keyspace.Owner rank %d (key %v)",
 				k, owner, s.Key(owner), rank, s.SortedKeys()[rank])
 		}
 	}

@@ -99,7 +99,7 @@ func TestProtocolMatchesIncremental(t *testing.T) {
 func TestProtocolRoutersMeterConcurrently(t *testing.T) {
 	p := buildProtocolEntry(t, Options{N: 256, Seed: 3, Dist: dist.NewPower(0.7), Oracle: true})
 	total0, maint0 := p.Messages()
-	batch, err := NewQueryRunner(p, Workers(4)).Run(context.Background(), RandomPairs(p, 8, 4000))
+	batch, err := NewQueryRunner(p, withWorkers(4)).Run(context.Background(), RandomPairs(p, 8, 4000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func TestPublisherConcurrentServing(t *testing.T) {
 func TestQueryRunnerServingMode(t *testing.T) {
 	ctx := context.Background()
 	pub := newTestPublisher(t, 256, PublishEvery(1))
-	qr := NewQueryRunner(pub, Workers(2))
+	qr := NewQueryRunner(pub, withWorkers(2))
 	qs := RandomPairs(pub, 7, 2000)
 	batch, err := qr.Run(ctx, qs)
 	if err != nil {

@@ -15,6 +15,36 @@ func (v rankView) KeyAt(i int) keyspace.Key { return v.key(v.at(i)) }
 // SlotAt returns the slot holding rank i.
 func (v rankView) SlotAt(i int) int32 { return v.slot(v.at(i)) }
 
+// succIdx returns the first rank whose key is >= x (n when none).
+func (v rankView) succIdx(x keyspace.Key) int { return v.rank(v.seek(x)) }
+
+// Successor mirrors keyspace.Points.Successor: first rank with key
+// >= x, wrapping to 0 past the top.
+func (v rankView) Successor(x keyspace.Key) int {
+	i := v.succIdx(x)
+	if i == v.n {
+		return 0
+	}
+	return i
+}
+
+// Predecessor mirrors keyspace.Points.Predecessor: last rank with key
+// < x, wrapping to n-1 below the bottom.
+func (v rankView) Predecessor(x keyspace.Key) int {
+	i := v.succIdx(x)
+	if i == 0 {
+		return v.n - 1
+	}
+	return i - 1
+}
+
+// NearestExcluding is nearestExcluding's rank alone, the form
+// keyspace.Points.NearestExcluding returns.
+func (v rankView) NearestExcluding(t keyspace.Topology, x keyspace.Key, self int) int {
+	i, _ := v.nearestExcluding(t, x, self)
+	return i
+}
+
 // materializeSlots copies the rank→slot mapping into a flat order
 // slice.
 func (v rankView) materializeSlots() []int32 {
@@ -133,6 +163,13 @@ func (m *rankModel) check() {
 		if got := v.rank(v.prev(p)); got != (i+n-1)%n {
 			t.Fatalf("prev of rank %d is rank %d", i, got)
 		}
+		// Every rank's cell is keyspace.Cell's, so the view's cells tile
+		// [0,1) as keyspace.Cell's do (TestCellTiling, FuzzCells).
+		for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
+			if got, want := v.Cell(topo, i), keyspace.Cell(topo, m.keys, i); got != want {
+				t.Fatalf("Cell(%v, %d) = %v, want %v", topo, i, got, want)
+			}
+		}
 	}
 	// Probe around every rank of small indexes, and around a sample and
 	// every chunk's first and last rank of large ones.
@@ -147,11 +184,6 @@ func (m *rankModel) check() {
 		ranks = append(ranks, i)
 	}
 	for _, i := range ranks {
-		for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
-			if got, want := v.Cell(topo, i), keyspace.Cell(topo, m.keys, i); got != want {
-				t.Fatalf("Cell(%v, %d) = %v, want %v", topo, i, got, want)
-			}
-		}
 		lo, hi := m.keys[i], m.keys[(i+1)%n]
 		for _, x := range []keyspace.Key{
 			lo,

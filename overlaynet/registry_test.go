@@ -83,7 +83,6 @@ func TestBuildValidatesOptions(t *testing.T) {
 		{N: 1},
 		{N: 128, Degree: -1},
 		{N: 128, Exponent: -2},
-		{N: 128, RewireP: 1.5},
 	} {
 		if _, err := Build(ctx, "smallworld-uniform", opts); err == nil {
 			t.Errorf("options %+v accepted, want error", opts)

@@ -36,17 +36,6 @@ type Batch struct {
 // Option configures a QueryRunner.
 type Option func(*QueryRunner)
 
-// Workers bounds routing parallelism. The default is GOMAXPROCS; with
-// exactly one worker the runner routes inline on the calling goroutine,
-// which keeps the steady state completely allocation-free.
-func Workers(n int) Option {
-	return func(qr *QueryRunner) {
-		if n > 0 {
-			qr.workers = n
-		}
-	}
-}
-
 // FailHops sets the hop value recorded for queries that do not arrive
 // (default NaN). Experiments penalising failures pass the network size,
 // making any regression obvious in every aggregate.
@@ -69,8 +58,10 @@ type SnapshotSource interface {
 // QueryRunner routes query batches over one overlay with bounded
 // parallelism and cooperative cancellation. It amortises all scratch
 // state — one Router per worker plus the result buffers — across Run
-// calls, so the steady state allocates nothing per query (and, with
-// Workers(1), nothing per batch either). A QueryRunner is not safe for
+// calls, so the steady state allocates nothing per query (and, with one
+// worker, nothing per batch either: a runner routes with GOMAXPROCS
+// workers, and with exactly one it routes inline on the calling
+// goroutine). A QueryRunner is not safe for
 // concurrent use; create one per experiment loop.
 //
 // Serving mode: when the overlay implements SnapshotSource (a

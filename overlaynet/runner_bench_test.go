@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkQueryRunner measures the batched query engine's steady state
-// on the zero-allocation small-world path. With Workers(1) the runner
+// on the zero-allocation small-world path. With one worker the runner
 // routes inline, so allocs/op must read 0 (part of the acceptance bar);
 // the parallel variant amortises its per-batch goroutine spawns over
 // 1024 queries.
@@ -19,7 +19,7 @@ func BenchmarkQueryRunner(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("single-worker-batch1024", func(b *testing.B) {
-		qr := NewQueryRunner(ov, Workers(1))
+		qr := NewQueryRunner(ov, withWorkers(1))
 		if _, err := qr.Run(ctx, qs); err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkQueryRunnerScaling(b *testing.B) {
 	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("w=%d/maxprocs=%d", workers, runtime.GOMAXPROCS(0)), func(b *testing.B) {
-			qr := NewQueryRunner(ov, Workers(workers))
+			qr := NewQueryRunner(ov, withWorkers(workers))
 			if _, err := qr.Run(ctx, qs); err != nil {
 				b.Fatal(err)
 			}

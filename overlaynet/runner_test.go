@@ -8,6 +8,11 @@ import (
 	"smallworld/keyspace"
 )
 
+// withWorkers bounds a QueryRunner's parallelism in place of GOMAXPROCS.
+func withWorkers(n int) Option {
+	return func(qr *QueryRunner) { qr.workers = n }
+}
+
 func buildTestOverlay(t testing.TB, n int) Overlay {
 	t.Helper()
 	ov, err := Build(context.Background(), "smallworld-uniform",
@@ -36,7 +41,7 @@ func TestRunnerMatchesSerialRouting(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 7} {
-		qr := NewQueryRunner(ov, Workers(workers))
+		qr := NewQueryRunner(ov, withWorkers(workers))
 		batch, err := qr.Run(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +107,7 @@ func TestRunnerReusesBuffersAcrossRuns(t *testing.T) {
 
 func TestRunnerContextCancellation(t *testing.T) {
 	ov := buildTestOverlay(t, 512)
-	qr := NewQueryRunner(ov, Workers(1))
+	qr := NewQueryRunner(ov, withWorkers(1))
 	qs := RandomPairs(ov, 5, 10000)
 	// Warm the runner with a full batch so the cancelled rerun would
 	// expose any stale scratch.
@@ -131,7 +136,7 @@ func TestRunnerContextCancellation(t *testing.T) {
 // allocation.
 func TestRunnerZeroAllocSteadyState(t *testing.T) {
 	ov := buildTestOverlay(t, 1024)
-	qr := NewQueryRunner(ov, Workers(1))
+	qr := NewQueryRunner(ov, withWorkers(1))
 	qs := RandomPairs(ov, 6, 256)
 	ctx := context.Background()
 	if _, err := qr.Run(ctx, qs); err != nil { // warm the scratch

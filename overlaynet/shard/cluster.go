@@ -121,15 +121,6 @@ func New(src Source, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Map returns the cluster's shard map.
-func (c *Cluster) Map() *Map { return c.m }
-
-// K returns the shard count.
-func (c *Cluster) K() int { return c.m.k }
-
-// Transport returns the transport the cluster serves over.
-func (c *Cluster) Transport() wire.Transport { return c.tr }
-
 // Snapshot returns the snapshot the cluster currently serves.
 func (c *Cluster) Snapshot() *overlaynet.Snapshot { return c.snap.Load() }
 

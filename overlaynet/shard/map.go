@@ -22,9 +22,6 @@ func NewMap(k int) (*Map, error) {
 	return &Map{k: k}, nil
 }
 
-// K returns the shard count.
-func (m *Map) K() int { return m.k }
-
 // Of returns the shard owning key k.
 func (m *Map) Of(k keyspace.Key) int {
 	i := int(float64(k) * float64(m.k))
@@ -37,56 +34,8 @@ func (m *Map) Of(k keyspace.Key) int {
 	return i
 }
 
-// Range returns shard i's owned range [i/K, (i+1)/K). The last shard's
-// Hi is 1, which on the ring is the same point as 0.
-func (m *Map) Range(i int) keyspace.Interval {
-	return keyspace.Interval{
-		Lo: keyspace.Key(float64(i) / float64(m.k)),
-		Hi: keyspace.Key(float64(i+1) / float64(m.k)),
-	}
-}
-
 // Mid returns the midpoint of shard i's range — the key-space position
 // a shard endpoint occupies on a fault plane (wire.NewFault's AddrKey).
 func (m *Map) Mid(i int) keyspace.Key {
 	return keyspace.Key((float64(i) + 0.5) / float64(m.k))
-}
-
-// Sub is one piece of a split interval: the sub-range of the original
-// interval owned by one shard.
-type Sub struct {
-	Shard int
-	Iv    keyspace.Interval
-}
-
-// Split cuts iv at shard boundaries into per-shard sub-intervals, in
-// arc order from iv.Lo. A wrapping interval (Lo > Hi) yields pieces
-// that walk through the top of the key space and continue from 0; no
-// individual piece wraps. The pieces are disjoint and their union is
-// exactly iv, which is what lets a caller fan a range operation out to
-// the owning shards and merge results in order.
-func (m *Map) Split(iv keyspace.Interval) []Sub {
-	if iv.Empty() {
-		return nil
-	}
-	var out []Sub
-	remaining := iv.Length()
-	cur := iv.Lo
-	// At most K+1 pieces: a wrapping interval can re-enter the shard it
-	// started in.
-	for piece := 0; piece <= m.k && remaining > 0; piece++ {
-		s := m.Of(cur)
-		hi := m.Range(s).Hi
-		span := float64(hi) - float64(cur)
-		if span >= remaining {
-			if cur != iv.Hi { // float slop can leave a zero-width tail
-				out = append(out, Sub{Shard: s, Iv: keyspace.Interval{Lo: cur, Hi: iv.Hi}})
-			}
-			return out
-		}
-		out = append(out, Sub{Shard: s, Iv: keyspace.Interval{Lo: cur, Hi: hi}})
-		remaining -= span
-		cur = keyspace.Wrap(float64(hi)) // 1.0 folds to 0
-	}
-	return out
 }

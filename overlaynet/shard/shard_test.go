@@ -87,7 +87,7 @@ func TestShardBitIdentity(t *testing.T) {
 								round, q, src, target, got, want)
 						}
 						if want.Arrived {
-							if exp := expectedCrossings(snap, cluster.Map(), src, target); client.Crossings() != exp {
+							if exp := expectedCrossings(snap, cluster.m, src, target); client.Crossings() != exp {
 								t.Fatalf("round %d query %d: crossings %d, oracle %d",
 									round, q, client.Crossings(), exp)
 							}
@@ -236,7 +236,7 @@ func TestForwardPastPopulationFailsCleanly(t *testing.T) {
 	p = wire.AppendF64(p, 0.5)
 	const corr = 42
 	frame := wire.AppendFrame(nil, wire.Frame{Type: msgForward, From: 0, To: 1, Corr: corr, Payload: p})
-	if err := cluster.Transport().Send(1, frame); err != nil {
+	if err := cluster.tr.Send(1, frame); err != nil {
 		t.Fatal(err)
 	}
 	r, ok := client.await(corr)
@@ -245,66 +245,6 @@ func TestForwardPastPopulationFailsCleanly(t *testing.T) {
 	}
 	if r.dest != -1 || r.arrived {
 		t.Fatalf("result %+v, want a clean failure (dest -1, not arrived)", r)
-	}
-}
-
-// TestMapSplit pins the shard map's interval splitter: pieces are
-// per-shard, disjoint, in arc order, and union back to the interval.
-func TestMapSplit(t *testing.T) {
-	m, err := NewMap(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []keyspace.Interval{
-		{Lo: 0.1, Hi: 0.2},   // inside one shard
-		{Lo: 0.2, Hi: 0.3},   // straddles 0.25
-		{Lo: 0.1, Hi: 0.9},   // three boundaries
-		{Lo: 0.9, Hi: 0.1},   // wraps the ring boundary
-		{Lo: 0.76, Hi: 0.74}, // wraps nearly all the way round
-		{Lo: 0.25, Hi: 0.5},  // exactly one shard's range
-	}
-	rng := xrand.New(17)
-	for _, iv := range cases {
-		subs := m.Split(iv)
-		if len(subs) == 0 {
-			t.Fatalf("%v: no pieces", iv)
-		}
-		var total float64
-		for i, sub := range subs {
-			if sub.Iv.Empty() {
-				t.Fatalf("%v: empty piece %d", iv, i)
-			}
-			if m.Of(sub.Iv.Lo) != sub.Shard {
-				t.Fatalf("%v piece %d: Lo %v not owned by shard %d", iv, i, sub.Iv.Lo, sub.Shard)
-			}
-			total += sub.Iv.Length()
-			if i == 0 && sub.Iv.Lo != iv.Lo {
-				t.Fatalf("%v: first piece starts at %v", iv, sub.Iv.Lo)
-			}
-			if i == len(subs)-1 && sub.Iv.Hi != iv.Hi {
-				t.Fatalf("%v: last piece ends at %v", iv, sub.Iv.Hi)
-			}
-		}
-		if diff := total - iv.Length(); diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("%v: pieces cover %v of %v", iv, total, iv.Length())
-		}
-		// Point-in-exactly-one-piece, sampled.
-		for s := 0; s < 200; s++ {
-			k := keyspace.Key(rng.Float64())
-			in := 0
-			for _, sub := range subs {
-				if sub.Iv.Contains(k) {
-					in++
-				}
-			}
-			want := 0
-			if iv.Contains(k) {
-				want = 1
-			}
-			if in != want {
-				t.Fatalf("%v: key %v in %d pieces, want %d", iv, k, in, want)
-			}
-		}
 	}
 }
 

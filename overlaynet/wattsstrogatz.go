@@ -17,12 +17,9 @@ func init() {
 			if k == 0 {
 				k = 8
 			}
-			p := opts.RewireP
-			if p == 0 {
-				p = 0.1
-			}
+			// Rewiring probability 0.1: the classic small-world regime.
 			nw, err := wattsstrogatz.Build(wattsstrogatz.Config{
-				N: opts.N, K: k, P: p, Seed: opts.Seed,
+				N: opts.N, K: k, P: 0.1, Seed: opts.Seed,
 			})
 			if err != nil {
 				return nil, err

@@ -8,7 +8,7 @@ import (
 
 // Router carries the scratch buffers of greedy routing so that the hot
 // path runs with zero steady-state heap allocations: the visited-path
-// buffer and the NoN lookahead mark table are allocated once and reused
+// buffer and the backtracking mark table are allocated once and reused
 // across calls. A Router is bound to one network and is NOT safe for
 // concurrent use — experiments create one per worker goroutine
 // (exp.routeHops does exactly that).
@@ -30,9 +30,8 @@ type Router struct {
 }
 
 // nextGen sizes the mark table to the network and opens a fresh epoch:
-// after it returns, mark[v] == gen holds for no node. Both the NoN
-// lookahead (one epoch per hop) and backtracking (one epoch per route)
-// mark through it, which is what keeps those paths allocation-free.
+// after it returns, mark[v] == gen holds for no node. Backtracking opens
+// one epoch per route, which is what keeps it allocation-free.
 func (r *Router) nextGen() int32 {
 	if len(r.mark) < r.nw.cfg.N {
 		r.mark = make([]int32, r.nw.cfg.N)
@@ -57,11 +56,6 @@ func (nw *Network) router() *Router {
 		return r
 	}
 	return nw.NewRouter()
-}
-
-// RouteToNode routes to another node's identifier.
-func (r *Router) RouteToNode(src, dst int) Route {
-	return r.RouteGreedy(src, r.nw.keys[dst])
 }
 
 // RouteGreedy routes a request from node src to the peer responsible for
@@ -112,76 +106,4 @@ func (r *Router) walk(src int, target keyspace.Key, dead []bool) Route {
 		r.path = append(r.path, cur)
 	}
 	return Route{Path: r.path, Arrived: nw.arrived(cur, target, dead)}
-}
-
-// RouteGreedyNoN routes with one-hop lookahead ("know thy neighbour's
-// neighbour", Manku et al., STOC 2004 — the paper's reference [10]):
-// each decision inspects neighbours and neighbours-of-neighbours, moves
-// to the best second-hop node via its intermediary, and falls back to
-// plain greedy steps when lookahead stops improving.
-//
-// Every hop scans each distinct second-hop candidate exactly once: the
-// current node and all first-hop candidates are stamped in the mark
-// table before the lookahead loop, and each fresh second-hop target is
-// stamped when first seen. The naive nested scan re-evaluates a target
-// once per intermediary that shares it — O(d²) distance evaluations per
-// hop on overlays whose neighbourhoods overlap heavily (they do: half of
-// every routing table is the same near-neighbour cluster). Skipping
-// direct neighbours in the lookahead is exact, not heuristic: a direct
-// neighbour at distance d costs one hop directly but two through an
-// intermediary, and the two-hop branch is only taken when strictly
-// better than the best direct hop, which a direct neighbour can never
-// be.
-func (r *Router) RouteGreedyNoN(src int, target keyspace.Key) Route {
-	nw := r.nw
-	topo := nw.cfg.Topology
-	keys, csr := nw.keys, nw.csr
-	cur := src
-	r.path = append(r.path[:0], src)
-	guard := maxHopsFor(nw.cfg.N)
-	dCur := topo.Distance(keys[cur], target)
-	for len(r.path) < guard {
-		gen := r.nextGen()
-		r.mark[cur] = gen
-
-		// Best direct neighbour (with the plateau tie-break); every
-		// first-hop candidate is stamped so the lookahead skips it.
-		best1, bestD1 := -1, dCur
-		bestKey1 := keys[cur]
-		out := csr.Out(cur)
-		for _, v := range out {
-			r.mark[v] = gen
-			vKey := keys[v]
-			d := topo.Distance(vKey, target)
-			if topo.Improves(bestKey1, vKey, target, d, bestD1) {
-				best1, bestD1, bestKey1 = int(v), d, vKey
-			}
-		}
-		// Best two-hop destination and its intermediary (strict
-		// improvement only; the plateau case is handled by best1). Each
-		// distinct unseen target is evaluated exactly once.
-		best2, via, bestD2 := -1, -1, dCur
-		for _, v := range out {
-			for _, w := range csr.Out(int(v)) {
-				if r.mark[w] == gen {
-					continue
-				}
-				r.mark[w] = gen
-				if d := topo.Distance(keys[w], target); d < bestD2 {
-					best2, via, bestD2 = int(w), int(v), d
-				}
-			}
-		}
-		switch {
-		case best2 != -1 && bestD2 < bestD1:
-			r.path = append(r.path, via, best2)
-			cur, dCur = best2, bestD2
-		case best1 != -1:
-			r.path = append(r.path, best1)
-			cur, dCur = best1, bestD1
-		default:
-			return Route{Path: r.path, Arrived: nw.arrived(cur, target, nil)}
-		}
-	}
-	return Route{Path: r.path, Truncated: true}
 }

@@ -35,11 +35,6 @@ func TestRouterMatchesNetworkRouting(t *testing.T) {
 			if !routesEqual(a, b) {
 				t.Fatalf("%v: router route differs: %v vs %v", topo, a, b)
 			}
-			an := nw.RouteGreedyNoN(src, target)
-			bn := router.RouteGreedyNoN(src, target)
-			if !routesEqual(an, bn) {
-				t.Fatalf("%v: router NoN route differs: %v vs %v", topo, an, bn)
-			}
 		}
 	}
 }
@@ -52,7 +47,7 @@ func TestRouterScratchReuseIsSafe(t *testing.T) {
 	r := xrand.New(74)
 	for i := 0; i < 100; i++ {
 		src, dst := r.Intn(nw.N()), r.Intn(nw.N())
-		got := router.RouteToNode(src, dst)
+		got := router.RouteGreedy(src, nw.Key(dst))
 		want := nw.RouteToNode(src, dst)
 		if !routesEqual(got, want) {
 			t.Fatalf("call %d: %v vs %v", i, got, want)
@@ -76,51 +71,14 @@ func TestRouteGreedyZeroAllocSteadyState(t *testing.T) {
 	}
 	// Warm the scratch to its steady-state capacity on the same queries.
 	for i := range srcs {
-		router.RouteToNode(srcs[i], dsts[i])
+		router.RouteGreedy(srcs[i], nw.Key(dsts[i]))
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(64, func() {
-		router.RouteToNode(srcs[i%64], dsts[i%64])
+		router.RouteGreedy(srcs[i%64], nw.Key(dsts[i%64]))
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("RouteToNode allocates %.1f objects/op in steady state, want 0", allocs)
-	}
-}
-
-func TestRouteGreedyNoNZeroAllocSteadyState(t *testing.T) {
-	cfg := UniformConfig(1024, 77)
-	cfg.Topology = keyspace.Ring
-	nw := mustBuild(t, cfg)
-	router := nw.NewRouter()
-	r := xrand.New(78)
-	srcs := make([]int, 64)
-	dsts := make([]keyspace.Key, 64)
-	for i := range srcs {
-		srcs[i], dsts[i] = r.Intn(nw.N()), nw.Key(r.Intn(nw.N()))
-	}
-	for i := range srcs {
-		router.RouteGreedyNoN(srcs[i], dsts[i])
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(64, func() {
-		router.RouteGreedyNoN(srcs[i%64], dsts[i%64])
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("RouteGreedyNoN allocates %.1f objects/op in steady state, want 0", allocs)
-	}
-}
-
-func TestNoNRoutingLine(t *testing.T) {
-	cfg := UniformConfig(256, 79)
-	cfg.Topology = keyspace.Line
-	nw := mustBuild(t, cfg)
-	r := xrand.New(80)
-	for i := 0; i < 200; i++ {
-		rt := nw.RouteGreedyNoN(r.Intn(nw.N()), nw.Key(r.Intn(nw.N())))
-		if !rt.Arrived || rt.Truncated {
-			t.Fatalf("line NoN route failed: %+v", rt)
-		}
+		t.Errorf("RouteGreedy allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 }

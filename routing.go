@@ -25,8 +25,7 @@ func (r Route) Hops() int { return len(r.Path) - 1 }
 
 // maxHopsFor bounds route length defensively. Greedy routing never
 // revisits a node (its lexicographic potential strictly decreases), so n
-// hops is the true worst case; NoN routing records intermediate hops, so
-// allow twice that.
+// hops is the true worst case; the guard allows twice that.
 func maxHopsFor(n int) int { return 2 * n }
 
 // RouteGreedy is the allocating convenience form of Router.RouteGreedy:
@@ -36,16 +35,6 @@ func maxHopsFor(n int) int { return 2 * n }
 func (nw *Network) RouteGreedy(src int, target keyspace.Key) Route {
 	r := nw.router()
 	rt := r.RouteGreedy(src, target)
-	rt.Path = append([]int(nil), rt.Path...)
-	nw.routers.Put(r)
-	return rt
-}
-
-// RouteGreedyNoN is the allocating convenience form of
-// Router.RouteGreedyNoN; see RouteGreedy for the ownership contract.
-func (nw *Network) RouteGreedyNoN(src int, target keyspace.Key) Route {
-	r := nw.router()
-	rt := r.RouteGreedyNoN(src, target)
 	rt.Path = append([]int(nil), rt.Path...)
 	nw.routers.Put(r)
 	return rt

@@ -123,29 +123,6 @@ func TestObliviousConstructionDegrades(t *testing.T) {
 	}
 }
 
-func TestNoNRouting(t *testing.T) {
-	cfg := UniformConfig(512, 32)
-	cfg.Topology = keyspace.Ring
-	nw := mustBuild(t, cfg)
-	r := xrand.New(33)
-	var g, non metrics.Summary
-	for i := 0; i < 500; i++ {
-		src := r.Intn(nw.N())
-		dst := r.Intn(nw.N())
-		rtG := nw.RouteToNode(src, dst)
-		rtN := nw.RouteGreedyNoN(src, nw.Key(dst))
-		if !rtN.Arrived {
-			t.Fatalf("NoN route did not arrive (src %d dst %d)", src, dst)
-		}
-		g.Add(float64(rtG.Hops()))
-		non.Add(float64(rtN.Hops()))
-	}
-	// Lookahead should not be worse on average (allow small slack).
-	if non.Mean() > g.Mean()*1.1 {
-		t.Errorf("NoN mean hops %.2f vs greedy %.2f", non.Mean(), g.Mean())
-	}
-}
-
 func TestRoutingSurvivesLinkFailure(t *testing.T) {
 	cfg := UniformConfig(512, 34)
 	cfg.Topology = keyspace.Ring

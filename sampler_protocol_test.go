@@ -21,9 +21,9 @@ import (
 // (elements and capacities), CSR, shortfall and footprint.
 func sameNetwork(t *testing.T, name string, got, want *Network) {
 	t.Helper()
-	if got.Shortfall() != want.Shortfall() || got.Footprint() != want.Footprint() {
+	if got.shortfall != want.shortfall || got.Footprint() != want.Footprint() {
 		t.Fatalf("%s: shortfall %d footprint %d, want %d and %d", name,
-			got.Shortfall(), got.Footprint(), want.Shortfall(), want.Footprint())
+			got.shortfall, got.Footprint(), want.shortfall, want.Footprint())
 	}
 	gc, wc := got.CSR(), want.CSR()
 	if gc.N() != wc.N() || gc.M() != wc.M() {
@@ -65,7 +65,7 @@ func TestProtocolSamplerMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						sameNetwork(t, name, got, want)
-						shortfall += want.Shortfall()
+						shortfall += want.shortfall
 					}
 				}
 			}
@@ -199,7 +199,7 @@ func TestSuccessorIndexMatches(t *testing.T) {
 	for _, c := range cases {
 		keys := c.keys
 		t.Run(c.name, func(t *testing.T) {
-			if !keys.IsSorted() {
+			if !slices.IsSorted(keys) {
 				t.Fatal("keys not sorted")
 			}
 			extra := make([]keyspace.Key, 200)

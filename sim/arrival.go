@@ -326,8 +326,7 @@ func (o Op) String() string {
 // BernoulliTrace generates a length-n op sequence where each op is a
 // join with probability joinFrac (otherwise a leave). joinFrac > 0.5
 // grows the network, < 0.5 shrinks it. It is the promotion of the old
-// one-shot workload churn trace into the sim vocabulary; replay it in
-// virtual time with Trace.
+// one-shot workload churn trace into the sim vocabulary.
 func BernoulliTrace(n int, joinFrac float64, r *xrand.Stream) []Op {
 	if joinFrac < 0 || joinFrac > 1 {
 		panic(fmt.Sprintf("sim: joinFrac %v outside [0,1]", joinFrac))
@@ -341,41 +340,4 @@ func BernoulliTrace(n int, joinFrac float64, r *xrand.Stream) []Op {
 		}
 	}
 	return ops
-}
-
-// Trace replays a fixed op sequence at constant spacing Every — the
-// bridge from recorded or synthetic churn traces (BernoulliTrace) to
-// virtual time.
-type Trace struct {
-	Ops   []Op
-	Every float64
-
-	pos int
-}
-
-// Name implements Arrival.
-func (t *Trace) Name() string { return "trace" }
-
-// Start implements Arrival.
-func (t *Trace) Start(r *xrand.Stream) float64 {
-	t.pos = 0
-	if len(t.Ops) == 0 || t.Every <= 0 {
-		return -1
-	}
-	return t.Every
-}
-
-// Fire implements Arrival.
-func (t *Trace) Fire(e *Engine, r *xrand.Stream) float64 {
-	switch t.Ops[t.pos] {
-	case OpJoin:
-		e.Join()
-	case OpLeave:
-		e.LeaveRandom()
-	}
-	t.pos++
-	if t.pos >= len(t.Ops) {
-		return -1
-	}
-	return e.Now() + t.Every
 }

@@ -269,7 +269,7 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) N() int { return e.ov.N() }
 
 // Join adds one peer by the overlay's join protocol. It reports false
-// when the join was rejected (population cap) or failed.
+// when the join failed.
 func (e *Engine) Join() bool {
 	_, ok := e.JoinSession()
 	return ok
@@ -283,10 +283,6 @@ func (e *Engine) Join() bool {
 // the enlarged population, which approximates session semantics.
 func (e *Engine) JoinSession() (keyspace.Key, bool) {
 	if e.err != nil {
-		return 0, false
-	}
-	if e.sc.MaxNodes > 0 && e.ov.N() >= e.sc.MaxNodes {
-		e.rec.rejected()
 		return 0, false
 	}
 	if err := e.ov.Join(e.ctx); err != nil {
@@ -419,7 +415,7 @@ func (e *Engine) runQuery() {
 		e.routerEpoch = e.epoch
 	}
 	res := e.router.Route(src, target)
-	e.rec.query(e.now, res, e.sc.TimeoutHops)
+	e.rec.query(e.now, res)
 	if e.obsReg != nil {
 		e.observeQuery(res)
 	}

@@ -60,8 +60,8 @@ type Totals struct {
 	Leaves   int `json:"leaves"`
 	// Maintenance counts explicit maintenance rounds.
 	Maintenance int `json:"maintenance"`
-	// Rejected counts membership ops refused by the MinNodes/MaxNodes
-	// population guards.
+	// Rejected counts departures refused by the MinNodes population
+	// guard.
 	Rejected int `json:"rejected"`
 	// SessionMisses counts scheduled session departures whose
 	// identifier no longer existed at firing time — the node already
@@ -400,13 +400,9 @@ func (rec *recorder) partition(t float64) { rec.event(t, "partition", 0) }
 
 func (rec *recorder) heal(t float64) { rec.event(t, "heal", 0) }
 
-func (rec *recorder) query(t float64, res overlaynet.Result, timeoutHops int) {
+func (rec *recorder) query(t float64, res overlaynet.Result) {
 	rec.winQueries++
 	rec.tot.Queries++
-	if timeoutHops > 0 && res.Hops >= timeoutHops {
-		rec.winTimeouts++
-		rec.tot.Timeouts++
-	}
 	if res.Arrived {
 		h := float64(res.Hops)
 		rec.winHops = append(rec.winHops, h)
@@ -423,8 +419,8 @@ func (rec *recorder) query(t float64, res overlaynet.Result, timeoutHops int) {
 
 // queryRobust records one completed message flight: a typed outcome,
 // its delivered hop count and resend count, and — for arrived queries
-// — the end-to-end wall latency. Timed-out flights feed the same
-// timeout counters TimeoutHops feeds on the instantaneous path.
+// — the end-to-end wall latency. Timed-out flights feed the timeout
+// counters, which only message flights fill.
 func (rec *recorder) queryRobust(t float64, o overlaynet.Outcome, hops, retries int, latency float64) {
 	rec.robust = true
 	rec.winQueries++

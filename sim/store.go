@@ -345,7 +345,7 @@ func (ss *storeState) runOp(e *Engine, src int, target keyspace.Key) {
 	ss.winOps++
 	hops, ok := ss.perform(src, op, key, span)
 	res := overlaynet.Result{Hops: hops, Dest: -1, Arrived: ok}
-	e.rec.query(e.now, res, e.sc.TimeoutHops)
+	e.rec.query(e.now, res)
 	if e.obsReg != nil {
 		e.observeQuery(res)
 	}

@@ -33,11 +33,10 @@ func storeTrace(t *testing.T, eventDriven, batch bool) goldenTrace {
 	ctx := context.Background()
 	pub, _ := newServed(t, 48, 101)
 	st, err := store.New(pub, store.Config{
-		Replicas:              3,
-		EventDriven:           eventDriven,
-		BatchHandover:         batch,
-		TransferOverheadBytes: 16,
-		ShardOf:               func(k keyspace.Key) int { return int(float64(k) * 4) },
+		Replicas:      3,
+		EventDriven:   eventDriven,
+		BatchHandover: batch,
+		ShardOf:       func(k keyspace.Key) int { return int(float64(k) * 4) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,10 +142,10 @@ func TestStoreGoldenTrace(t *testing.T) {
 		eventDriven, batch bool
 		want               goldenTrace
 	}{
-		{"diff", false, false, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 545, Trimmed: 295, BytesMoved: 11006, Sweeps: 6, Transfers: 545, CrossShardMoves: 94}, 0, 0x951a49d2deaa2c32, 0xfaa06587279b1a77}},
-		{"diff-batch", false, true, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 545, Trimmed: 295, BytesMoved: 3662, Sweeps: 6, Transfers: 86, CrossShardMoves: 94}, 0, 0x951a49d2deaa2c32, 0xfaa06587279b1a77}},
-		{"event", true, false, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 734, Trimmed: 347, BytesMoved: 14764, Sweeps: 6, Transfers: 734, CrossShardMoves: 148}, 0, 0x3969a3726bfa8eb3, 0xce86f049419fa4f6}},
-		{"event-batch", true, true, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 734, Trimmed: 347, BytesMoved: 4860, Sweeps: 6, Transfers: 115, CrossShardMoves: 148}, 0, 0x3969a3726bfa8eb3, 0xce86f049419fa4f6}},
+		{"diff", false, false, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 545, Trimmed: 295, BytesMoved: 2286, Sweeps: 6, Transfers: 545, CrossShardMoves: 94}, 0, 0x951a49d2deaa2c32, 0xfaa06587279b1a77}},
+		{"diff-batch", false, true, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 545, Trimmed: 295, BytesMoved: 2286, Sweeps: 6, Transfers: 86, CrossShardMoves: 94}, 0, 0x951a49d2deaa2c32, 0xfaa06587279b1a77}},
+		{"event", true, false, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 734, Trimmed: 347, BytesMoved: 3020, Sweeps: 6, Transfers: 734, CrossShardMoves: 148}, 0, 0x3969a3726bfa8eb3, 0xce86f049419fa4f6}},
+		{"event-batch", true, true, goldenTrace{store.Stats{Puts: 376, AckedWrites: 376, Gets: 378, Scans: 126, Rereplicated: 734, Trimmed: 347, BytesMoved: 3020, Sweeps: 6, Transfers: 115, CrossShardMoves: 148}, 0, 0x3969a3726bfa8eb3, 0xce86f049419fa4f6}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -171,9 +170,8 @@ func storeTraceBlocks(t *testing.T) goldenTrace {
 	ctx := context.Background()
 	pub, _ := newServed(t, 512, 211)
 	st, err := store.New(pub, store.Config{
-		Replicas:              3,
-		TransferOverheadBytes: 16,
-		ShardOf:               func(k keyspace.Key) int { return int(float64(k) * 64) },
+		Replicas: 3,
+		ShardOf:  func(k keyspace.Key) int { return int(float64(k) * 64) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +262,7 @@ func storeTraceBlocks(t *testing.T) goldenTrace {
 // from the store that kept its records in a hash map beside a flat
 // sorted key list, before the key-ordered record blocks replaced both.
 func TestStoreGoldenTraceBlocks(t *testing.T) {
-	want := goldenTrace{store.Stats{Puts: 4405, AckedWrites: 4405, Gets: 1234, Scans: 633, Rereplicated: 3102, Trimmed: 2482, BytesMoved: 64554, Sweeps: 6, Transfers: 3102, CrossShardMoves: 823}, 0, 0xd909e2c6e5e3527c, 0x812d106a75f8aa3b}
+	want := goldenTrace{store.Stats{Puts: 4405, AckedWrites: 4405, Gets: 1234, Scans: 633, Rereplicated: 3102, Trimmed: 2482, BytesMoved: 14922, Sweeps: 6, Transfers: 3102, CrossShardMoves: 823}, 0, 0xd909e2c6e5e3527c, 0x812d106a75f8aa3b}
 	if got := storeTraceBlocks(t); got != want {
 		t.Errorf("trace diverged:\n got %#v\nwant %#v", got, want)
 	}

@@ -2,9 +2,9 @@
 // small-world overlay: put/get/scan on keys in [0,1), each key
 // replicated to the R rank-index successors of its responsible node,
 // with key/value handover on churn. Ownership comes from the single
-// shared definition in keyspace.Cell/Owner (the same math behind
-// Network.Cell and overlaynet.OwnedRange), so the store and the overlay
-// can never disagree about who holds what.
+// shared definition in keyspace.Cell/Owner (the same math the
+// incremental writer's ownership events use), so the store and the
+// overlay can never disagree about who holds what.
 //
 // # Consistency model
 //
@@ -114,13 +114,8 @@ type Config struct {
 	// bulk transfer per (membership event, destination member) instead
 	// of one transfer per key copy — Stats.Transfers shows the
 	// reduction. The copies themselves (which keys move where, their
-	// byte payloads) are identical either way.
+	// byte payloads, Stats.BytesMoved) are identical either way.
 	BatchHandover bool
-	// TransferOverheadBytes charges a fixed per-transfer framing cost
-	// into Stats.BytesMoved, which is what makes the batching reduction
-	// visible in the bytes_moved series. Zero — the default — keeps
-	// BytesMoved bit-identical to earlier releases.
-	TransferOverheadBytes int
 }
 
 // Locator routes a store's locate operations and follows the store
@@ -325,10 +320,9 @@ type Store struct {
 	seq      uint64 // global write counter (Stamp.Seq source)
 
 	// Handover transfer accounting (see Config.BatchHandover).
-	shardOf   func(keyspace.Key) int
-	batch     bool
-	overheadB int
-	pending   map[keyspace.Key]struct{} // dest members of the open event's copies
+	shardOf func(keyspace.Key) int
+	batch   bool
+	pending map[keyspace.Key]struct{} // dest members of the open event's copies
 
 	stats Stats
 
@@ -352,18 +346,14 @@ func New(src Source, cfg Config) (*Store, error) {
 	if r == 0 {
 		r = DefaultReplicas
 	}
-	if cfg.TransferOverheadBytes < 0 {
-		return nil, fmt.Errorf("store: negative transfer overhead %d", cfg.TransferOverheadBytes)
-	}
 	s := &Store{
-		src:       src,
-		r:         r,
-		evs:       cfg.EventDriven,
-		locator:   cfg.Locator,
-		shardOf:   cfg.ShardOf,
-		batch:     cfg.BatchHandover,
-		overheadB: cfg.TransferOverheadBytes,
-		held:      make(map[keyspace.Key]*keyspace.Points),
+		src:     src,
+		r:       r,
+		evs:     cfg.EventDriven,
+		locator: cfg.Locator,
+		shardOf: cfg.ShardOf,
+		batch:   cfg.BatchHandover,
+		held:    make(map[keyspace.Key]*keyspace.Points),
 	}
 	snap := src.Snapshot()
 	if snap == nil {
@@ -675,17 +665,15 @@ func (s *Store) rereplicateKeyLocked(k keyspace.Key, rec *[]replica, holders []k
 
 // recordHandoverLocked accounts one handover/sweep repair copy from
 // member `from` to member `to`. Unbatched, every copy is its own
-// transfer (plus the configured per-transfer overhead); batched,
-// copies coalesce per destination until the enclosing membership event
-// flushes (flushTransfersLocked) — modelling one bulk frame per
-// destination instead of one per key.
+// transfer; batched, copies coalesce per destination until the
+// enclosing membership event flushes (flushTransfersLocked) — modelling
+// one bulk frame per destination instead of one per key.
 func (s *Store) recordHandoverLocked(from, to keyspace.Key) {
 	if s.shardOf != nil && from != to && s.shardOf(from) != s.shardOf(to) {
 		s.stats.CrossShardMoves++
 	}
 	if !s.batch {
 		s.stats.Transfers++
-		s.stats.BytesMoved += int64(s.overheadB)
 		return
 	}
 	if s.pending == nil {
@@ -701,7 +689,6 @@ func (s *Store) flushTransfersLocked() {
 		return
 	}
 	s.stats.Transfers += int64(len(s.pending))
-	s.stats.BytesMoved += int64(len(s.pending)) * int64(s.overheadB)
 	for m := range s.pending {
 		delete(s.pending, m)
 	}

@@ -26,21 +26,7 @@ type FaultTransport struct {
 	mu    sync.Mutex // Model is not safe for concurrent use
 	model *netmodel.Model
 	key   func(Addr) keyspace.Key
-
-	dropped Counter64
 }
-
-// Counter64 is a tiny concurrency-safe counter for transport-level
-// accounting (frames dropped by a fault decorator).
-type Counter64 struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func (c *Counter64) inc() { c.mu.Lock(); c.v++; c.mu.Unlock() }
-
-// Value returns the count.
-func (c *Counter64) Value() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return c.v }
 
 // NewFault wraps inner with the fault plane. key maps addresses to
 // key-space positions; a nil key places every endpoint at 0 (loss
@@ -67,7 +53,6 @@ func (t *FaultTransport) Send(to Addr, frame []byte) error {
 	del := t.model.Send(t.key(f.From), t.key(to))
 	t.mu.Unlock()
 	if del.Status != netmodel.SendOK {
-		t.dropped.inc()
 		return nil
 	}
 	return t.inner.Send(to, frame)
@@ -75,6 +60,3 @@ func (t *FaultTransport) Send(to Addr, frame []byte) error {
 
 // Close implements Transport.
 func (t *FaultTransport) Close() error { return t.inner.Close() }
-
-// Dropped returns the number of frames the fault plane swallowed.
-func (t *FaultTransport) Dropped() uint64 { return t.dropped.Value() }

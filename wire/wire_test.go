@@ -273,8 +273,8 @@ func TestFaultTransport(t *testing.T) {
 		}
 	}
 	closeFT()
-	if *n != 0 || ft.Dropped() != 40 {
-		t.Fatalf("total loss: %d delivered, %d dropped", *n, ft.Dropped())
+	if *n != 0 {
+		t.Fatalf("total loss: %d of 40 delivered", *n)
 	}
 
 	ft, n, closeFT = build(0)
@@ -284,7 +284,7 @@ func TestFaultTransport(t *testing.T) {
 		}
 	}
 	closeFT()
-	if *n != 40 || ft.Dropped() != 0 {
-		t.Fatalf("clean plane: %d delivered, %d dropped", *n, ft.Dropped())
+	if *n != 40 {
+		t.Fatalf("clean plane: %d of 40 delivered", *n)
 	}
 }

@@ -133,20 +133,6 @@ func (r *Stream) ExpFloat64() float64 {
 	return -math.Log(r.Float64Open())
 }
 
-// NormFloat64 returns a standard normal variate using the Marsaglia polar
-// method.
-func (r *Stream) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
 // Perm returns a random permutation of [0,n) (Fisher–Yates).
 func (r *Stream) Perm(n int) []int {
 	p := make([]int, n)
@@ -181,37 +167,4 @@ func (r *Stream) LogUniform(lo, hi float64) float64 {
 // Bool returns true with probability p.
 func (r *Stream) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// WeightedChoice returns an index in [0,len(w)) with probability
-// proportional to the non-negative weights w. It returns -1 when the
-// weights sum to zero or w is empty.
-func (r *Stream) WeightedChoice(w []float64) int {
-	var total float64
-	for _, x := range w {
-		if x > 0 {
-			total += x
-		}
-	}
-	if total <= 0 {
-		return -1
-	}
-	target := r.Float64() * total
-	var acc float64
-	for i, x := range w {
-		if x <= 0 {
-			continue
-		}
-		acc += x
-		if target < acc {
-			return i
-		}
-	}
-	// Floating point slack: return the last positive-weight index.
-	for i := len(w) - 1; i >= 0; i-- {
-		if w[i] > 0 {
-			return i
-		}
-	}
-	return -1
 }

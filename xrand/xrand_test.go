@@ -153,25 +153,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(19)
-	var sum, sumsq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestPerm(t *testing.T) {
 	r := New(23)
 	p := r.Perm(100)
@@ -226,35 +207,6 @@ func TestBool(t *testing.T) {
 	}
 	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.01 {
 		t.Errorf("Bool(0.3) frequency = %v", frac)
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	r := New(37)
-	w := []float64{1, 0, 3}
-	const n = 100000
-	counts := make([]int, 3)
-	for i := 0; i < n; i++ {
-		counts[r.WeightedChoice(w)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight index chosen %d times", counts[1])
-	}
-	if frac := float64(counts[2]) / n; math.Abs(frac-0.75) > 0.01 {
-		t.Errorf("weight-3 index frequency = %v, want ~0.75", frac)
-	}
-}
-
-func TestWeightedChoiceDegenerate(t *testing.T) {
-	r := New(41)
-	if r.WeightedChoice(nil) != -1 {
-		t.Error("empty weights should return -1")
-	}
-	if r.WeightedChoice([]float64{0, 0}) != -1 {
-		t.Error("all-zero weights should return -1")
-	}
-	if r.WeightedChoice([]float64{0, 5, 0}) != 1 {
-		t.Error("single positive weight must always be chosen")
 	}
 }
 
