@@ -160,8 +160,9 @@ func ulpClusterConfig(topo keyspace.Topology) smallworld.Config {
 // scanStaticCases runs scanStatic on the populations a range read must
 // survive: intervals starting at every identifier of ulp-dense clusters
 // and one ulp below it (inside a zero-width cell), from every source;
-// wrapping intervals on heavily skewed rings; the line; and empty and
-// near-whole intervals.
+// forced wraps on heavily skewed rings; top-anchored wraps and narrow
+// random intervals on skewed rings; the line; and the empty and the
+// near-whole interval.
 func scanStaticCases(t *testing.T) {
 	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
 		t.Run(fmt.Sprintf("ulp-cluster/%v", topo), func(t *testing.T) {
@@ -185,25 +186,46 @@ func scanStaticCases(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				// Forced wraps: Lo in the top arc, Hi in the bottom arc.
 				ivs = append(ivs, keyspace.Interval{Lo: keyspace.Key(0.9 + 0.1*r.Float64()), Hi: keyspace.Key(0.1 * r.Float64())})
-				// Anchored near the top, so most wrap, up to 0.22 wide.
-				lo := keyspace.Wrap(0.95 + 0.1*r.Float64())
-				ivs = append(ivs, keyspace.Interval{Lo: lo, Hi: keyspace.Wrap(float64(lo) + 0.02 + 0.2*r.Float64())})
-				// Anywhere, up to 0.05 wide.
-				lo = keyspace.Key(r.Float64())
-				ivs = append(ivs, keyspace.Interval{Lo: lo, Hi: keyspace.Wrap(float64(lo) + 0.05*r.Float64())})
 			}
 			scanStatic(t, cfg, ivs, []int{0, 191, 383})
 		})
 	}
+	t.Run("ascending-across-wrap", func(t *testing.T) {
+		cfg := smallworld.SkewedConfig(256, dist.NewPower(0.6), 95)
+		cfg.Topology = keyspace.Ring
+		r := xrand.New(96)
+		var ivs []keyspace.Interval
+		for i := 0; i < 200; i++ {
+			// Anchored near the top, so most wrap, up to 0.22 wide.
+			lo := keyspace.Wrap(0.95 + 0.1*r.Float64())
+			ivs = append(ivs, keyspace.Interval{Lo: lo, Hi: keyspace.Wrap(float64(lo) + 0.02 + 0.2*r.Float64())})
+		}
+		scanStatic(t, cfg, ivs, []int{0, 127, 255})
+	})
+	t.Run("covers-interval", func(t *testing.T) {
+		cfg := smallworld.SkewedConfig(256, dist.NewTruncExp(5), 93)
+		cfg.Topology = keyspace.Ring
+		r := xrand.New(94)
+		var ivs []keyspace.Interval
+		for i := 0; i < 100; i++ {
+			// Anywhere, up to 0.05 wide.
+			lo := keyspace.Key(r.Float64())
+			ivs = append(ivs, keyspace.Interval{Lo: lo, Hi: keyspace.Wrap(float64(lo) + 0.05*r.Float64())})
+		}
+		scanStatic(t, cfg, ivs, []int{0, 127, 255})
+	})
 	t.Run("line", func(t *testing.T) {
 		cfg := smallworld.UniformConfig(128, 99)
 		cfg.Topology = keyspace.Line
 		scanStatic(t, cfg, []keyspace.Interval{{Lo: 0.4, Hi: 0.6}, {Lo: 0, Hi: 0.01}, {Lo: 0.99, Hi: 0.02}}, nil)
 	})
-	t.Run("empty-and-whole", func(t *testing.T) {
+	t.Run("empty", func(t *testing.T) {
+		scanStatic(t, smallworld.UniformConfig(64, 97), []keyspace.Interval{{Lo: 0.5, Hi: 0.5}}, nil)
+	})
+	t.Run("whole", func(t *testing.T) {
 		cfg := smallworld.UniformConfig(64, 98)
 		cfg.Topology = keyspace.Ring
-		scanStatic(t, cfg, []keyspace.Interval{{Lo: 0.5, Hi: 0.5}, {Lo: 0.001, Hi: 0.0009}}, nil)
+		scanStatic(t, cfg, []keyspace.Interval{{Lo: 0.001, Hi: 0.0009}}, nil)
 	})
 }
 
