@@ -11,9 +11,9 @@ import (
 // This file implements the structural-sharing backing stores behind
 // Snapshot: persistent chunked arrays with copy-on-write chunks.
 //
-// The writer (the incremental overlay) keeps its rank index, rows and
-// in-lists only here, and a mirror of its identifiers, in chunks behind
-// a spine of pointers, and reads them in place. CaptureSnapshot copies
+// The writer (the incremental overlay) keeps its identifiers, rank
+// index, rows and in-lists only here, in chunks behind a spine of
+// pointers, and reads them in place. CaptureSnapshot copies
 // only the spine (O(N/chunk) pointers) and marks every chunk shared;
 // the writer then clones a chunk the first time it touches it after a
 // capture (copy-on-write), so an epoch with Δ membership events costs
@@ -82,8 +82,8 @@ func (v keyView) At(u int) keyspace.Key { return v.spine[u>>keyChunkShift][u&key
 func (v keyView) Len() int { return v.n }
 
 // materialize copies the view into a fresh flat slice — the O(N)
-// compatibility path behind Snapshot.Keys(), done at most once per
-// snapshot (cached), never on the routing hot path.
+// compatibility path behind Keys() (cached by a Snapshot, not by the
+// writer), never on the routing hot path.
 func (v keyView) materialize() []keyspace.Key {
 	out := make([]keyspace.Key, v.n)
 	for j, ch := range v.spine {
@@ -103,10 +103,10 @@ func newKeyView(keys []keyspace.Key) keyView {
 	return v
 }
 
-// keyStore is the writer side: the incremental overlay mirrors every
-// mutation of its flat keys slice into the store, and capture() hands
-// out an immutable view for O(spine) cost. The embedded keyView is the
-// live mapping the overlay's own router reads.
+// keyStore is the writer side and the incremental overlay's only copy
+// of its identifiers: capture() hands out an immutable view for
+// O(spine) cost, and the embedded keyView is the live mapping the
+// writer and its own router read.
 type keyStore struct {
 	keyView
 	owned []bool    // owned[j]: chunk j not shared with any snapshot
@@ -131,14 +131,14 @@ func (ks *keyStore) ensureOwned(j int) {
 	}
 }
 
-// set mirrors keys[u] = k.
+// set writes slot u's identifier.
 func (ks *keyStore) set(u int, k keyspace.Key) {
 	j := u >> keyChunkShift
 	ks.ensureOwned(j)
 	ks.spine[j][u&keyChunkMask] = k
 }
 
-// push mirrors keys = append(keys, k).
+// push appends identifier k for slot n.
 func (ks *keyStore) push(k keyspace.Key) {
 	if ks.n&keyChunkMask == 0 {
 		if ks.spare == nil {
@@ -152,7 +152,7 @@ func (ks *keyStore) push(k keyspace.Key) {
 	ks.n++
 }
 
-// pop mirrors keys = keys[:len(keys)-1]. The vacated tail entry is
+// pop drops the last slot's identifier. The vacated tail entry is
 // left in place — views carry their own length, so stale tail values
 // past a view's n are never readable.
 func (ks *keyStore) pop() {
@@ -689,13 +689,14 @@ type adjStore struct {
 }
 
 // newAdjStore lays rows 0..n-1, as row(u) returns them, out in blocks,
-// each sized once so that setRow fills it in place.
-func newAdjStore(n int, row func(u int) []int32) *adjStore {
+// each sized once so that setRow fills it in place, with room for at
+// least spare more targets.
+func newAdjStore(n int, row func(u int) []int32, spare int) *adjStore {
 	as := new(adjStore)
 	for u := 0; u < n; u++ {
 		as.push()
 		if u&adjBlockMask == 0 {
-			size := 0
+			size := spare
 			for v := u; v < min(u+adjBlockLen, n); v++ {
 				size += len(row(v))
 			}
@@ -779,29 +780,20 @@ func (as *adjStore) capture() adjView {
 // inLists holds the writer's long-range in-lists (who links each slot)
 // as the rows of an adjStore that is never captured, so setRow never
 // clones. Row v is v's in-list in event order, then -1s as room (-1
-// never names a slot), as long as the capacity the list would reach as
-// a slice appended to one entry at a time (roomFor).
+// never names a slot): a row is as long as its list rounded up to a
+// multiple of inRowRound when it is laid out or grows (roomFor), and
+// keeps its length when the list shrinks.
 type inLists struct {
 	adjStore
 	buf []int32 // scratch row: setRow must not read the store it edits
 }
 
-// inCaps holds 0 and the capacities an []int32 passes through when
-// appended to one element at a time, up to the most a block holds.
-var inCaps = func() []int {
-	caps := []int{0}
-	for c := 0; c < math.MaxUint16; caps = append(caps, c) {
-		c = cap(append(make([]int32, c), 0))
-	}
-	return caps
-}()
+// inRowRound is the multiple every in-list row's length is: a row
+// holds at most inRowRound-1 entries of room when it is laid out.
+const inRowRound = 4
 
-// roomFor returns the row length of a list of c entries: the first of
-// inCaps that holds them.
-func roomFor(c int) int {
-	i, _ := slices.BinarySearch(inCaps, c)
-	return inCaps[i]
-}
+// roomFor returns the row length of a list of c entries.
+func roomFor(c int) int { return (c + inRowRound - 1) / inRowRound * inRowRound }
 
 // newInLists builds the in-lists of n slots, where u links every slot in
 // out(u) long-range, in place, in slot order, by counting sort.
@@ -815,7 +807,8 @@ func newInLists(n int, out func(u int) []int32) *inLists {
 			}
 		}
 	}
-	il := &inLists{adjStore: *newAdjStore(n, func(u int) []int32 { return pad[:roomFor(int(count[u]))] })}
+	// Each block has room for one row to grow without reallocating.
+	il := &inLists{adjStore: *newAdjStore(n, func(u int) []int32 { return pad[:roomFor(int(count[u]))] }, inRowRound)}
 	clear(count) // now each row's fill
 	for u := 0; u < n; u++ {
 		for _, v := range out(u) {
@@ -836,8 +829,8 @@ func (il *inLists) list(v int32) []int32 {
 	return row
 }
 
-// add appends u to v's in-list; a row with no room grows to the next of
-// inCaps (setRow reallocates the block if need be).
+// add appends u to v's in-list; a row with no room grows by inRowRound
+// entries (setRow reallocates the block if need be).
 func (il *inLists) add(v, u int32) {
 	row := il.Row(int(v))
 	if l := len(il.list(v)); l < len(row) {
@@ -867,8 +860,7 @@ func (il *inLists) rename(v, from, to int32) {
 	}
 }
 
-// move gives to the row of from, room included, as a slice assignment
-// hands over a list with its capacity.
+// move gives to the row of from, room included.
 func (il *inLists) move(to, from int32) {
 	il.buf = append(il.buf[:0], il.Row(int(from))...)
 	il.setRow(int(to), il.buf)

@@ -16,7 +16,8 @@ import (
 // chunked-snapshot path, capturing a snapshot after every event, and
 // pins each epoch's Keys()/rank lookups and every out-row bit-identical
 // to the flat reference (captureFlat, which derives the rank index by
-// sorting the identifiers and each row from pred/succ and the in-lists).
+// sorting the identifiers, and each row from key order and the
+// in-lists).
 // Retained
 // (snapshot, reference) pairs are re-verified after the full run, so a
 // copy-on-write violation that mutates an already-published chunk or
@@ -74,12 +75,12 @@ type flatCapture struct {
 }
 
 // captureFlat copies the overlay's identifiers, derives the rank index
-// from them by sorting and rebuilds every row from pred, succ and the
-// long links the in-lists record (u links v iff u is in in[v]), sorted
-// and deduplicated, so it never reads the chunked stores it is the
-// reference for.
+// from them by sorting and rebuilds every row from the key-order
+// neighbours that sort gives and the long links the in-lists record (u
+// links v iff u is in in[v]), sorted and deduplicated, so it never
+// reads the rank index or the out-rows it is the reference for.
 func (o *incrementalOverlay) captureFlat() flatCapture {
-	keys := append([]keyspace.Key(nil), o.keys...)
+	keys := o.Keys()
 	order := make([]int32, len(keys))
 	for u := range order {
 		order[u] = int32(u)
@@ -90,8 +91,8 @@ func (o *incrementalOverlay) captureFlat() flatCapture {
 		byKey[i] = keys[u]
 	}
 	rows := make([][]int32, len(keys))
-	for u := range rows {
-		for _, v := range [2]int32{o.pred[u], o.succ[u]} {
+	for i, u := range order {
+		for _, v := range keyOrderFlanks(o.topo, order, i) {
 			if v >= 0 {
 				rows[u] = append(rows[u], v)
 			}
@@ -107,6 +108,24 @@ func (o *incrementalOverlay) captureFlat() flatCapture {
 		rows[u] = slices.Compact(row)
 	}
 	return flatCapture{keys: keys, byKey: byKey, order: order, rows: rows}
+}
+
+// keyOrderFlanks returns the slots beside rank i of order, the slots in
+// key order, predecessor first: cyclic on the ring, -1 past the line's
+// ends and -1 twice for a single node.
+func keyOrderFlanks(topo keyspace.Topology, order []int32, i int) [2]int32 {
+	n := len(order)
+	if topo == keyspace.Ring && n > 1 {
+		return [2]int32{order[(i-1+n)%n], order[(i+1)%n]}
+	}
+	f := [2]int32{-1, -1}
+	if i > 0 {
+		f[0] = order[i-1]
+	}
+	if i+1 < n {
+		f[1] = order[i+1]
+	}
+	return f
 }
 
 // compareSnapshotToFlat checks every read surface of a chunked

@@ -37,8 +37,8 @@ import (
 // out-adjacency: an event edits the rows it touches in place, one entry
 // at a time, and CaptureSnapshot shares the blocks with the snapshot,
 // so no event ever copies the whole adjacency.
-// Identifiers are NOT sorted by node index — use Keys()/Key like any
-// other Dynamic overlay.
+// Identifiers are NOT sorted by node index — use Key like any other
+// Dynamic overlay; Keys copies them.
 func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, error) {
 	base, err := Build(ctx, name, opts)
 	if err != nil {
@@ -65,10 +65,8 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 		link:     link,
 		exponent: cfg.Exponent,
 		degree:   cfg.Degree,
-		keys:     append([]keyspace.Key(nil), nw.Keys()...),
-		succ:     make([]int32, n),
-		pred:     make([]int32, n),
-		adj:      newAdjStore(n, nw.CSR().Out), // neighbours and long links
+		keysM:    newKeyStore(nw.Keys()),
+		adj:      newAdjStore(n, nw.CSR().Out, 0), // neighbours and long links
 		in:       newInLists(n, nw.LongRange),
 		rng:      xrand.New(opts.Seed ^ incrementalSeedSalt),
 	}
@@ -77,10 +75,6 @@ func NewIncremental(ctx context.Context, name string, opts Options) (Dynamic, er
 		order[u] = int32(u) // slots start out rank-ordered
 	}
 	o.rankM = newRankStore(nw.Keys(), order)
-	for p, i := (rankPos{}), 0; i < n; p, i = o.rankM.next(p), i+1 {
-		o.wire(p)
-	}
-	o.keysM = newKeyStore(o.keys)
 	return o, nil
 }
 
@@ -110,21 +104,18 @@ type incrementalOverlay struct {
 	// u), which the row cannot tell when a long link is also a neighbour.
 	// They are in event order, which handover's draws and Leave's repair
 	// order read: they are never sorted.
-	keys []keyspace.Key
-	succ []int32  // key-order successor (-1 at the line's top end)
-	pred []int32  // key-order predecessor (-1 at the line's bottom end)
-	in   *inLists // long-range in-links (who points here)
+	in *inLists // long-range in-links (who points here)
 
-	// keysM is a chunked copy-on-write mirror of keys, written through
-	// on every mutation; rankM is the rank index (identifiers in
-	// ascending order, with the slot holding each), kept only in chunked
-	// form. Every rank read — rankOf, wire, drawKey's membership probe,
-	// drawTarget's NearestExcluding, the watcher's cells — goes through
-	// rankM's in-place rankView, so a membership event shifts entries
-	// within one chunk instead of O(N) flat arrays. adj holds every
-	// slot's out-row; an event edits the rows it touches in place, one
-	// entry at a time. CaptureSnapshot shares all three stores into the
-	// published Snapshot for O(spine) cost.
+	// keysM holds every slot's identifier and rankM is the rank index
+	// (identifiers in ascending order, with the slot holding each), both
+	// only in chunked copy-on-write form. Every rank read — a slot's
+	// position, its key-order neighbours (flanks), drawKey's membership
+	// probe, drawTarget's NearestExcluding, the watcher's cells — goes
+	// through rankM's in-place rankView, so a membership event shifts
+	// entries within one chunk instead of O(N) flat arrays. adj holds
+	// every slot's out-row; an event edits the rows it touches in place,
+	// one entry at a time. CaptureSnapshot shares all three stores into
+	// the published Snapshot for O(spine) cost.
 	keysM *keyStore
 	rankM *rankStore
 	adj   *adjStore
@@ -162,89 +153,87 @@ func (o *incrementalOverlay) boundaryBetween(a, b keyspace.Key) keyspace.Key {
 	return keyspace.Key((float64(a) + float64(b)) / 2)
 }
 
-// splitCell narrates node k's cell changing hands against its flanks p
-// and s (slot ids, -1 when missing at a line end): the lower part of
-// the cell trades with p, the upper with s, split at the p–s boundary —
-// exactly the ranges a join steals from its donors and a leave bequeaths
-// to its inheritors. Identifier values are captured immediately, so the
-// events stay valid across the slot renames a Leave performs later.
-func (o *incrementalOverlay) splitCell(joined bool, k keyspace.Key, cell keyspace.Interval, p, s int32) []OwnershipChange {
+// splitCell narrates node k's cell changing hands against its flanks
+// f (slot ids, -1 when missing at a line end): the lower part of the
+// cell trades with the predecessor, the upper with the successor, split
+// at their boundary — exactly the ranges a join steals from its donors
+// and a leave bequeaths to its inheritors. Identifier values are
+// captured immediately, so the events stay valid across the slot
+// renames a Leave performs later.
+func (o *incrementalOverlay) splitCell(joined bool, k keyspace.Key, cell keyspace.Interval, f [2]int32) []OwnershipChange {
+	p, s := f[0], f[1]
 	switch {
 	case p < 0 && s < 0:
 		// Sole node: the whole space, with no counterparty.
 		return []OwnershipChange{{Joined: joined, Node: k, Peer: k, Range: cell}}
 	case p < 0:
-		return []OwnershipChange{{Joined: joined, Node: k, Peer: o.keys[s], Range: cell}}
+		return []OwnershipChange{{Joined: joined, Node: k, Peer: o.Key(int(s)), Range: cell}}
 	case s < 0 || p == s:
 		// Line's top end, or a 2-node ring's single flank.
-		return []OwnershipChange{{Joined: joined, Node: k, Peer: o.keys[p], Range: cell}}
+		return []OwnershipChange{{Joined: joined, Node: k, Peer: o.Key(int(p)), Range: cell}}
 	}
-	b := o.boundaryBetween(o.keys[p], o.keys[s])
+	b := o.boundaryBetween(o.Key(int(p)), o.Key(int(s)))
 	var out []OwnershipChange
 	if lower := (keyspace.Interval{Lo: cell.Lo, Hi: b}); !lower.Empty() {
-		out = append(out, OwnershipChange{Joined: joined, Node: k, Peer: o.keys[p], Range: lower})
+		out = append(out, OwnershipChange{Joined: joined, Node: k, Peer: o.Key(int(p)), Range: lower})
 	}
 	if upper := (keyspace.Interval{Lo: b, Hi: cell.Hi}); !upper.Empty() {
-		out = append(out, OwnershipChange{Joined: joined, Node: k, Peer: o.keys[s], Range: upper})
+		out = append(out, OwnershipChange{Joined: joined, Node: k, Peer: o.Key(int(s)), Range: upper})
 	}
 	return out
 }
 
 func (o *incrementalOverlay) Kind() string           { return o.kind }
-func (o *incrementalOverlay) N() int                 { return len(o.keys) }
-func (o *incrementalOverlay) Key(u int) keyspace.Key { return o.keys[u] }
-func (o *incrementalOverlay) Keys() []keyspace.Key   { return o.keys }
+func (o *incrementalOverlay) N() int                 { return o.keysM.Len() }
+func (o *incrementalOverlay) Key(u int) keyspace.Key { return o.keysM.At(u) }
 func (o *incrementalOverlay) Stats() Stats           { return statsOf(o) }
+
+// Keys copies every slot's identifier out of the chunked store: O(N)
+// per call, so hot paths read Key(u).
+func (o *incrementalOverlay) Keys() []keyspace.Key { return o.keysM.materialize() }
 
 // Neighbors returns u's current out-row.
 func (o *incrementalOverlay) Neighbors(u int) []int32 { return o.adj.Row(u) }
 
-// rankOf returns node u's position in key order (exact: identifiers are
-// unique by construction).
-func (o *incrementalOverlay) rankOf(u int) int {
-	return o.rankM.rankOf(o.keys[u], int32(u))
+// posOf returns slot u's position in the rank index (exact: identifiers
+// are unique by construction).
+func (o *incrementalOverlay) posOf(u int32) rankPos {
+	p, _ := o.rankM.posOf(o.Key(int(u)), u)
+	return p
 }
 
-// wire points the node at rank position p at its key-order neighbours
-// (cyclic on the ring, -1 sentinels at the line's ends).
-func (o *incrementalOverlay) wire(p rankPos) {
+// flanks returns the slots of the key-order neighbours of the node at
+// rank position p, predecessor first: cyclic on the ring, -1 past the
+// line's ends, and -1 twice for a single node.
+func (o *incrementalOverlay) flanks(p rankPos) [2]int32 {
 	rs := o.rankM
-	id := rs.slot(p)
-	if o.topo == keyspace.Ring {
-		o.pred[id] = rs.slot(rs.prev(p))
-		o.succ[id] = rs.slot(rs.next(p))
-		if o.pred[id] == id {
-			o.pred[id], o.succ[id] = -1, -1 // single node
+	if rs.n < 2 {
+		return [2]int32{-1, -1}
+	}
+	f := [2]int32{rs.slot(rs.prev(p)), rs.slot(rs.next(p))}
+	if o.topo != keyspace.Ring {
+		switch rs.rank(p) {
+		case 0:
+			f[0] = -1
+		case rs.n - 1:
+			f[1] = -1
 		}
-		return
 	}
-	rank := rs.rank(p)
-	if rank > 0 {
-		o.pred[id] = rs.slot(rs.prev(p))
-	} else {
-		o.pred[id] = -1
-	}
-	if rank+1 < rs.n {
-		o.succ[id] = rs.slot(rs.next(p))
-	} else {
-		o.succ[id] = -1
-	}
+	return f
 }
 
-// rewire is wire for a node whose row is live: it records the node's
-// key-order neighbours, re-points them, and edits the row to match. A
-// former neighbour leaves the row unless it is still a neighbour or the
-// node links it long-range, which only the in-lists can tell: the row
-// holds a neighbour that is also a long link once. New neighbours enter
-// the row.
-func (o *incrementalOverlay) rewire(p rankPos) {
-	id := o.rankM.slot(p)
-	was := [2]int32{o.pred[id], o.succ[id]}
-	o.wire(p)
-	now := [2]int32{o.pred[id], o.succ[id]}
+// rewire edits the row of the node at rank position p to the key-order
+// neighbours a splice gave it; was holds its flanks before the splice.
+// A former neighbour leaves the row unless it is still a neighbour or
+// the node links it long-range, which only the in-lists can tell: the
+// row holds a neighbour that is also a long link once. New neighbours
+// enter the row.
+func (o *incrementalOverlay) rewire(p rankPos, was [2]int32) {
+	now := o.flanks(p)
 	if now == was {
 		return
 	}
+	id := o.rankM.slot(p)
 	row := append(o.row[:0], o.adj.Row(int(id))...)
 	for _, x := range was {
 		if x >= 0 && x != now[0] && x != now[1] && !slices.Contains(o.in.list(x), id) {
@@ -262,11 +251,12 @@ func (o *incrementalOverlay) addLink(u, v int32) {
 	o.in.add(v, u)
 }
 
-// unlink removes the long-range link u→v. v stays in u's row while it
-// is a key-order neighbour of u.
-func (o *incrementalOverlay) unlink(u, v int32) {
+// unlink removes the long-range link u→v, where vf holds v's flanks. v
+// stays in u's row while it is a key-order neighbour of u, that is,
+// while u is one of v's.
+func (o *incrementalOverlay) unlink(u, v int32, vf [2]int32) {
 	o.in.drop(v, u)
-	if v != o.pred[u] && v != o.succ[u] {
+	if u != vf[0] && u != vf[1] {
 		o.editRow(u, v, -1)
 	}
 }
@@ -338,31 +328,34 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 	if o.msgs != nil {
 		boot = o.locate(k)
 	}
-	id := int32(len(o.keys))
-	o.keys = append(o.keys, k)
+	id := int32(o.N())
 	o.keysM.push(k)
 	o.adj.push()
 	o.in.push()
-	o.succ = append(o.succ, -1)
-	o.pred = append(o.pred, -1)
 
+	// The newcomer lands after lo (at least two nodes are live); rewire
+	// compares the flanks of lo and the rank after it with their old ones.
 	rs := o.rankM
-	p := rs.insert(rs.seek(k), k, id)
-	o.rewire(rs.prev(p))
-	o.rewire(p)
-	o.rewire(rs.next(p))
+	at := rs.seek(k)
+	lo := rs.prev(at)
+	was := [2][2]int32{o.flanks(lo), o.flanks(rs.next(lo))}
+	p := rs.insert(at, k, id)
+	o.rewire(rs.prev(p), was[0])
+	o.rewire(p, [2]int32{-1, -1})
+	o.rewire(rs.next(p), was[1])
+	f := o.flanks(p)
 	if o.est != nil {
-		o.est.join(o, id, boot)
+		o.est.join(o, id, boot, f)
 	}
 
-	m := o.degree(len(o.keys))
-	o.handover(id)
+	m := o.degree(o.N())
+	o.handover(p, f)
 	o.sampleInto(id, m)
 	if o.watcher != nil {
 		// The newcomer's cell was stolen from its flanks, split at their
 		// former mutual boundary.
 		cell := rs.Cell(o.topo, rs.rank(p))
-		for _, ch := range o.splitCell(true, k, cell, o.pred[id], o.succ[id]) {
+		for _, ch := range o.splitCell(true, k, cell, f) {
 			o.watcher(ch)
 		}
 	}
@@ -377,18 +370,18 @@ func (o *incrementalOverlay) Join(ctx context.Context) error {
 // so each in-link of a flank re-points with probability equal to the
 // stolen share of that range. This is what keeps the newcomer's
 // in-degree (and hence hop quantiles) tracking the full-rebuild
-// baseline instead of decaying under sustained churn.
-func (o *incrementalOverlay) handover(w int32) {
-	p, s := o.pred[w], o.succ[w]
-	for side := 0; side < 2; side++ {
-		v := p
-		if side == 1 {
-			v = s
-		}
-		if v < 0 || v == w || (side == 1 && s == p) {
+// baseline instead of decaying under sustained churn. The newcomer
+// sits at rank position p between its flanks f.
+func (o *incrementalOverlay) handover(p rankPos, f [2]int32) {
+	rs := o.rankM
+	w := rs.slot(p)
+	vfs := [2][2]int32{o.flanks(rs.prev(p)), o.flanks(rs.next(p))} // each flank's flanks
+	for side, v := range f {
+		if v < 0 || (side == 1 && f[1] == f[0]) {
 			continue // missing flank, or a 2-node ring's single flank
 		}
-		frac := o.stolenFrac(v, w)
+		vf := vfs[side]
+		frac := o.stolenFrac(w, v, f, vf)
 		if frac <= 0 {
 			continue
 		}
@@ -401,7 +394,7 @@ func (o *incrementalOverlay) handover(w int32) {
 			if u == w || o.hasLink(u, w) {
 				continue
 			}
-			o.unlink(u, v)
+			o.unlink(u, v, vf)
 			o.addLink(u, w)
 		}
 	}
@@ -410,45 +403,47 @@ func (o *incrementalOverlay) handover(w int32) {
 // stolenFrac returns the fraction of flank v's key-resolution range
 // that newcomer w took over: half the arc between w and v's far
 // boundary, normalised by v's previous range (flanking midpoints, or
-// the interval edge at the line's ends).
-func (o *incrementalOverlay) stolenFrac(v, w int32) float64 {
+// the interval edge at the line's ends). wf and vf hold the flanks of
+// w and v.
+func (o *incrementalOverlay) stolenFrac(w, v int32, wf, vf [2]int32) float64 {
+	key := func(x int32) float64 { return float64(o.Key(int(x))) }
 	// gap is the directed key-space arc from a up to its rank-successor
 	// b — NOT the min-arc Topology.Distance, which would take the
 	// complement of any neighbour gap longer than half the ring
 	// (sparse or heavily skewed populations have such gaps).
 	gap := func(a, b int32) float64 {
-		d := float64(o.keys[b]) - float64(o.keys[a])
+		d := key(b) - key(a)
 		if o.topo == keyspace.Ring {
 			return float64(keyspace.Wrap(d))
 		}
 		return math.Abs(d)
 	}
 	var num, den float64
-	if v == o.pred[w] { // w sits above v: v loses its upper slice
-		if s := o.succ[w]; s >= 0 && s != v { // v's previous upper flank
+	if v == wf[0] { // w sits above v: v loses its upper slice
+		if s := wf[1]; s >= 0 && s != v { // v's previous upper flank
 			num = gap(w, s)
 			den = gap(v, s)
 		} else { // v was the line's top: its range ran to the edge
-			num = 2 - float64(o.keys[v]) - float64(o.keys[w])
-			den = 2 * (1 - float64(o.keys[v]))
+			num = 2 - key(v) - key(w)
+			den = 2 * (1 - key(v))
 		}
-		if p := o.pred[v]; p >= 0 && p != v {
+		if p := vf[0]; p >= 0 && p != v {
 			den += gap(p, v)
 		} else {
-			den += 2 * float64(o.keys[v])
+			den += 2 * key(v)
 		}
 	} else { // w sits below v: v loses its lower slice
-		if p := o.pred[w]; p >= 0 && p != v { // v's previous lower flank
+		if p := wf[0]; p >= 0 && p != v { // v's previous lower flank
 			num = gap(p, w)
 			den = gap(p, v)
 		} else { // v was the line's bottom: its range ran to the edge
-			num = float64(o.keys[v]) + float64(o.keys[w])
-			den = 2 * float64(o.keys[v])
+			num = key(v) + key(w)
+			den = 2 * key(v)
 		}
-		if s := o.succ[v]; s >= 0 && s != v {
+		if s := vf[1]; s >= 0 && s != v {
 			den += gap(v, s)
 		} else {
-			den += 2 * (1 - float64(o.keys[v]))
+			den += 2 * (1 - key(v))
 		}
 	}
 	if den <= 0 {
@@ -468,7 +463,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	n := len(o.keys)
+	n := o.N()
 	if u < 0 || u >= n {
 		return fmt.Errorf("overlaynet: leave of unknown node %d", u)
 	}
@@ -477,7 +472,10 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	}
 	uid := int32(u)
 	rs := o.rankM
-	at, _ := rs.posOf(o.keys[uid], uid)
+	at := o.posOf(uid)
+	// The leaver's flanks, and theirs before the splice changes them.
+	uf := o.flanks(at)
+	was := [2][2]int32{o.flanks(rs.prev(at)), o.flanks(rs.next(at))}
 
 	// Narrate the leaver's cell being bequeathed to its flanks before any
 	// state is torn down (identifier values are captured immediately; the
@@ -485,7 +483,7 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	var changes []OwnershipChange
 	if o.watcher != nil {
 		cell := rs.Cell(o.topo, rs.rank(at))
-		changes = o.splitCell(false, o.keys[uid], cell, o.pred[uid], o.succ[uid])
+		changes = o.splitCell(false, o.Key(u), cell, uf)
 	}
 
 	// The departing node's own links stop existing; for a neighbour it
@@ -500,27 +498,24 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 	o.ins = append(o.ins[:0], o.in.list(uid)...)
 	repair := o.ins
 	for _, w := range repair {
-		o.unlink(w, uid)
+		o.unlink(w, uid, uf)
 	}
 
 	// Splice u out of the rank index; its former flanks become
 	// key-order neighbours of each other.
 	next := rs.remove(at)
-	o.rewire(rs.prev(next))
-	o.rewire(next)
+	o.rewire(rs.prev(next), was[0])
+	o.rewire(next, was[1])
 
 	// Move the last slot into the hole so slots stay dense. Everything
-	// that mentions the old id — rank index, neighbour pointers and rows
-	// of its flanks, rows of its in-neighbours, in-lists of its targets —
-	// is renamed. No row holds u any more, so a rename cannot collide.
+	// that mentions the old id — rank index, rows of its flanks, rows of
+	// its in-neighbours, in-lists of its targets — is renamed. No row
+	// holds u any more, so a rename cannot collide.
 	last := int32(n - 1)
 	if uid != last {
-		o.keys[uid] = o.keys[last]
-		o.keysM.set(int(uid), o.keys[last])
+		lp := o.posOf(last)
+		o.keysM.set(int(uid), o.Key(int(last)))
 		o.in.move(uid, last)
-		o.succ[uid] = o.succ[last]
-		o.pred[uid] = o.pred[last]
-		lp, _ := rs.posOf(o.keys[uid], last)
 		rs.setSlot(lp, uid)
 		o.row = append(o.row[:0], o.adj.Row(int(last))...)
 		o.adj.setRow(int(uid), o.row)
@@ -529,13 +524,10 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 		}
 		// A slot that is both a flank and an in-neighbour is renamed
 		// once: the second editRow finds no last in its row.
-		if p := o.pred[uid]; p >= 0 {
-			o.succ[p] = uid
-			o.editRow(p, last, uid)
-		}
-		if s := o.succ[uid]; s >= 0 {
-			o.pred[s] = uid
-			o.editRow(s, last, uid)
+		for _, x := range o.flanks(lp) {
+			if x >= 0 {
+				o.editRow(x, last, uid)
+			}
 		}
 		for _, w := range o.in.list(uid) {
 			o.editRow(w, last, uid)
@@ -546,12 +538,9 @@ func (o *incrementalOverlay) Leave(ctx context.Context, u int) error {
 			}
 		}
 	}
-	o.keys = o.keys[:n-1]
 	o.keysM.pop()
 	o.adj.pop()
 	o.in.pop()
-	o.succ = o.succ[:n-1]
-	o.pred = o.pred[:n-1]
 	if o.est != nil {
 		o.est.remove(uid)
 	}
@@ -601,16 +590,16 @@ func (o *incrementalOverlay) drawKey() (keyspace.Key, error) {
 func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 	// Without the oracle, a slot draws by mass under its own estimates
 	// of f and N.
-	f, lo := o.link, 1/float64(len(o.keys))
+	f, lo := o.link, 1/float64(o.N())
 	if o.est != nil {
 		f, lo = o.est.fit[u], 1/o.est.size[u]
 	}
-	pos := float64(o.keys[u])
+	pos := float64(o.Key(int(u)))
 	if f != nil {
 		pos = f.CDF(pos)
 	}
 	md, ok := smallworld.NewMeasureDraw(o.topo, pos, o.exponent, lo)
-	rank := o.rankOf(int(u))
+	rank := o.rankM.rank(o.posOf(u))
 	placed, misses := 0, 0 // misses: failed draws since the last placed link
 	for placed < m && misses < maxDrawAttempts {
 		o.draws++
@@ -624,7 +613,7 @@ func (o *incrementalOverlay) sampleInto(u int32, m int) int {
 		}
 		o.addLink(u, v)
 		if o.est != nil {
-			o.est.observe(u, o.keys[v])
+			o.est.observe(u, o.Key(int(v)))
 		}
 		o.placed++
 		placed, misses = placed+1, 0

@@ -38,8 +38,8 @@ func TestSpliceKeepsLongLinkNeighbours(t *testing.T) {
 				var both []pair
 				for x := range o.N() {
 					for _, u := range o.in.list(int32(x)) {
-						if o.pred[u] == int32(x) || o.succ[u] == int32(x) {
-							both = append(both, pair{o.keys[u], o.keys[x]})
+						if f := o.flanks(o.posOf(u)); f[0] == int32(x) || f[1] == int32(x) {
+							both = append(both, pair{o.Key(int(u)), o.Key(x)})
 						}
 					}
 				}
@@ -53,13 +53,13 @@ func TestSpliceKeepsLongLinkNeighbours(t *testing.T) {
 				}
 				checkIncrementalInvariants(t, o)
 				slot := make(map[keyspace.Key]int32, o.N())
-				for u, k := range o.keys {
-					slot[k] = int32(u)
+				for u := range o.N() {
+					slot[o.Key(u)] = int32(u)
 				}
 				for _, p := range both {
 					u, uLive := slot[p.u]
 					x, xLive := slot[p.x]
-					if uLive && xLive && o.pred[u] != x && o.succ[u] != x {
+					if f := o.flanks(o.posOf(u)); uLive && xLive && f[0] != x && f[1] != x {
 						moved++
 					}
 				}

@@ -16,18 +16,18 @@ import (
 
 // checkIncrementalInvariants verifies the full internal consistency of
 // an incremental overlay: the rank index equals the one derived by
-// sorting the live (unique) identifiers, neighbour pointers follow key
-// order, each in-list names valid, distinct in-neighbours other than
-// its own slot and is padded with -1 to a length roomFor keeps, in a
-// store that was never captured, the row blocks of both stores are
-// well formed, and — most importantly — every row the routers read is
-// strictly ascending and equals the slot's neighbours plus the long
+// sorting the live (unique) identifiers, the flanks read from it follow
+// key order, each in-list names valid, distinct in-neighbours other
+// than its own slot and is padded with -1 to a multiple of inRowRound,
+// in a store that was never captured, the row blocks of both stores
+// are well formed, and — most importantly — every row the routers read
+// is strictly ascending and equals the slot's neighbours plus the long
 // links the in-lists record.
 // The last check is what catches a stale row surviving a slot rename,
 // or a long link a splice dropped because it was also a neighbour.
 func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 	t.Helper()
-	n := len(o.keys)
+	n := o.N()
 	if o.rankM.Len() != n || o.in.n != n || o.adj.n != n {
 		t.Fatalf("inconsistent state sizes at n=%d", n)
 	}
@@ -41,21 +41,8 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 		}
 	}
 	for rank, id := range ref.order {
-		wantPred, wantSucc := int32(-1), int32(-1)
-		if o.topo == keyspace.Ring && n > 1 {
-			wantPred = ref.order[(rank-1+n)%n]
-			wantSucc = ref.order[(rank+1)%n]
-		} else {
-			if rank > 0 {
-				wantPred = ref.order[rank-1]
-			}
-			if rank+1 < n {
-				wantSucc = ref.order[rank+1]
-			}
-		}
-		if o.pred[id] != wantPred || o.succ[id] != wantSucc {
-			t.Fatalf("slot %d (rank %d): pred/succ = %d/%d, want %d/%d",
-				id, rank, o.pred[id], o.succ[id], wantPred, wantSucc)
+		if got, want := o.flanks(o.posOf(id)), keyOrderFlanks(o.topo, ref.order, rank); got != want {
+			t.Fatalf("slot %d (rank %d): flanks %v, want %v", id, rank, got, want)
 		}
 	}
 	checkRankFence(t, o.rankM.rankView)
@@ -71,8 +58,8 @@ func checkIncrementalInvariants(t *testing.T, o *incrementalOverlay) {
 			}
 			seen[u] = true
 		}
-		if roomFor(len(row)) != len(row) || slices.ContainsFunc(row[len(ins):], func(x int32) bool { return x != -1 }) {
-			t.Fatalf("in-list row of %d is %v: want its list, then -1 up to a length roomFor keeps", v, row)
+		if len(row)%inRowRound != 0 || slices.ContainsFunc(row[len(ins):], func(x int32) bool { return x != -1 }) {
+			t.Fatalf("in-list row of %d is %v: want its list, then -1 up to a multiple of %d", v, row, inRowRound)
 		}
 	}
 	for _, as := range []*adjStore{o.adj, &o.in.adjStore} {
@@ -157,9 +144,8 @@ func checkAdjBlocks(t *testing.T, v adjView) {
 // TestInListsMatchAppendBuilt: NewIncremental fills the in-lists by
 // counting sort. Each must equal the list that appending the build's
 // long links one at a time, in slot order, gives: the same entries in
-// the same order, and a row as long as that list's capacity, because
-// churn appends to them. roomFor is also checked against one-at-a-time
-// appends past the in-degrees a build reaches.
+// the same order, in a row of roomFor its length, the list rounded up
+// to a multiple of inRowRound.
 func TestInListsMatchAppendBuilt(t *testing.T) {
 	for _, topo := range []keyspace.Topology{keyspace.Ring, keyspace.Line} {
 		opts := Options{N: 1 << 12, Seed: 4, Dist: dist.NewPower(0.7), Topology: topo}
@@ -180,17 +166,11 @@ func TestInListsMatchAppendBuilt(t *testing.T) {
 			}
 		}
 		for v, w := range want {
-			if got, row := o.in.list(int32(v)), o.in.Row(v); !slices.Equal(got, w) || len(row) != cap(w) {
-				t.Fatalf("%v: in-list of %d is %v (row length %d), want %v (cap %d)", topo, v, got, len(row), w, cap(w))
+			got, row := o.in.list(int32(v)), o.in.Row(v)
+			if room := (len(w) + inRowRound - 1) / inRowRound * inRowRound; !slices.Equal(got, w) || len(row) != room {
+				t.Fatalf("%v: in-list of %d is %v (row length %d), want %v (row length %d)", topo, v, got, len(row), w, room)
 			}
 		}
-	}
-	var s []int32
-	for c := 0; c <= 4096; c++ {
-		if roomFor(c) != cap(s) {
-			t.Fatalf("room for %d elements is %d, want %d", c, roomFor(c), cap(s))
-		}
-		s = append(s, 0)
 	}
 }
 
@@ -220,8 +200,7 @@ func TestRankChunksBuiltAtLength(t *testing.T) {
 	if err := o.Join(ctx); err != nil {
 		t.Fatal(err)
 	}
-	u := int32(o.N() - 1)
-	p, _ := o.rankM.posOf(o.keys[u], u)
+	p := o.posOf(int32(o.N() - 1))
 	if ch := o.rankM.chunks[p.c]; cap(ch.keys) != rankChunkCap || cap(ch.slots) != rankChunkCap {
 		t.Fatalf("the first write after a capture left capacities %d and %d, want %d", cap(ch.keys), cap(ch.slots), rankChunkCap)
 	}
@@ -292,7 +271,7 @@ func TestIncrementalInvariantsUnderChurn(t *testing.T) {
 }
 
 // TestCompactMatchesRowByRowFold pins the row blocks to the row-by-row
-// reference — every row rebuilt from pred/succ and the in-lists, and a
+// reference — every row rebuilt from key order and the in-lists, and a
 // flat CSR folded from those rows one by one — at the boundaries where the
 // population shrank below its starting size, grew above it, lost its
 // last slot, and saw no event at all, then across a mixed churn run

@@ -8,31 +8,40 @@ import (
 )
 
 // inListModel drives inLists, the incremental writer's in-list store,
-// against [][]int32 lists with Go's append and swap-delete semantics,
-// the representation the store replaces. After every operation each
-// row's live prefix must equal its model list in order, and the row's
-// length must equal the list's capacity: churn finds room in a row
-// exactly where it would find it in the slice.
+// against [][]int32 lists with append and swap-delete semantics, and
+// tracks each row's room by the rule: a list is laid out in a row of
+// its length rounded up to a multiple of four, an append to a full row
+// grows it by four, and nothing else changes a row's length but a move,
+// which hands the row over whole. After every operation each row's
+// live prefix must equal its model list in order, and the row's length
+// must equal the model's room.
 type inListModel struct {
-	t  *testing.T
-	il *inLists
-	m  [][]int32
+	t    *testing.T
+	il   *inLists
+	m    [][]int32
+	room []int
 }
 
 // newInListModel builds both sides from out-lists, as NewIncremental
 // does: u links every slot in out[u].
 func newInListModel(t *testing.T, out [][]int32) *inListModel {
-	m := &inListModel{t: t, il: newInLists(len(out), func(u int) []int32 { return out[u] }), m: make([][]int32, len(out))}
+	m := &inListModel{t: t, il: newInLists(len(out), func(u int) []int32 { return out[u] }), m: make([][]int32, len(out)), room: make([]int, len(out))}
 	for u, vs := range out {
 		for _, v := range vs {
 			m.m[v] = append(m.m[v], int32(u))
 		}
+	}
+	for v, l := range m.m {
+		m.room[v] = (len(l) + 3) / 4 * 4
 	}
 	return m
 }
 
 func (m *inListModel) add(v, u int32) {
 	m.il.add(v, u)
+	if len(m.m[v]) == m.room[v] {
+		m.room[v] += 4
+	}
 	m.m[v] = append(m.m[v], u)
 }
 
@@ -58,19 +67,19 @@ func (m *inListModel) moveLast(h int32) {
 	last := int32(len(m.m) - 1)
 	if h != last {
 		m.il.move(h, last)
-		m.m[h] = m.m[last]
+		m.m[h], m.room[h] = m.m[last], m.room[last]
 	}
 	m.pop()
 }
 
 func (m *inListModel) push() {
 	m.il.push()
-	m.m = append(m.m, nil)
+	m.m, m.room = append(m.m, nil), append(m.room, 0)
 }
 
 func (m *inListModel) pop() {
 	m.il.pop()
-	m.m = m.m[:len(m.m)-1]
+	m.m, m.room = m.m[:len(m.m)-1], m.room[:len(m.room)-1]
 }
 
 // check compares every row with its model list.
@@ -89,8 +98,8 @@ func (m *inListModel) check() {
 		if !slices.Equal(got, want) {
 			t.Fatalf("in-list %d is %v, want %v", v, got, want)
 		}
-		if len(row) != cap(want) {
-			t.Fatalf("in-list %d of %d entries has a row of %d, want the slice's capacity %d", v, len(want), len(row), cap(want))
+		if len(row) != m.room[v] {
+			t.Fatalf("in-list %d of %d entries has a row of %d, want %d", v, len(want), len(row), m.room[v])
 		}
 		if slices.ContainsFunc(row[len(got):], func(x int32) bool { return x != -1 }) {
 			t.Fatalf("in-list %d: row %v holds more than -1 past its list", v, row)
@@ -195,7 +204,7 @@ func TestInListStoreMatchesSlices(t *testing.T) {
 	m := newInListModel(t, out)
 	m.check()
 	grow := int32(5)
-	for len(m.m[grow]) < cap(m.m[grow]) {
+	for len(m.m[grow]) < m.room[grow] {
 		m.add(grow, 100)
 		m.check()
 	}
@@ -218,8 +227,8 @@ func TestInListStoreMatchesSlices(t *testing.T) {
 	m.check()
 	m.moveLast(hole)
 	m.check()
-	if len(m.il.list(hole)) != 43 || len(m.il.Row(int(hole))) != 64 {
-		t.Fatalf("moved list has %d entries in a row of %d, want 43 in 64", len(m.il.list(hole)), len(m.il.Row(int(hole))))
+	if len(m.il.list(hole)) != 43 || len(m.il.Row(int(hole))) != 44 {
+		t.Fatalf("moved list has %d entries in a row of %d, want 43 in 44", len(m.il.list(hole)), len(m.il.Row(int(hole))))
 	}
 
 	// 17 slots: a pop empties the second block.

@@ -76,7 +76,8 @@ type Overlay interface {
 	// Key returns node u's identifier projected onto the unit key space.
 	Key(u int) keyspace.Key
 	// Keys returns all identifiers, indexed by node. The slice must not
-	// be modified.
+	// be modified. It may be a copy made per call (the incremental
+	// writer's is), so hot paths read Key(u).
 	Keys() []keyspace.Key
 	// Neighbors returns the out-neighbours a query at node u may be
 	// forwarded to. The slice must not be modified; dynamic overlays may

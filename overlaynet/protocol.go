@@ -38,7 +38,7 @@ func init() {
 				// constructor's one global 1/N routes measurably worse
 				// under skew (E11's round 0, E19's estimated row).
 				o.est = newSlotEstimates(o, rng)
-				for u := range o.keys {
+				for u := range o.N() {
 					o.redraw(int32(u))
 				}
 			}
@@ -89,7 +89,7 @@ func (m *messageMeter) add(hops int) {
 // slot drawn from the protocol stream, on the rows before the splice,
 // and returns that slot.
 func (o *incrementalOverlay) locate(k keyspace.Key) int32 {
-	boot := int32(o.msgs.rng.Intn(len(o.keys)))
+	boot := int32(o.msgs.rng.Intn(o.N()))
 	o.msgs.add(o.msgs.r.Route(int(boot), k).Hops)
 	return boot
 }
@@ -134,7 +134,7 @@ func (o *protocolOverlay) Maintain(ctx context.Context) error {
 		return err
 	}
 	w := o.incrementalOverlay
-	for u := range w.keys {
+	for u := range w.N() {
 		if w.est != nil {
 			w.est.refine(w, int32(u))
 		}
@@ -151,9 +151,10 @@ func (o *incrementalOverlay) redraw(u int32) {
 	for _, t := range o.adj.Row(int(u)) {
 		o.in.drop(t, u)
 	}
-	o.row = insertSorted(insertSorted(o.row[:0], o.pred[u]), o.succ[u])
+	f := o.flanks(o.posOf(u))
+	o.row = insertSorted(insertSorted(o.row[:0], f[0]), f[1])
 	o.adj.setRow(int(u), o.row)
-	o.sampleInto(u, o.degree(len(o.keys)))
+	o.sampleInto(u, o.degree(o.N()))
 }
 
 // slotEstimates is each slot's local knowledge when peers do not know
@@ -171,7 +172,7 @@ type slotEstimates struct {
 // newSlotEstimates starts every slot with an empty reservoir: the fit
 // is uniform, the skew-oblivious start.
 func newSlotEstimates(o *incrementalOverlay, rng *xrand.Stream) *slotEstimates {
-	n := len(o.keys)
+	n := o.N()
 	e := &slotEstimates{
 		rng:  rng,
 		seen: make([][]keyspace.Key, n),
@@ -185,14 +186,14 @@ func newSlotEstimates(o *incrementalOverlay, rng *xrand.Stream) *slotEstimates {
 }
 
 // join gives a newcomer its first knowledge: the identifiers of its
-// flanks and of the bootstrap peer its locate route started from.
-func (e *slotEstimates) join(o *incrementalOverlay, id, boot int32) {
+// flanks f and of the bootstrap peer its locate route started from.
+func (e *slotEstimates) join(o *incrementalOverlay, id, boot int32, f [2]int32) {
 	e.seen = append(e.seen, nil)
 	e.fit = append(e.fit, nil)
 	e.size = append(e.size, 0)
-	e.observe(id, o.keys[o.pred[id]])
-	e.observe(id, o.keys[o.succ[id]])
-	e.observe(id, o.keys[boot])
+	e.observe(id, o.Key(int(f[0])))
+	e.observe(id, o.Key(int(f[1])))
+	e.observe(id, o.Key(int(boot)))
 	e.refit(o, id)
 }
 
@@ -226,7 +227,7 @@ func (e *slotEstimates) refine(o *incrementalOverlay, u int32) {
 			row := o.adj.Row(int(cur))
 			cur = row[e.rng.Intn(len(row))]
 		}
-		e.observe(u, o.keys[cur])
+		e.observe(u, o.Key(int(cur)))
 	}
 	o.msgs.add(refineWalks * refineWalkLen)
 	e.refit(o, u)
@@ -237,7 +238,8 @@ func (e *slotEstimates) refine(o *incrementalOverlay, u int32) {
 // expectation (at least 2).
 func (e *slotEstimates) refit(o *incrementalOverlay, u int32) {
 	f := dist.Estimate(e.seen[u], estimateBins)
-	gap := f.CDF(float64(o.keys[o.succ[u]])) - f.CDF(float64(o.keys[o.pred[u]]))
+	nb := o.flanks(o.posOf(u))
+	gap := f.CDF(float64(o.Key(int(nb[1])))) - f.CDF(float64(o.Key(int(nb[0]))))
 	if gap < 0 {
 		gap++
 	}

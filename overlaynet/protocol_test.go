@@ -148,14 +148,15 @@ func TestProtocolInvariants(t *testing.T) {
 				}
 				r := p.NewRouter()
 				rng := xrand.New(17)
+				keys := o.Keys()
 				for q := 0; q < 200; q++ {
 					src, target := rng.Intn(o.N()), keyspace.Key(rng.Float64())
 					res := r.Route(src, target)
-					best := keyspace.Ring.Distance(o.keys[0], target)
-					for _, k := range o.keys {
+					best := keyspace.Ring.Distance(keys[0], target)
+					for _, k := range keys {
 						best = math.Min(best, keyspace.Ring.Distance(k, target))
 					}
-					if !res.Arrived || keyspace.Ring.Distance(o.keys[res.Dest], target) > best {
+					if !res.Arrived || keyspace.Ring.Distance(keys[res.Dest], target) > best {
 						t.Fatalf("%s: route %d->%v ended at %d (%+v), nearest peer is at distance %v",
 							phase, src, target, res.Dest, res, best)
 					}
@@ -167,7 +168,7 @@ func TestProtocolInvariants(t *testing.T) {
 				var fits map[keyspace.Key]*dist.Piecewise
 				if o.est != nil {
 					fits = make(map[keyspace.Key]*dist.Piecewise, o.N())
-					for u, k := range o.keys {
+					for u, k := range o.Keys() {
 						fits[k] = o.est.fit[u]
 					}
 				}
@@ -176,7 +177,7 @@ func TestProtocolInvariants(t *testing.T) {
 				}
 				churnStep(t, p, rng)
 				checkIncrementalInvariants(t, o)
-				for u, k := range o.keys {
+				for u, k := range o.Keys() {
 					if f, ok := fits[k]; ok && o.est.fit[u] != f {
 						t.Fatalf("event %d: slot %d (key %v) holds another peer's estimate", i, u, k)
 					}

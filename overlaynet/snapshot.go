@@ -176,7 +176,7 @@ func NewSnapshot(ov Overlay) *Snapshot {
 	flat := append([]keyspace.Key(nil), ov.Keys()...)
 	s.keys = newKeyView(flat)
 	s.flatKeys.Store(&flat)
-	s.adj = newAdjStore(n, ov.Neighbors).adjView
+	s.adj = newAdjStore(n, ov.Neighbors, 0).adjView
 	s.buildRankIndex(flat)
 	return s
 }

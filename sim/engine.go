@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"slices"
 
 	"smallworld/keyspace"
 	"smallworld/netmodel"
@@ -101,11 +102,14 @@ type Engine struct {
 	arrRNG  []*xrand.Stream // one independent stream per arrival process
 
 	// Routers are invalidated by every membership change (the Dynamic
-	// contract); epoch counts changes and the cached router is rebuilt
-	// lazily on the next query after the epochs diverge.
+	// contract); epoch counts changes, and the cached router and the
+	// identifiers by slot the flights scan (a Dynamic's Keys may copy)
+	// are rebuilt lazily on the next read after the epochs diverge.
 	router      overlaynet.Router
 	routerEpoch uint64
 	epoch       uint64
+	keys        []keyspace.Key
+	keysEpoch   uint64
 
 	msgr overlaynet.Messenger  // nil when the overlay does not meter traffic
 	mnt  overlaynet.Maintainer // nil when the overlay has no maintenance round
@@ -319,8 +323,8 @@ func (e *Engine) LeaveKey(k keyspace.Key) bool {
 		e.rec.rejected()
 		return false
 	}
-	for u, key := range e.ov.Keys() {
-		if key == k {
+	for u := range e.ov.N() {
+		if e.ov.Key(u) == k {
 			return e.leave(u)
 		}
 	}
@@ -373,6 +377,17 @@ func (e *Engine) membershipChanged() {
 	if e.store != nil {
 		e.store.membership()
 	}
+}
+
+// slotKeys returns the overlay's identifiers by slot.
+func (e *Engine) slotKeys() []keyspace.Key {
+	if n := e.ov.N(); e.keys == nil || e.keysEpoch != e.epoch {
+		e.keys, e.keysEpoch = slices.Grow(e.keys[:0], n)[:n], e.epoch
+		for u := range e.keys {
+			e.keys[u] = e.ov.Key(u)
+		}
+	}
+	return e.keys
 }
 
 // fail records the first hard error; context cancellation wins so Run

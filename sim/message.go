@@ -61,16 +61,15 @@ func (e *Engine) startFlight(src int, target keyspace.Key) {
 // flight routes toward the op's locate key and the op executes when
 // the flight arrives.
 func (e *Engine) startFlightOp(src int, target keyspace.Key, op uint8, opSpan float64) {
-	keys := e.ov.Keys()
-	if e.model.Dead(keys[src]) {
+	if e.model.Dead(e.ov.Key(src)) {
 		// A crashed node originates nothing. Redraw a live source a few
 		// times so load keeps flowing; the extra draws only happen under
 		// a fault plane with crashed nodes, where they are part of the
 		// replay format.
 		live := false
 		for tries := 0; tries < 8; tries++ {
-			src = e.loadRNG.Intn(len(keys))
-			if !e.model.Dead(keys[src]) {
+			src = e.loadRNG.Intn(e.ov.N())
+			if !e.model.Dead(e.ov.Key(src)) {
 				live = true
 				break
 			}
@@ -82,7 +81,7 @@ func (e *Engine) startFlightOp(src int, target keyspace.Key, op uint8, opSpan fl
 	fi := e.allocFlight()
 	f := &e.flights[fi]
 	*f = flight{walk: f.walk, start: e.now, active: true, op: op, opKey: target, opSpan: opSpan}
-	f.walk.Begin(e.topo, target, e.sc.Retry, src, keys[src])
+	f.walk.Begin(e.topo, target, e.sc.Retry, src, e.ov.Key(src))
 	f.tr = e.obsSampler.Start(flightOpName(op), src, float64(target), e.now)
 	e.stepFlight(fi)
 }
@@ -136,7 +135,7 @@ func (p *flightPlane) Locate(slot int, key keyspace.Key) (int, bool) {
 	if slot < p.ov.N() && p.ov.Key(slot) == key {
 		return slot, true
 	}
-	for u, k := range p.ov.Keys() {
+	for u, k := range (*Engine)(p).slotKeys() {
 		if k == key {
 			return u, true
 		}
@@ -169,7 +168,7 @@ func (p *flightPlane) Misroute(k keyspace.Key) bool { return p.model.Misroute(k)
 // fault plane.
 func (p *flightPlane) Nearest(target keyspace.Key, live bool) float64 {
 	best := -1.0
-	for _, k := range p.ov.Keys() {
+	for _, k := range (*Engine)(p).slotKeys() {
 		if d := p.topo.Distance(k, target); (best < 0 || d < best) && !(live && p.model.Dead(k)) {
 			best = d
 		}
