@@ -53,11 +53,6 @@ func (c *CSR) Out(u int) []int32 {
 	return c.targets[c.offsets[u]:c.offsets[u+1]]
 }
 
-// RowStart returns the index into the flat edge array where u's row
-// begins: edge j of Out(u) is global edge RowStart(u)+j. Per-edge
-// side tables (e.g. obs link-traffic counters) are addressed this way.
-func (c *CSR) RowStart(u int) int { return int(c.offsets[u]) }
-
 // HasEdge reports whether the directed edge u -> v exists (binary search
 // on the sorted row).
 func (c *CSR) HasEdge(u, v int) bool {

@@ -91,8 +91,8 @@ func TestOutAndDegree(t *testing.T) {
 	if len(g.Out(0)) != 2 || len(g.Out(1)) != 0 {
 		t.Error("out degrees wrong")
 	}
-	if out := g.Out(0); len(out) != 2 || g.RowStart(1) != 2 {
-		t.Errorf("Out(0) = %v, RowStart(1) = %d", out, g.RowStart(1))
+	if out := g.Out(0); out[0] != 1 || out[1] != 3 {
+		t.Errorf("Out(0) = %v, want [1 3]", out)
 	}
 }
 

@@ -22,9 +22,9 @@
 // decision bit-identically, independent of how many nodes exist or in
 // what order they joined. The per-message methods (Send, Misroute) are
 // single-threaded by design — the sim engine is the only caller; the
-// class queries (Dead, Slow, Byzantine, Component, Unreachable,
-// FaultEpoch) are safe from any goroutine, which is what the serving
-// path's Publisher needs.
+// class queries (Dead, Slow, Byzantine, Component, FaultEpoch) are
+// safe from any goroutine, which is what the serving path's Publisher
+// needs.
 package netmodel
 
 import (
@@ -239,19 +239,6 @@ func (m *Model) Byzantine(k keyspace.Key) bool {
 // at, so serving loops can tell a stale mask from a current one. Safe
 // for concurrent use.
 func (m *Model) FaultEpoch() uint64 { return m.epoch.load() }
-
-// Unreachable reports whether a message from the node holding `from`
-// can never reach the node holding `to`: either endpoint dead, or the
-// two in different partition components. Safe for concurrent use.
-func (m *Model) Unreachable(from, to keyspace.Key) bool {
-	if m.Dead(from) || m.Dead(to) {
-		return true
-	}
-	if p := m.part.load(); p != nil {
-		return p.Component(from) != p.Component(to)
-	}
-	return false
-}
 
 // Misroute reports whether a byzantine node holding identifier k
 // hijacks a query arriving at it, forcing the forward to a random

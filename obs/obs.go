@@ -7,13 +7,13 @@
 // # Zero overhead when off, side-channel only when on
 //
 // Every instrumented hot path in this repository (the snapshot routers
-// behind a Publisher, RobustRouter, the store data plane, netmodel
-// sends, sim's message loop) holds an optional *Registry that is nil by
-// default. Disabled instrumentation is one predictable nil-check per
-// query; enabled instrumentation is a handful of uncontended atomic
-// adds — counters are sharded across cache-line-padded cells indexed by
-// a caller-held Hint, so concurrent serving workers never bounce a
-// cache line.
+// and RobustRouter, through the snapshots a Publisher instruments, the
+// store data plane, netmodel sends, sim's message loop) holds an
+// optional *Registry that is nil by default. Disabled instrumentation
+// is one predictable nil-check per query; enabled instrumentation is a
+// handful of uncontended atomic adds — counters are sharded across
+// cache-line-padded cells indexed by a caller-held Hint, so concurrent
+// serving workers never bounce a cache line.
 //
 // Nothing in this package ever consumes a random stream or influences
 // a routing decision: trace sampling is a caller-local modular counter
@@ -115,20 +115,13 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Registry is the preallocated metric families of the repository's
-// planes. All fields are safe for concurrent use; a nil *Registry means
+// planes: counters, gauges and histograms, with nothing to configure.
+// All fields are safe for concurrent use; a nil *Registry means
 // instrumentation is off everywhere it would have been consulted.
 //
 // The name in brackets is the Prometheus metric each family exposes
 // through WriteMetrics / Serve.
 type Registry struct {
-	// TrackLinks enables per-link traffic accumulation on snapshots
-	// published by a Publisher carrying this registry: one counter per
-	// CSR edge, incremented on every routed hop, read back through
-	// Snapshot.LinkTraffic — the input the adaptive-overlay roadmap item
-	// needs. Set it before installing the registry; flipping it later
-	// takes effect at the next publication.
-	TrackLinks bool
-
 	hintCursor atomic.Uint32
 
 	// Routing plane (greedy routers, RobustRouter, sim queries).

@@ -394,16 +394,6 @@ func (v rankView) Cell(t keyspace.Topology, i int) keyspace.Interval {
 	return keyspace.Cell(t, w[:m], self)
 }
 
-// rankOf returns the rank of slot u, whose identifier is k, or -1 when
-// u is not indexed.
-func (v rankView) rankOf(k keyspace.Key, u int32) int {
-	p, ok := v.posOf(k, u)
-	if !ok {
-		return -1
-	}
-	return v.rank(p)
-}
-
 // posOf returns the position of slot u, whose identifier is k. The
 // search lands on the first rank holding k; duplicate identifiers
 // (which only the generic NewSnapshot path can index) are resolved by
@@ -447,7 +437,8 @@ type rankStore struct {
 
 // newRankStore indexes a flat ascending identifier array, byKey[i]
 // held by slot order[i], in owned chunks copied at their length: an
-// insert grows one by append, and capture's clones reserve room.
+// insert into a full chunk, and the first write to a chunk after a
+// capture, give it room by rankRoom.
 func newRankStore(byKey keyspace.Points, order []int32) *rankStore {
 	rs := &rankStore{rankView: newRankView(byKey, order)}
 	rs.owned = make([]bool, len(rs.chunks))
@@ -478,9 +469,14 @@ func (rs *rankStore) rebuildCum(c int) {
 	}
 }
 
+// rankRoom returns the capacity a chunk of n entries is cloned or
+// grown to: an eighth to spare, as the row stores keep, and never past
+// the split threshold.
+func rankRoom(n int) int { return min(n+n/8+1, rankChunkCap) }
+
 func (rs *rankStore) ensureOwned(c int) *rankChunk {
 	if !rs.owned[c] {
-		rs.chunks[c] = rs.chunks[c].clone(rankChunkCap)
+		rs.chunks[c] = rs.chunks[c].clone(rankRoom(len(rs.chunks[c].keys)))
 		rs.owned[c] = true
 	}
 	return rs.chunks[c]
@@ -524,6 +520,10 @@ func (rs *rankStore) insert(p rankPos, k keyspace.Key, slot int32) rankPos {
 		if p.off > mid {
 			p, ch = rankPos{c + 1, p.off - mid}, right
 		}
+	}
+	if n := len(ch.keys); n == cap(ch.keys) {
+		ch.keys = append(make([]keyspace.Key, 0, rankRoom(n)), ch.keys...)
+		ch.slots = append(make([]int32, 0, rankRoom(n)), ch.slots...)
 	}
 	off := p.off
 	ch.keys = append(ch.keys, 0)
@@ -642,22 +642,6 @@ func (v adjView) block(u int) *adjBlock {
 func (v adjView) Row(u int) []int32 {
 	b, i := v.block(u), u&adjBlockMask
 	return b.tgt[b.off[i]:b.off[i+1]]
-}
-
-// blockStarts numbers the edges the way a flat CSR of the same rows
-// would: entry b counts the edges in blocks before b, and the last
-// entry counts them all. rowStart(starts, u)+j is then the number of
-// edge j of Row(u), as in graph.CSR.RowStart.
-func (v adjView) blockStarts() []int32 {
-	starts := make([]int32, (v.n+adjBlockMask)>>adjBlockShift+1)
-	for b := 1; b < len(starts); b++ {
-		starts[b] = starts[b-1] + int32(v.block((b - 1) << adjBlockShift).off[adjBlockLen])
-	}
-	return starts
-}
-
-func (v adjView) rowStart(starts []int32, u int) int {
-	return int(starts[u>>adjBlockShift]) + int(v.block(u).off[u&adjBlockMask])
 }
 
 // csr materialises the rows as one flat CSR, a block at a time.

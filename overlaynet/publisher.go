@@ -57,33 +57,27 @@ type Publisher struct {
 	pending int
 	epoch   uint64
 
-	faults     FaultPlane
-	vantage    keyspace.Key
-	hasVantage bool
+	faults FaultPlane
 
 	// Fault-mask reuse state. A published mask is immutable and may be
 	// pinned by readers on arbitrarily old epochs, so it is never
 	// recycled in place — instead publishLocked SHARES the previous
 	// snapshot's mask object whenever nothing it depends on changed:
-	// the plane's fault epoch, the vantage, and the key population
-	// (checked by chunk-pointer identity of the snapshots' key spines —
-	// chunks are immutable once shared, so pointer-equal spines imply
-	// identical identifiers even when membership events bypassed the
-	// Publisher's own mutators). When only the population changed, the
-	// new mask copies the marks of the pointer-equal chunks and of every
-	// slot still holding its identifier, and asks the plane about the
-	// rest. maskVantage records the vantage the
-	// last-built mask was derived from, maskPlane the SetFaultPlane
-	// installation it read: two distinct planes may report equal fault
-	// epochs, so the epoch alone does not identify the plane.
-	maskVantage    keyspace.Key
-	maskHasVantage bool
-	plane          uint64 // SetFaultPlane installations so far
-	maskPlane      uint64
+	// the plane's fault epoch and the key population (checked by
+	// chunk-pointer identity of the snapshots' key spines — chunks are
+	// immutable once shared, so pointer-equal spines imply identical
+	// identifiers even when membership events bypassed the Publisher's
+	// own mutators). When only the population changed, the new mask
+	// copies the marks of the pointer-equal chunks and of every slot
+	// still holding its identifier, and asks the plane about the rest.
+	// maskPlane records the SetFaultPlane installation the last-built
+	// mask read: two distinct planes may report equal fault epochs, so
+	// the epoch alone does not identify the plane.
+	plane     uint64 // SetFaultPlane installations so far
+	maskPlane uint64
 
-	obsReg    *obs.Registry
-	obsTracer *obs.Tracer
-	obsHint   obs.Hint
+	obs     *obsHooks // attached to every publication; nil when off
+	obsHint obs.Hint
 
 	cur atomic.Pointer[Snapshot]
 }
@@ -97,11 +91,11 @@ const defaultPublishEvery = 64
 // current one. netmodel.Model implements it. Both methods must be safe
 // to call from the publisher's writer side concurrently with readers.
 //
-// The epoch contract: Dead, and ReachabilityPlane's Unreachable, do not
-// change their answer for an identifier (and a vantage) without a
-// FaultEpoch bump. A Publisher relies on it to reuse a mask across
-// publications at one epoch, whole or for every slot whose identifier
-// membership events left in place, without asking the plane again.
+// The epoch contract: Dead does not change its answer for an identifier
+// without a FaultEpoch bump. A Publisher relies on it to reuse a mask
+// across publications at one epoch, whole or for every slot whose
+// identifier membership events left in place, without asking the plane
+// again.
 type FaultPlane interface {
 	// Dead reports whether the node holding identifier k is crashed.
 	Dead(k keyspace.Key) bool
@@ -109,40 +103,19 @@ type FaultPlane interface {
 	FaultEpoch() uint64
 }
 
-// ReachabilityPlane is optionally implemented by fault planes that
-// also know pairwise reachability (partitions). netmodel.Model
-// implements it.
-type ReachabilityPlane interface {
-	FaultPlane
-	// Unreachable reports whether a message from the node holding
-	// `from` can never reach the node holding `to`.
-	Unreachable(from, to keyspace.Key) bool
-}
-
 // SetFaultPlane installs (or, with nil, removes) the fault plane and
 // republishes so the current snapshot carries a fresh mask. Snapshots
 // then skip dead candidates during routing with zero extra
 // allocations. The mask is re-materialised at every publication; after
-// reconfiguring the plane (a partition cut or heal), call Publish to
-// propagate the new epoch immediately rather than waiting for the next
-// membership boundary.
+// reconfiguring the plane, call Publish to propagate the new epoch
+// immediately rather than waiting for the next membership boundary.
+// The mask covers dead nodes only: partitions cut sends inside the
+// Transport, where robust routing pays for them by timing out.
 func (p *Publisher) SetFaultPlane(fp FaultPlane) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.faults = fp
 	p.plane++
-	p.publishLocked()
-}
-
-// SetVantage declares the identifier the publisher itself serves from.
-// With a vantage and a ReachabilityPlane, published masks also cover
-// nodes unreachable *from the vantage* — the far side of a partition —
-// so a partitioned publisher serves exactly the component it can
-// actually reach.
-func (p *Publisher) SetVantage(k keyspace.Key) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.vantage, p.hasVantage = k, true
 	p.publishLocked()
 }
 
@@ -207,8 +180,8 @@ func (p *Publisher) publishLocked() {
 }
 
 // faultMaskLocked returns the fault mask for a snapshot being
-// published. When the plane's inputs are unchanged (installed plane,
-// its fault epoch, vantage), it is the previous snapshot's mask object
+// published. When the plane's inputs are unchanged (installed plane
+// and its fault epoch), it is the previous snapshot's mask object
 // if the membership is unchanged too, and otherwise that mask patched
 // over the key chunks the epoch replaced (patchFaultMask); any other
 // change builds a fresh mask. Sharing keeps the no-change publish path
@@ -218,16 +191,14 @@ func (p *Publisher) publishLocked() {
 // because a published mask is never written again.
 func (p *Publisher) faultMaskLocked(s *Snapshot) *snapFaults {
 	if prev := p.cur.Load(); prev != nil && prev.faults != nil &&
-		p.maskPlane == p.plane && prev.faults.epoch == p.faults.FaultEpoch() &&
-		p.maskVantage == p.vantage && p.maskHasVantage == p.hasVantage {
+		p.maskPlane == p.plane && prev.faults.epoch == p.faults.FaultEpoch() {
 		if equalKeyViews(prev.keys, s.keys) {
 			return prev.faults
 		}
-		return patchFaultMask(prev, s, p.faults, p.vantage, p.hasVantage)
+		return patchFaultMask(prev, s, p.faults)
 	}
-	f := buildFaultMask(s, p.faults, p.vantage, p.hasVantage)
-	p.maskVantage, p.maskHasVantage, p.maskPlane = p.vantage, p.hasVantage, p.plane
-	return f
+	p.maskPlane = p.plane
+	return buildFaultMask(s, p.faults)
 }
 
 // equalKeyViews reports whether two key views hold identical contents,

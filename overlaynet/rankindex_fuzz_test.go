@@ -45,6 +45,16 @@ func (v rankView) NearestExcluding(t keyspace.Topology, x keyspace.Key, self int
 	return i
 }
 
+// rankOf returns the rank of slot u, whose identifier is k, or -1 when
+// u is not indexed.
+func (v rankView) rankOf(k keyspace.Key, u int32) int {
+	p, ok := v.posOf(k, u)
+	if !ok {
+		return -1
+	}
+	return v.rank(p)
+}
+
 // materializeSlots copies the rank→slot mapping into a flat order
 // slice.
 func (v rankView) materializeSlots() []int32 {

@@ -139,12 +139,9 @@ type RobustRouter struct {
 	rng    *xrand.Stream
 	walk   RobustWalk
 
-	// Observability, inherited from the pinned snapshot on Rebind or
-	// pinned directly via SetObs. nil hooks = one nil check per query.
-	hooks     *obsHooks
-	hint      obs.Hint
-	sampler   obs.Sampler
-	obsPinned bool // SetObs was called; Rebind must not override
+	// Observability, bound lazily to the pinned snapshot's hooks. An
+	// uninstrumented snapshot costs one nil check per query.
+	obsBinding
 }
 
 // NewRobustRouter routes over s. The Transport may be nil (a perfect
@@ -165,7 +162,6 @@ func NewRobustRouter(s *Snapshot, tr Transport, pol RobustPolicy, seed uint64) (
 		return nil, fmt.Errorf("overlaynet: robust routing unsupported for delegating snapshot of %q", s.kind)
 	}
 	r := &RobustRouter{snap: s, tr: tr, pol: pol, rng: xrand.New(seed)}
-	r.bindSnapObs(s.obs)
 	if tr != nil {
 		r.oracle, _ = tr.(deadOracle)
 	}
@@ -174,36 +170,7 @@ func NewRobustRouter(s *Snapshot, tr Transport, pol RobustPolicy, seed uint64) (
 
 // Rebind pins the router to a (newer) snapshot, keeping scratch and
 // policy. Allocation-free.
-func (r *RobustRouter) Rebind(s *Snapshot) {
-	r.snap = s
-	if !r.obsPinned && s.obs != r.hooks {
-		r.bindSnapObs(s.obs)
-	}
-}
-
-// SetObs installs instrumentation directly on the router, for
-// snapshots captured outside a Publisher. Pinned hooks survive Rebind;
-// pass (nil, nil) to unpin and fall back to snapshot-carried hooks.
-func (r *RobustRouter) SetObs(reg *obs.Registry, tracer *obs.Tracer) {
-	if reg == nil && tracer == nil {
-		r.hooks, r.obsPinned = nil, false
-		return
-	}
-	r.hooks = &obsHooks{reg: reg, tracer: tracer}
-	r.hint = reg.NextHint()
-	r.sampler = tracer.NewSampler()
-	r.obsPinned = true
-}
-
-// bindSnapObs adopts the hooks a pinned snapshot carries, keeping the
-// hint and sampler across epochs of the same registry/tracer.
-func (r *RobustRouter) bindSnapObs(h *obsHooks) {
-	if h != nil && (r.hooks == nil || h.reg != r.hooks.reg || h.tracer != r.hooks.tracer) {
-		r.hint = h.reg.NextHint()
-		r.sampler = h.tracer.NewSampler()
-	}
-	r.hooks = h
-}
+func (r *RobustRouter) Rebind(s *Snapshot) { r.snap = s }
 
 // Route implements Router: RouteRobust collapsed to the legacy Result
 // shape (degraded delivery still counts as arrived).
@@ -215,7 +182,7 @@ func (r *RobustRouter) Route(src int, target keyspace.Key) Result {
 // RouteRobust routes one query from node src to the peer responsible
 // for target, paying for every fault the Transport injects.
 func (r *RobustRouter) RouteRobust(src int, target keyspace.Key) RobustResult {
-	if r.hooks == nil {
+	if r.snap.obs == nil {
 		return r.routeRobust(src, target, nil)
 	}
 	return r.routeRobustObserved(src, target)
@@ -225,7 +192,10 @@ func (r *RobustRouter) RouteRobust(src int, target keyspace.Key) RobustResult {
 // 1-in-N trace sampling. Outlined from RouteRobust so the
 // uninstrumented path pays one nil check.
 func (r *RobustRouter) routeRobustObserved(src int, target keyspace.Key) RobustResult {
-	h := r.hooks
+	h := r.snap.obs
+	if h != r.hooks {
+		r.bind(h)
+	}
 	trc := r.sampler.Start("robust", src, float64(target), 0)
 	res := r.routeRobust(src, target, trc)
 	if reg := h.reg; reg != nil {
@@ -288,25 +258,20 @@ func (p *snapPlane) Offer(w *RobustWalk, u int) {
 	if s.faults != nil {
 		dead = s.faults.dead
 	}
-	for j, v := range s.adj.Row(u) {
+	for _, v := range s.adj.Row(u) {
 		if dead == nil || !dead[v] {
-			w.Consider(v, int32(j), spine[v>>keyChunkShift][v&keyChunkMask])
+			w.Consider(v, spine[v>>keyChunkShift][v&keyChunkMask])
 		}
 	}
 }
 
-// Send passes the message through the Transport (a nil one delivers
-// everything instantly) and counts a delivered one on its link when
-// the snapshot tracks link traffic.
-func (p *snapPlane) Send(from int, fromKey keyspace.Key, c *RobustCandidate) netmodel.Delivery {
-	var d netmodel.Delivery
-	if p.tr != nil {
-		d = p.tr.Send(fromKey, c.Key)
+// Send passes the message through the Transport; a nil one delivers
+// everything instantly.
+func (p *snapPlane) Send(fromKey keyspace.Key, c *RobustCandidate) netmodel.Delivery {
+	if p.tr == nil {
+		return netmodel.Delivery{}
 	}
-	if h := p.snap.obs; d.Status == netmodel.SendOK && h != nil && h.links != nil {
-		h.countLink(p.snap.adj, from, int(c.Row))
-	}
-	return d
+	return p.tr.Send(fromKey, c.Key)
 }
 
 func (p *snapPlane) Misroute(k keyspace.Key) bool { return p.tr != nil && p.tr.Misroute(k) }

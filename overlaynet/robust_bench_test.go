@@ -46,9 +46,10 @@ var robustConfigs = []robustConfig{
 }
 
 // BenchmarkRouteRobustObs is BenchmarkRouteRobust's loss=5% row under
-// the observability plane: counters pins a registry on the router,
-// tracing adds the 1-in-128 sampling gate. Same acceptance bar as
-// BenchmarkRouteGreedyObs — ≤5% over off, 0 allocs/op in every mode.
+// the observability plane: counters routes over a snapshot a Publisher
+// instrumented with a registry, tracing adds the 1-in-128 sampling
+// gate. Same acceptance bar as BenchmarkRouteGreedyObs — ≤5% over off,
+// 0 allocs/op in every mode.
 func BenchmarkRouteRobustObs(b *testing.B) {
 	for _, mode := range []string{"off", "counters", "tracing"} {
 		b.Run(mode, func(b *testing.B) {
@@ -114,7 +115,9 @@ func TestRouteRobustZeroAlloc(t *testing.T) {
 
 // robustWorkload builds a skewed ring of n nodes, a RobustRouter over
 // its snapshot behind a netmodel plane built from cfg (nil transport
-// for the zero config), and 4096 queries from live sources.
+// for the zero config), and 4096 queries from live sources. The
+// snapshot carries the plane's mask when mask is set, and reg and
+// tracer when either is not nil, both published by a Publisher.
 func robustWorkload(tb testing.TB, n int, cfg netmodel.Config, mask bool, reg *obs.Registry, tracer *obs.Tracer) (*overlaynet.RobustRouter, []int, []keyspace.Key) {
 	ctx := context.Background()
 	dyn, err := overlaynet.NewIncremental(ctx, "smallworld-skewed", overlaynet.Options{
@@ -132,20 +135,20 @@ func robustWorkload(tb testing.TB, n int, cfg netmodel.Config, mask bool, reg *o
 		tr = m
 	}
 	snap := overlaynet.NewSnapshot(dyn)
-	if mask {
+	if mask || reg != nil || tracer != nil {
 		pub, err := overlaynet.NewPublisher(dyn)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		pub.SetFaultPlane(m)
+		if mask {
+			pub.SetFaultPlane(m)
+		}
+		pub.SetObs(reg, tracer)
 		snap = pub.Snapshot()
 	}
 	rr, err := overlaynet.NewRobustRouter(snap, tr, overlaynet.RobustPolicy{}, 3)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	if reg != nil || tracer != nil {
-		rr.SetObs(reg, tracer)
 	}
 	rng := xrand.New(21)
 	srcs := make([]int, 4096)

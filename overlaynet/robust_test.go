@@ -289,56 +289,6 @@ func TestPublisherFaultMask(t *testing.T) {
 	}
 }
 
-// Partition-aware serving: with a vantage set, the published mask
-// covers the far component; after healing and republishing it serves
-// everyone again.
-func TestPublisherPartitionVantage(t *testing.T) {
-	ctx := context.Background()
-	dyn, err := NewIncremental(ctx, "smallworld-uniform", Options{N: 128, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := NewPublisher(dyn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := netmodel.New(netmodel.Config{}, 37)
-	pub.SetFaultPlane(m)
-	pub.SetVantage(0.1) // component 0 under the cut below
-
-	if err := m.SetPartition(netmodel.Partition{Cuts: []float64{0.25, 0.75}}); err != nil {
-		t.Fatal(err)
-	}
-	snap := pub.Publish()
-	farMasked, nearMasked := 0, 0
-	far := 0
-	for u := 0; u < snap.N(); u++ {
-		if m.Component(snap.Key(u)) != 0 {
-			far++
-			if snap.Dead(u) {
-				farMasked++
-			}
-		} else if snap.Dead(u) {
-			nearMasked++
-		}
-	}
-	if far == 0 {
-		t.Fatal("no far-component nodes; test is vacuous")
-	}
-	if farMasked != far {
-		t.Errorf("far component: %d/%d masked, want all", farMasked, far)
-	}
-	if nearMasked != 0 {
-		t.Errorf("%d own-component nodes masked", nearMasked)
-	}
-
-	m.Heal()
-	snap = pub.Publish()
-	if snap.DeadCount() != 0 {
-		t.Errorf("%d nodes still masked after heal+publish", snap.DeadCount())
-	}
-}
-
 // The fault-injected serve path under -race: readers route against
 // published snapshots (mask included) while one writer churns and
 // another cuts/heals partitions. No Transport is shared — the mask is
@@ -355,7 +305,6 @@ func TestServeFaultInjectedRace(t *testing.T) {
 	}
 	m, _ := netmodel.New(netmodel.Config{DeadFrac: 0.1}, 41)
 	pub.SetFaultPlane(m)
-	pub.SetVantage(0.5)
 
 	const queriesPerReader = 2000
 	var wg sync.WaitGroup
@@ -419,14 +368,24 @@ func TestServeFaultInjectedRace(t *testing.T) {
 // A byzantine detour target is not a candidate: its span records rank
 // -1, while every hop and timeout span ranks a real candidate.
 func TestRobustHijackSpanRank(t *testing.T) {
-	s := robustSnapshot(t, 256)
+	// robustSnapshot's overlay, served by a Publisher that traces every
+	// query.
+	dyn, err := NewIncremental(context.Background(), "smallworld-uniform", Options{N: 256, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(obs.TracerConfig{Sample: 1, Keep: 400})
+	pub.SetObs(nil, tracer)
+	s := pub.Snapshot()
 	m, _ := netmodel.New(netmodel.Config{Loss: 0.05, ByzantineFrac: 0.2}, 61)
 	rr, err := NewRobustRouter(s, m, RobustPolicy{}, 67)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(obs.TracerConfig{Sample: 1, Keep: 400})
-	rr.SetObs(nil, tracer)
 	srcs, targets := robustPairs(s, 71, 400)
 	for i := range srcs {
 		rr.RouteRobust(srcs[i], targets[i])

@@ -36,8 +36,6 @@ type RobustCandidate struct {
 	// Slot is the node's slot; a plane whose slots churn re-pins it
 	// by Key before sending.
 	Slot int32
-	// Row is the node's position in the holder's out-row.
-	Row int32
 	// Key is the node's identifier, its durable name.
 	Key keyspace.Key
 	// Dist is the node's distance to the target.
@@ -59,9 +57,9 @@ type RobustPlane interface {
 	// Offer passes w.Consider each entry of u's out-row the query may
 	// be sent to: all of them, or those not known dead.
 	Offer(w *RobustWalk, u int)
-	// Send passes one message from the node at slot from (identifier
-	// fromKey) to c and reports its fate. It may re-pin c.Slot.
-	Send(from int, fromKey keyspace.Key, c *RobustCandidate) netmodel.Delivery
+	// Send passes one message from the node holding fromKey to c and
+	// reports its fate. It may re-pin c.Slot.
+	Send(fromKey keyspace.Key, c *RobustCandidate) netmodel.Delivery
 	// Misroute reports whether the node holding key hijacks a query
 	// arriving at it (byzantine forwarding).
 	Misroute(key keyspace.Key) bool
@@ -114,13 +112,13 @@ func (w *RobustWalk) Begin(topo keyspace.Topology, target keyspace.Key, pol Robu
 	}
 }
 
-// Consider offers entry row of the holder's out-row, the node at slot
+// Consider offers an entry of the holder's out-row, the node at slot
 // with identifier key, as a candidate. It keeps the entry when it is
 // no farther from the target than the holder — Improves' first test,
 // which rejects the common case inline — and rank applies the rest.
-func (w *RobustWalk) Consider(slot, row int32, key keyspace.Key) {
+func (w *RobustWalk) Consider(slot int32, key keyspace.Key) {
 	if d := w.topo.Distance(key, w.target); d <= w.dist {
-		w.cands = append(w.cands, RobustCandidate{Slot: slot, Row: row, Key: key, Dist: d})
+		w.cands = append(w.cands, RobustCandidate{Slot: slot, Key: key, Dist: d})
 	}
 }
 
@@ -177,7 +175,7 @@ func (w *RobustWalk) Step(p RobustPlane, rng *xrand.Stream, at float64, trc *obs
 		w.ci, w.attempt, w.backoff, w.sawLost = 0, 0, backoffBase, false
 	}
 	c := &w.cands[w.ci]
-	d := p.Send(w.slot, w.key, c)
+	d := p.Send(w.key, c)
 	if d.Status == netmodel.SendOK {
 		trc.Hop(at, d.Latency, c.Slot, w.ci, w.attempt, obs.SpanHop, c.Dist)
 		w.advance(c)
@@ -219,10 +217,10 @@ func (w *RobustWalk) detour(p RobustPlane, rng *xrand.Stream, at float64, trc *o
 		j := rng.Intn(len(row))
 		key := p.Key(int(row[j]))
 		w.cands = append(w.cands[:0], RobustCandidate{
-			Slot: row[j], Row: int32(j), Key: key, Dist: w.topo.Distance(key, w.target),
+			Slot: row[j], Key: key, Dist: w.topo.Distance(key, w.target),
 		})
 		c := &w.cands[0]
-		if d := p.Send(w.slot, w.key, c); d.Status == netmodel.SendOK {
+		if d := p.Send(w.key, c); d.Status == netmodel.SendOK {
 			trc.Hop(at, d.Latency, c.Slot, -1, 0, obs.SpanHijack, c.Dist)
 			w.degraded = true
 			w.advance(c)

@@ -28,12 +28,12 @@ func (p *scriptPlane) Neighbors(u int) []int32                     { return p.ro
 func (p *scriptPlane) Locate(slot int, _ keyspace.Key) (int, bool) { return slot, true }
 func (p *scriptPlane) Misroute(k keyspace.Key) bool                { return p.byz >= 0 && k == p.keys[p.byz] }
 func (p *scriptPlane) Offer(w *RobustWalk, u int) {
-	for j, v := range p.rows[u] {
-		w.Consider(v, int32(j), p.keys[v])
+	for _, v := range p.rows[u] {
+		w.Consider(v, p.keys[v])
 	}
 }
 
-func (p *scriptPlane) Send(_ int, _ keyspace.Key, c *RobustCandidate) netmodel.Delivery {
+func (p *scriptPlane) Send(_ keyspace.Key, c *RobustCandidate) netmodel.Delivery {
 	p.sent = append(p.sent, c.Slot)
 	st := p.fates[0]
 	p.fates = p.fates[1:]

@@ -57,8 +57,8 @@ func BenchmarkServeUnderChurn(b *testing.B) {
 // BenchmarkServeUnderChurnObs is the serve-while-churning configuration
 // (N=4096, 4 workers, churn on) under the observability plane: the
 // publisher carries a registry (and, in the tracing mode, a 1-in-128
-// sampled tracer), so every snapshot the workers pin counts queries,
-// hops and link traffic. Acceptance: within 5% of the uninstrumented
+// sampled tracer), so every snapshot the workers pin counts queries
+// and hops. Acceptance: within 5% of the uninstrumented
 // row and still 0 allocs/query beyond the writer's repair allocations.
 func BenchmarkServeUnderChurnObs(b *testing.B) {
 	const churnInterval = 200 * time.Microsecond

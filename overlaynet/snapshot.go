@@ -47,16 +47,15 @@ type Snapshot struct {
 	src Overlay
 
 	// faults, when non-nil, is the fault mask materialised at capture
-	// time from the Publisher's FaultPlane: which slots were dead (or
-	// unreachable from the publisher's vantage) as of the recorded
-	// fault epoch. Immutable like everything else in the snapshot, so
-	// SnapshotRouters skip dead candidates with one indexed load and
-	// zero allocations.
+	// time from the Publisher's FaultPlane: which slots were dead as of
+	// the recorded fault epoch. Immutable like everything else in the
+	// snapshot, so SnapshotRouters skip dead candidates with one indexed
+	// load and zero allocations.
 	faults *snapFaults
 
 	// obs, when non-nil, is the instrumentation attached by a Publisher
-	// carrying a registry/tracer (see obs.go). The hooks' counters are
-	// the only mutable state reachable from a snapshot — updated
+	// carrying a registry/tracer (see obs.go). The registry's counters
+	// are the only mutable state reachable from a snapshot — updated
 	// atomically, read only by scrapers, and never consulted by routing
 	// decisions.
 	obs *obsHooks
@@ -70,23 +69,21 @@ type snapFaults struct {
 }
 
 // buildFaultMask materialises fp's current view over s's population.
-// With a vantage, nodes the plane reports unreachable from it (the far
-// side of a partition) are masked too — partition-aware serving.
-func buildFaultMask(s *Snapshot, fp FaultPlane, vantage keyspace.Key, hasVantage bool) *snapFaults {
-	return patchFaultMask(nil, s, fp, vantage, hasVantage)
+func buildFaultMask(s *Snapshot, fp FaultPlane) *snapFaults {
+	return patchFaultMask(nil, s, fp)
 }
 
 // patchFaultMask is buildFaultMask given prev, the snapshot published
 // before s, whose mask (when prev is not nil) fp drew at its current
-// fault epoch with the same vantage. The plane's answers then depend
-// only on the identifiers (the FaultPlane contract), so the marks of
-// every key chunk s shares with prev, pointer for pointer, are copied;
-// in a chunk the epoch replaced, a slot that holds the identifier it
-// held in prev keeps its mark, and the plane is asked only about the
-// others. The dead count moves by those slots' marks alone. The patched
-// mask keeps prev's epoch, so a bump during the patch leaves it stamped
-// stale and the next publication builds a whole one.
-func patchFaultMask(prev *Snapshot, s *Snapshot, fp FaultPlane, vantage keyspace.Key, hasVantage bool) *snapFaults {
+// fault epoch. The plane's answers then depend only on the identifiers
+// (the FaultPlane contract), so the marks of every key chunk s shares
+// with prev, pointer for pointer, are copied; in a chunk the epoch
+// replaced, a slot that holds the identifier it held in prev keeps its
+// mark, and the plane is asked only about the others. The dead count
+// moves by those slots' marks alone. The patched mask keeps prev's
+// epoch, so a bump during the patch leaves it stamped stale and the
+// next publication builds a whole one.
+func patchFaultMask(prev *Snapshot, s *Snapshot, fp FaultPlane) *snapFaults {
 	n := s.keys.n
 	f := &snapFaults{dead: make([]bool, n)}
 	var old keyView
@@ -96,7 +93,6 @@ func patchFaultMask(prev *Snapshot, s *Snapshot, fp FaultPlane, vantage keyspace
 	} else {
 		f.epoch = fp.FaultEpoch()
 	}
-	rp, _ := fp.(ReachabilityPlane)
 	for lo := 0; lo < max(n, old.n); lo += keyChunkLen {
 		j, hi := lo>>keyChunkShift, lo+keyChunkLen
 		var a, b *keyChunk // chunk j of prev and of s, nil past a spine
@@ -122,7 +118,7 @@ func patchFaultMask(prev *Snapshot, s *Snapshot, fp FaultPlane, vantage keyspace
 					f.n--
 				}
 			}
-			if fp.Dead(k) || (hasVantage && rp != nil && rp.Unreachable(vantage, k)) {
+			if fp.Dead(k) {
 				f.dead[u] = true
 				f.n++
 			}
@@ -261,9 +257,7 @@ func (s *Snapshot) Neighbors(u int) []int32 { return s.adj.Row(u) }
 func (s *Snapshot) Stats() Stats { return statsOf(s) }
 
 // CSR copies the frozen rows into a fresh flat CSR for analysis
-// callers: O(N+M) time and memory on every call, never cached. Edge j
-// of u's row is its edge RowStart(u)+j, the numbering LinkTraffic
-// uses.
+// callers: O(N+M) time and memory on every call, never cached.
 func (s *Snapshot) CSR() *graph.CSR { return s.adj.csr() }
 
 // Responsible returns the slot whose identifier is nearest to target
@@ -295,12 +289,10 @@ type SnapshotRouter struct {
 	inner   Router    // delegated router, for snapshots with a src
 	innerOf *Snapshot // snapshot the inner router was built for
 
-	// Observability state, bound lazily to the pinned snapshot's hooks
-	// (see bindObs). All nil/zero — and one pointer compare per Route —
-	// when serving an uninstrumented snapshot.
-	hooks   *obsHooks
-	hint    obs.Hint
-	sampler obs.Sampler
+	// Observability state, bound lazily to the pinned snapshot's hooks.
+	// All nil/zero — and one nil check per Route — when serving an
+	// uninstrumented snapshot.
+	obsBinding
 }
 
 // Rebind pins the router to a (newer) snapshot. Allocation-free (for
@@ -337,8 +329,8 @@ func (r *SnapshotRouter) route(src int, target keyspace.Key, tr *obs.Trace) Resu
 	}
 	if s.src != nil {
 		// Delegated walk: queries/hops/outcomes still count in
-		// routeObserved, but hop spans and link traffic exist only on
-		// the walk below — the source router is opaque here.
+		// routeObserved, but hop spans exist only on the walk below —
+		// the source router is opaque here.
 		if r.innerOf != s {
 			r.inner = s.src.NewRouter()
 			r.innerOf = s
@@ -354,7 +346,7 @@ func (r *SnapshotRouter) route(src int, target keyspace.Key, tr *obs.Trace) Resu
 func (r *SnapshotRouter) routeObserved(src int, target keyspace.Key) Result {
 	h := r.s.obs
 	if h != r.hooks {
-		r.bindObs(h)
+		r.bind(h)
 	}
 	tr := r.sampler.Start("route", src, float64(target), 0)
 	res := r.route(src, target, tr)
@@ -377,27 +369,10 @@ func (r *SnapshotRouter) routeObserved(src int, target keyspace.Key) Result {
 	return res
 }
 
-// bindObs (re)binds the router's shard hint and trace sampler when the
-// pinned snapshot's hooks change. A new epoch from the same Publisher
-// reuses hint and sampler (same registry/tracer); only switching to a
-// different registry re-draws them.
-func (r *SnapshotRouter) bindObs(h *obsHooks) {
-	if h != nil && (r.hooks == nil || h.reg != r.hooks.reg || h.tracer != r.hooks.tracer) {
-		r.hint = h.reg.NextHint()
-		r.sampler = h.tracer.NewSampler()
-	}
-	r.hooks = h
-}
-
 // walk is the snapshot's greedy route loop: step until no live
-// neighbour improves, counting traversed links when the snapshot is
-// instrumented and appending hop spans to tr when it is sampled.
+// neighbour improves, appending hop spans to tr when it is sampled.
 func (r *SnapshotRouter) walk(src int, target keyspace.Key, tr *obs.Trace) Result {
 	s := r.s
-	var links *obsHooks
-	if s.obs != nil && s.obs.links != nil {
-		links = s.obs
-	}
 	cur := src
 	dCur := s.topo.Distance(s.keys.At(cur), target)
 	guard := s.GreedyGuard()
@@ -406,9 +381,6 @@ func (r *SnapshotRouter) walk(src int, target keyspace.Key, tr *obs.Trace) Resul
 		best, bestD, bestJ := s.step(cur, dCur, target)
 		if best == -1 {
 			break
-		}
-		if links != nil {
-			links.countLink(s.adj, cur, bestJ)
 		}
 		tr.Hop(float64(hops), 1, int32(best), bestJ, 0, obs.SpanHop, bestD)
 		cur, dCur = best, bestD

@@ -212,8 +212,8 @@ func (e *Engine) bootstrap() {
 		e.push(event{at: e.loadRNG.ExpFloat64() / e.sc.Load.Rate, kind: evQuery})
 	}
 	e.push(event{at: e.sc.Window, kind: evWindow})
-	if e.store != nil && e.store.cfg.SweepEvery > 0 {
-		e.push(event{at: e.store.cfg.SweepEvery, kind: evSweep})
+	if e.store != nil {
+		e.push(event{at: e.sc.Window, kind: evSweep})
 	}
 }
 
@@ -248,7 +248,7 @@ func (e *Engine) dispatch(ev event) {
 	case evSweep:
 		if e.store != nil && e.err == nil {
 			e.store.st.Sweep()
-			if next := e.now + e.store.cfg.SweepEvery; next <= e.sc.Duration {
+			if next := e.now + e.sc.Window; next <= e.sc.Duration {
 				e.push(event{at: next, kind: evSweep})
 			}
 		}

@@ -146,14 +146,14 @@ func (p *flightPlane) Locate(slot int, key keyspace.Key) (int, bool) {
 // Offer passes every out-neighbour: flights learn about dead peers only
 // by timing out on them.
 func (p *flightPlane) Offer(w *overlaynet.RobustWalk, u int) {
-	for j, v := range p.ov.Neighbors(u) {
-		w.Consider(v, int32(j), p.ov.Key(int(v)))
+	for _, v := range p.ov.Neighbors(u) {
+		w.Consider(v, p.ov.Key(int(v)))
 	}
 }
 
 // Send re-pins the candidate first: one that departed since selection
 // stays unreachable without a send.
-func (p *flightPlane) Send(_ int, fromKey keyspace.Key, c *overlaynet.RobustCandidate) netmodel.Delivery {
+func (p *flightPlane) Send(fromKey keyspace.Key, c *overlaynet.RobustCandidate) netmodel.Delivery {
 	u, ok := p.Locate(int(c.Slot), c.Key)
 	if !ok {
 		return netmodel.Delivery{Status: netmodel.SendUnreachable}

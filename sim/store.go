@@ -51,16 +51,6 @@ type StoreScenario struct {
 	// ScanFrac is the fraction of storage ops that are range scans.
 	// Default 0.10. The remainder are gets.
 	ScanFrac float64
-	// ScanSpan is the key-space width of each scan interval. Default
-	// 0.02. Ignored in Chunks mode (scans cover chunk runs).
-	ScanSpan float64
-	// SweepEvery schedules the anti-entropy Sweep backstop every this
-	// many virtual-time units. 0 means once per metrics window; a
-	// negative value disables sweeping.
-	SweepEvery float64
-	// Preload writes this many keys before the clock starts, so reads
-	// and scans have data from t=0. Default 256; negative disables.
-	Preload int
 	// Chunks switches to the sequential-chunk workload: large objects
 	// split into ChunkCount adjacent chunk keys, written and read in
 	// order with a hot-object skew, occasional seek storms, and scans
@@ -73,14 +63,21 @@ type StoreScenario struct {
 	// SeekFrac is the probability a read jumps to a random position
 	// (a seek) instead of continuing sequentially. Default 0.15.
 	SeekFrac float64
-	// ScanChunks is how many consecutive chunks one scan covers.
-	// Default 8.
-	ScanChunks int
 }
 
+// The storage workload's fixed shape. Before the clock starts the store
+// is preloaded with storePreload keys, so reads and scans have data from
+// t=0; a scan covers storeScanSpan of the key space, or storeScanChunks
+// consecutive chunks in Chunks mode; and the anti-entropy Sweep backstop
+// runs once per metrics window.
+const (
+	storePreload    = 256
+	storeScanSpan   = 0.02
+	storeScanChunks = 8
+)
+
 // withDefaults resolves zero-valued fields to their documented
-// defaults. SweepEvery's window default is resolved by the engine
-// (it needs the scenario's Window).
+// defaults.
 func (c StoreScenario) withDefaults() StoreScenario {
 	if c.Replicas == 0 {
 		c.Replicas = store.DefaultReplicas
@@ -100,15 +97,6 @@ func (c StoreScenario) withDefaults() StoreScenario {
 	if c.ScanFrac < 0 {
 		c.ScanFrac = 0
 	}
-	if c.ScanSpan == 0 {
-		c.ScanSpan = 0.02
-	}
-	if c.Preload == 0 {
-		c.Preload = 256
-	}
-	if c.Preload < 0 {
-		c.Preload = 0
-	}
 	if c.Objects <= 0 {
 		c.Objects = 64
 	}
@@ -121,9 +109,6 @@ func (c StoreScenario) withDefaults() StoreScenario {
 	if c.SeekFrac < 0 {
 		c.SeekFrac = 0
 	}
-	if c.ScanChunks <= 0 {
-		c.ScanChunks = 8
-	}
 	return c
 }
 
@@ -135,9 +120,7 @@ func (c StoreScenario) validate() error {
 	}{
 		{"write frac", c.WriteFrac},
 		{"scan frac", c.ScanFrac},
-		{"scan span", c.ScanSpan},
 		{"seek frac", c.SeekFrac},
-		{"sweep every", c.SweepEvery},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return errStoreField(f.name, f.v)
@@ -148,9 +131,6 @@ func (c StoreScenario) validate() error {
 	}
 	if c.WriteFrac+c.ScanFrac > 1 {
 		return errStoreField("write+scan frac", c.WriteFrac+c.ScanFrac)
-	}
-	if c.ScanSpan < 0 || c.ScanSpan >= 1 {
-		return errStoreField("scan span", c.ScanSpan)
 	}
 	return nil
 }
@@ -228,9 +208,6 @@ type storeState struct {
 // the fault plane (if any) exists, so stream assignment stays fixed.
 func (e *Engine) initStore() {
 	cfg := e.sc.Store.withDefaults()
-	if cfg.SweepEvery == 0 {
-		cfg.SweepEvery = e.sc.Window
-	}
 	ss := &storeState{
 		cfg:    cfg,
 		rng:    xrand.New(e.sc.Seed ^ storeSeedSalt),
@@ -268,7 +245,7 @@ func (e *Engine) initStore() {
 // no locate hops and are not recorded as queries, but they do enter the
 // durability oracle.
 func (ss *storeState) preload(e *Engine) {
-	for i := 0; i < ss.cfg.Preload; i++ {
+	for i := 0; i < storePreload; i++ {
 		var k keyspace.Key
 		if ss.cfg.Chunks {
 			obj := i % ss.cfg.Objects
@@ -375,7 +352,7 @@ func (ss *storeState) drawOp(target keyspace.Key) (op uint8, key keyspace.Key, s
 		}
 		return op, target, 0
 	case opScan:
-		return op, target, ss.cfg.ScanSpan
+		return op, target, storeScanSpan
 	}
 	return op, target, 0
 }
@@ -406,7 +383,7 @@ func (ss *storeState) drawChunkOp(op uint8) (uint8, keyspace.Key, float64) {
 	case opScan:
 		obj := ss.hotObject()
 		j := ss.rng.Intn(cfg.ChunkCount)
-		return opScan, ss.chunkKey(obj, j), float64(cfg.ScanChunks) * chunkSpacing
+		return opScan, ss.chunkKey(obj, j), storeScanChunks * chunkSpacing
 	}
 	// Sequential read; a seek jumps the head to a random hot position.
 	if ss.rng.Float64() < cfg.SeekFrac {
