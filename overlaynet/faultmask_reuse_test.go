@@ -172,135 +172,139 @@ func (c *countingPlane) Dead(k keyspace.Key) bool {
 // plane swap asks about every slot again.
 func TestFaultMaskPatch(t *testing.T) {
 	ctx := context.Background()
-	dyn, err := NewIncremental(ctx, "smallworld-uniform", Options{N: 3000, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := NewPublisher(dyn, PublishEvery(1<<30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := netmodel.New(netmodel.Config{DeadFrac: 0.1}, 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetPartition(netmodel.Partition{Cuts: []float64{0.3, 0.7}}); err != nil {
-		t.Fatal(err)
-	}
-	fp := &countingPlane{Model: m}
-	pub.SetFaultPlane(fp)
-
-	// publish publishes, checks the mask against a full build, and
-	// returns how many slots the plane was asked about.
-	publish := func(step string) int {
-		t.Helper()
-		fp.asked = 0
-		s := pub.Publish()
-		asked := fp.asked
-		want := buildFaultMask(s, m)
-		if s.faults.epoch != want.epoch || s.faults.n != want.n || !slices.Equal(s.faults.dead, want.dead) {
-			t.Fatalf("%s: mask (epoch %d, %d dead) differs from a full build (epoch %d, %d dead)",
-				step, s.faults.epoch, s.faults.n, want.epoch, want.n)
+	// Masks take no vantage: a slot is masked exactly when the plane
+	// reports its identifier dead.
+	t.Run("vantage=false", func(t *testing.T) {
+		dyn, err := NewIncremental(ctx, "smallworld-uniform", Options{N: 3000, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return asked
-	}
-	// changed counts the slots of s that prev did not have or held
-	// another identifier in.
-	changed := func(prev, s *Snapshot) int {
-		count := 0
-		for u := 0; u < s.N(); u++ {
-			if u >= prev.N() || math.Float64bits(float64(prev.Key(u))) != math.Float64bits(float64(s.Key(u))) {
-				count++
+		pub, err := NewPublisher(dyn, PublishEvery(1<<30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := netmodel.New(netmodel.Config{DeadFrac: 0.1}, 37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetPartition(netmodel.Partition{Cuts: []float64{0.3, 0.7}}); err != nil {
+			t.Fatal(err)
+		}
+		fp := &countingPlane{Model: m}
+		pub.SetFaultPlane(fp)
+
+		// publish publishes, checks the mask against a full build, and
+		// returns how many slots the plane was asked about.
+		publish := func(step string) int {
+			t.Helper()
+			fp.asked = 0
+			s := pub.Publish()
+			asked := fp.asked
+			want := buildFaultMask(s, m)
+			if s.faults.epoch != want.epoch || s.faults.n != want.n || !slices.Equal(s.faults.dead, want.dead) {
+				t.Fatalf("%s: mask (epoch %d, %d dead) differs from a full build (epoch %d, %d dead)",
+					step, s.faults.epoch, s.faults.n, want.epoch, want.n)
+			}
+			return asked
+		}
+		// changed counts the slots of s that prev did not have or held
+		// another identifier in.
+		changed := func(prev, s *Snapshot) int {
+			count := 0
+			for u := 0; u < s.N(); u++ {
+				if u >= prev.N() || math.Float64bits(float64(prev.Key(u))) != math.Float64bits(float64(s.Key(u))) {
+					count++
+				}
+			}
+			return count
+		}
+		events := 0
+		join := func() {
+			if err := pub.Join(ctx); err != nil {
+				t.Fatal(err)
+			}
+			events++
+		}
+		leave := func(u int) {
+			if err := pub.Leave(ctx, u); err != nil {
+				t.Fatal(err)
+			}
+			events++
+		}
+		patched := func(step string, apply func()) {
+			t.Helper()
+			prev := pub.Snapshot()
+			events = 0
+			apply()
+			asked := publish(step)
+			if want := changed(prev, pub.Snapshot()); asked != want || asked > events {
+				t.Fatalf("%s: plane asked about %d slots after %d events, want the %d that changed identifier", step, asked, events, want)
 			}
 		}
-		return count
-	}
-	events := 0
-	join := func() {
-		if err := pub.Join(ctx); err != nil {
-			t.Fatal(err)
-		}
-		events++
-	}
-	leave := func(u int) {
-		if err := pub.Leave(ctx, u); err != nil {
-			t.Fatal(err)
-		}
-		events++
-	}
-	patched := func(step string, apply func()) {
-		t.Helper()
-		prev := pub.Snapshot()
-		events = 0
-		apply()
-		asked := publish(step)
-		if want := changed(prev, pub.Snapshot()); asked != want || asked > events {
-			t.Fatalf("%s: plane asked about %d slots after %d events, want the %d that changed identifier", step, asked, events, want)
-		}
-	}
 
-	if asked := publish("unchanged"); asked != 0 {
-		t.Fatalf("unchanged: plane asked about %d slots, want a shared mask", asked)
-	}
-	patched("one join", join)
-	patched("joins opening a key chunk", func() {
-		for pub.LiveN() <= 3*keyChunkLen {
-			join()
+		if asked := publish("unchanged"); asked != 0 {
+			t.Fatalf("unchanged: plane asked about %d slots, want a shared mask", asked)
 		}
-	})
-	if n := pub.Snapshot().N(); n <= 3*keyChunkLen {
-		t.Fatalf("fixture: %d slots open no fourth key chunk", n)
-	}
-	patched("leaves popping a key chunk", func() {
-		for pub.LiveN() > 3*keyChunkLen {
-			leave(pub.LiveN() - 1)
-		}
-	})
-	patched("a rename into chunk 0", func() { leave(5) })
-	patched("a rename into chunk 1", func() { leave(keyChunkLen + 7) })
-	rng := xrand.New(41)
-	patched("a mixed epoch", func() {
-		for ev := 0; ev < defaultPublishEvery; ev++ {
-			if ev%2 == 0 {
+		patched("one join", join)
+		patched("joins opening a key chunk", func() {
+			for pub.LiveN() <= 3*keyChunkLen {
 				join()
-			} else {
-				leave(rng.Intn(pub.LiveN()))
 			}
+		})
+		if n := pub.Snapshot().N(); n <= 3*keyChunkLen {
+			t.Fatalf("fixture: %d slots open no fourth key chunk", n)
 		}
-	})
+		patched("leaves popping a key chunk", func() {
+			for pub.LiveN() > 3*keyChunkLen {
+				leave(pub.LiveN() - 1)
+			}
+		})
+		patched("a rename into chunk 0", func() { leave(5) })
+		patched("a rename into chunk 1", func() { leave(keyChunkLen + 7) })
+		rng := xrand.New(41)
+		patched("a mixed epoch", func() {
+			for ev := 0; ev < defaultPublishEvery; ev++ {
+				if ev%2 == 0 {
+					join()
+				} else {
+					leave(rng.Intn(pub.LiveN()))
+				}
+			}
+		})
 
-	// An epoch bump asks about every slot, as does a plane swap.
-	leave(3)
-	if err := m.SetPartition(netmodel.Partition{Cuts: []float64{0.2, 0.6}}); err != nil {
-		t.Fatal(err)
-	}
-	if asked, n := publish("epoch bump"), pub.Snapshot().N(); asked != n {
-		t.Fatalf("epoch bump: plane asked about %d slots, want all %d", asked, n)
-	}
-	// The new plane reports the same epoch, so only the installation
-	// tells the planes apart.
-	leave(4)
-	other, err := netmodel.New(netmodel.Config{DeadFrac: 0.1}, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cuts := range [][]float64{{0.3, 0.7}, {0.2, 0.6}} {
-		if err := other.SetPartition(netmodel.Partition{Cuts: cuts}); err != nil {
+		// An epoch bump asks about every slot, as does a plane swap.
+		leave(3)
+		if err := m.SetPartition(netmodel.Partition{Cuts: []float64{0.2, 0.6}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if other.FaultEpoch() != m.FaultEpoch() {
-		t.Fatalf("fixture: plane epochs %d and %d differ", other.FaultEpoch(), m.FaultEpoch())
-	}
-	fp = &countingPlane{Model: other}
-	pub.SetFaultPlane(fp)
-	m = other
-	s := pub.Snapshot()
-	if fp.asked != s.N() {
-		t.Fatalf("plane swap: plane asked about %d slots, want all %d", fp.asked, s.N())
-	}
-	if want := buildFaultMask(s, m); s.faults.n != want.n || !slices.Equal(s.faults.dead, want.dead) {
-		t.Fatal("plane swap: mask differs from a full build")
-	}
-	patched("a join after the swap", join)
+		if asked, n := publish("epoch bump"), pub.Snapshot().N(); asked != n {
+			t.Fatalf("epoch bump: plane asked about %d slots, want all %d", asked, n)
+		}
+		// The new plane reports the same epoch, so only the installation
+		// tells the planes apart.
+		leave(4)
+		other, err := netmodel.New(netmodel.Config{DeadFrac: 0.1}, 43)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cuts := range [][]float64{{0.3, 0.7}, {0.2, 0.6}} {
+			if err := other.SetPartition(netmodel.Partition{Cuts: cuts}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if other.FaultEpoch() != m.FaultEpoch() {
+			t.Fatalf("fixture: plane epochs %d and %d differ", other.FaultEpoch(), m.FaultEpoch())
+		}
+		fp = &countingPlane{Model: other}
+		pub.SetFaultPlane(fp)
+		m = other
+		s := pub.Snapshot()
+		if fp.asked != s.N() {
+			t.Fatalf("plane swap: plane asked about %d slots, want all %d", fp.asked, s.N())
+		}
+		if want := buildFaultMask(s, m); s.faults.n != want.n || !slices.Equal(s.faults.dead, want.dead) {
+			t.Fatal("plane swap: mask differs from a full build")
+		}
+		patched("a join after the swap", join)
+	})
 }
